@@ -1,11 +1,10 @@
 """tea-lint: AST-based invariant checks for the reproduction's
 correctness contracts.
 
-The simulator's load-bearing invariants -- the profiled step loop
-mirroring ``step()``, observability staying behind its fast path,
-model determinism, ``__slots__`` discipline, picklable executor
-payloads, and MODEL_VERSION tracking semantics drift -- are all
-checkable from source. This package checks them:
+The simulator's load-bearing invariants -- observability staying
+behind its fast path, model determinism, ``__slots__`` discipline,
+picklable executor payloads, and MODEL_VERSION tracking semantics
+drift -- are all checkable from source. This package checks them:
 
 >>> from repro.analysis import lint_paths
 >>> result = lint_paths(["src"])

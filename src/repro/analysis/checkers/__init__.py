@@ -3,7 +3,6 @@
 from repro.analysis.checkers import (  # noqa: F401
     backend_purity,
     determinism,
-    mirror,
     model_version,
     obs_overhead,
     predict_purity,

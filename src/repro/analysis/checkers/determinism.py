@@ -15,9 +15,9 @@ This checker bans those inputs from the simulation packages
 * entropy: ``os.urandom``;
 * environment-dependent branching: ``os.environ`` / ``os.getenv``.
 
-``time.perf_counter`` stays legal: the profiled step loop reads it for
-*measurement*, never for model decisions. Seeded ``random.Random(seed)``
-instances are the sanctioned randomness source.
+``time.perf_counter`` stays legal: it is for *measurement*, never for
+model decisions. Seeded ``random.Random(seed)`` instances are the
+sanctioned randomness source.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ Recognised guards:
   ``if not obs.enabled(): return`` in the same function.
 
 Call sites that are themselves only reachable from a guarded branch
-(e.g. a ``_run_profiled`` twin dispatched behind the flag) cannot be
-proven safe lexically; annotate those with an inline
+(e.g. a helper called only behind the flag) cannot be proven safe
+lexically; annotate those with an inline
 ``# tealint: disable=TL002 -- <why>`` at the def line.
 """
 
@@ -80,8 +80,6 @@ def _obs_names(module: ModuleSource) -> tuple[set[str], set[str]]:
                     if alias.name == "obs":
                         module_aliases.add(alias.asname or "obs")
             elif node.module and node.module.startswith("repro.obs"):
-                if node.module == "repro.obs.stageprof":
-                    continue  # StageProfiler/EV_* are caller-managed
                 for alias in node.names:
                     if alias.name in _OBS_API:
                         api_names.add(alias.asname or alias.name)

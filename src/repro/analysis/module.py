@@ -13,7 +13,6 @@ literals cannot false-positive)::
     # tealint: disable=TL002            silence rules on this line
     # tealint: disable=TL002,TL003 -- reason text after a double dash
     # tealint: disable-file=TL004       silence rules in the whole file
-    # tealint: instrumentation          TL001 mirror whitelist marker
 
 A directive on a comment-only line attaches to the next code line
 (consecutive comment lines chain, so a directive may sit atop an
@@ -32,7 +31,7 @@ from functools import cached_property
 from pathlib import PurePosixPath
 
 _DIRECTIVE_RE = re.compile(
-    r"#\s*tealint:\s*(?P<kind>disable-file|disable|instrumentation)"
+    r"#\s*tealint:\s*(?P<kind>disable-file|disable)"
     r"\s*(?:=\s*(?P<rules>[A-Za-z0-9_,\s]+?))?\s*(?:--.*)?$"
 )
 
@@ -123,13 +122,10 @@ class ModuleSource:
     # Inline directives.
     # ------------------------------------------------------------------
     @cached_property
-    def _directives(
-        self,
-    ) -> tuple[set[str], dict[int, set[str]], set[int]]:
-        """(file-level disables, per-line disables, marker lines)."""
+    def _directives(self) -> tuple[set[str], dict[int, set[str]]]:
+        """(file-level disables, per-line disables)."""
         file_disables: set[str] = set()
         line_disables: dict[int, set[str]] = {}
-        markers: set[int] = set()
         try:
             tokens = list(
                 tokenize.generate_tokens(io.StringIO(self.text).readline)
@@ -142,10 +138,6 @@ class ModuleSource:
             match = _DIRECTIVE_RE.search(tok.string)
             if not match:
                 continue
-            kind = match.group("kind")
-            if kind == "instrumentation":
-                markers.add(tok.start[0])
-                continue
             rules = {
                 rule.strip().upper()
                 for rule in (match.group("rules") or "").split(",")
@@ -153,19 +145,14 @@ class ModuleSource:
             }
             if not rules:
                 continue
-            if kind == "disable-file":
+            if match.group("kind") == "disable-file":
                 file_disables |= rules
             else:
                 line_disables.setdefault(tok.start[0], set()).update(
                     rules
                 )
         self._propagate(line_disables)
-        marker_extra: dict[int, set[str]] = {
-            line: set() for line in markers
-        }
-        self._propagate(marker_extra)
-        markers |= set(marker_extra)
-        return file_disables, line_disables, markers
+        return file_disables, line_disables
 
     def _propagate(self, table: dict[int, set[str]]) -> None:
         """Attach comment-only directive lines to the next code line."""
@@ -192,7 +179,7 @@ class ModuleSource:
     @cached_property
     def _scoped_disables(self) -> list[tuple[int, int, set[str]]]:
         """Body ranges of defs/classes whose header carries a disable."""
-        _, line_disables, _ = self._directives
+        _, line_disables = self._directives
         ranges: list[tuple[int, int, set[str]]] = []
         if not line_disables:
             return ranges
@@ -217,7 +204,7 @@ class ModuleSource:
 
     def suppressed(self, rule: str, line: int) -> bool:
         """True when an inline directive silences *rule* at *line*."""
-        file_disables, line_disables, _ = self._directives
+        file_disables, line_disables = self._directives
         if "ALL" in file_disables or rule in file_disables:
             return True
         at_line = line_disables.get(line)
@@ -229,7 +216,3 @@ class ModuleSource:
             ):
                 return True
         return False
-
-    def instrumentation_lines(self) -> set[int]:
-        """Lines carrying the ``# tealint: instrumentation`` marker."""
-        return self._directives[2]

@@ -60,7 +60,6 @@ def simulate_backend(
     arch_state=None,
     max_cycles: int = 500_000_000,
     plan: WindowPlan | None = None,
-    reference_loop: bool = False,
 ):
     """Simulate *program* on the named backend and return its result.
 
@@ -72,7 +71,6 @@ def simulate_backend(
         backend: One of :data:`BACKEND_NAMES`.
         plan: Window geometry for the sampled backend (ignored by the
             other tiers; ``None`` selects :class:`WindowPlan` defaults).
-        reference_loop: Detailed tier only -- run the frozen A/B loop.
 
     Raises:
         ValueError: Unknown backend name, or samplers attached to the
@@ -82,8 +80,7 @@ def simulate_backend(
         from repro.uarch.core import simulate
 
         return simulate(
-            program, config, samplers, arch_state,
-            max_cycles=max_cycles, reference_loop=reference_loop,
+            program, config, samplers, arch_state, max_cycles=max_cycles,
         )
     if backend == "functional":
         if list(samplers):

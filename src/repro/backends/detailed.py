@@ -16,9 +16,6 @@ class DetailedBackend(ExecutionBackend):
 
     name = "detailed"
 
-    def __init__(self, reference_loop: bool = False) -> None:
-        self.reference_loop = reference_loop
-
     def simulate(
         self,
         program,
@@ -29,6 +26,5 @@ class DetailedBackend(ExecutionBackend):
     ) -> CoreResult:
         """Run the full cycle-level model."""
         return simulate(
-            program, config, samplers, arch_state,
-            max_cycles=max_cycles, reference_loop=self.reference_loop,
+            program, config, samplers, arch_state, max_cycles=max_cycles,
         )

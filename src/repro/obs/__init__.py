@@ -9,8 +9,9 @@ pieces, all **off by default** and zero-overhead while disabled:
   feeding a process-global, thread-safe :class:`SpanCollector`;
 * :mod:`repro.obs.counters` -- a :class:`CounterRegistry` of counters,
   gauges, and histograms the core and suite executor report into;
-* :mod:`repro.obs.stageprof` -- :class:`StageProfiler`, wall time per
-  core pipeline stage per N-cycle window;
+* :mod:`repro.obs.stageprof` -- :class:`StageSampler`, a ``SIGPROF``
+  stack sampler giving wall time per core pipeline stage per
+  250k-cycle window;
 * :mod:`repro.obs.metrics` -- :class:`MetricsHub` ring-buffer time
   series over the registry plus Prometheus text exposition
   (:func:`expose_prometheus`, optional :class:`MetricsServer`);
@@ -76,20 +77,13 @@ from repro.obs.spans import (
     span,
     traced,
 )
-from repro.obs.stageprof import (
-    DEFAULT_WINDOW_CYCLES,
-    STAGES,
-    WINDOW_ENV,
-    StageProfiler,
-    window_cycles_default,
-)
+from repro.obs.stageprof import STAGES, StageSampler
 
 __all__ = [
     "BUCKET_BOUNDS",
     "COLLECTOR",
     "COUNTERS",
     "CounterRegistry",
-    "DEFAULT_WINDOW_CYCLES",
     "HUB",
     "MetricSeries",
     "MetricsHub",
@@ -101,8 +95,7 @@ __all__ = [
     "STAGES",
     "Span",
     "SpanCollector",
-    "StageProfiler",
-    "WINDOW_ENV",
+    "StageSampler",
     "begin_run",
     "chrome_trace_doc",
     "clear_run_context",
@@ -128,7 +121,6 @@ __all__ = [
     "traced",
     "validate_chrome_trace",
     "validate_prometheus_text",
-    "window_cycles_default",
 ]
 
 

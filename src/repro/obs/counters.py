@@ -9,9 +9,9 @@ One process-global :class:`CounterRegistry` with three metric kinds:
   derivable and Prometheus exposition gets its cumulative ``le``
   series without per-observation storage.
 
-The core reports per-pipeline-stage occupancy, stall causes keyed by
-the four commit states, cache/TLB hit rates, and sampler overhead here
-at the end of an instrumented run; :meth:`sample` additionally emits a
+The core reports per-pipeline-stage wall time, cycles per commit
+state, flush causes, cache/TLB hit rates, and sampler overhead here at
+the end of an observed run; :meth:`sample` additionally emits a
 Chrome ``"C"`` counter event into the span collector so the values
 render as counter tracks in Perfetto.
 

@@ -1,40 +1,48 @@
 """Simulator self-profiling: wall time per pipeline stage per window.
 
 TEA explains where *simulated* time goes; this module explains where
-the *simulator's* time goes -- the gem5 call-stack-profiling lesson
-that profiling the model itself is how you find model bugs and hot
-paths. :class:`StageProfiler` is fed per-stage ``perf_counter`` deltas
-by the core's instrumented step loop and, every *window_cycles*
-simulated cycles, flushes into the span collector:
+the *simulator's* time goes, the same way: by time-proportional
+sampling instead of instrumenting every cycle (the gem5 call-stack
+profiling approach). While :meth:`repro.uarch.core.Core.run` runs with
+observability enabled, a :class:`StageSampler` arms ``ITIMER_PROF``;
+each ``SIGPROF`` tick walks the interrupted Python stack to the
+innermost ``Core`` stage entry point (:data:`STAGE_OF`) and records
+that stage. The step loop itself carries no timing code, so an
+observed run executes exactly the code an unobserved run does.
 
-* one ``"X"`` span per pipeline stage on a dedicated, named thread
-  track (``stage:commit``, ``stage:fetch``, ...), with the wall time
-  the stage cost inside that window;
+Every :data:`WINDOW_CYCLES` simulated cycles the sampler flushes into
+the span collector:
+
+* one ``"X"`` span per stage that got ticks, on a dedicated, named
+  thread track (``stage:commit``, ``stage:fetch``, ...), lasting the
+  window's wall time times the stage's share of the window's ticks;
 * ``"C"`` counter samples for window throughput (simulated cycles per
-  wall second), per-stage wall milliseconds, and average structure
-  occupancy (ROB, fetch buffer, issue queues).
+  wall second) and per-stage wall milliseconds.
 
-End-of-run totals land in the counter registry
-(``core.stage_s.<stage>``, ``core.occupancy.<structure>``), so the
+End-of-run totals land in the counter registry (``core.stage_s.<stage>``
+plus ``core.stage_ticks``, the sample size behind them), so the
 registry snapshot answers "which stage dominates" without opening the
-trace. Only ever constructed while instrumentation is enabled -- the
-uninstrumented step loop never touches this module.
+trace.
 """
 
 from __future__ import annotations
 
-import os
+import signal
+import threading
+from collections import Counter
 
 from repro.obs.counters import COUNTERS
 from repro.obs.spans import COLLECTOR, now_us
 
-#: Environment override for the flush window (simulated cycles).
-WINDOW_ENV = "REPRO_OBS_WINDOW"
+#: Flush window in simulated cycles.
+WINDOW_CYCLES = 250_000
 
-#: Default flush window in simulated cycles.
-DEFAULT_WINDOW_CYCLES = 250_000
+#: Seconds of process CPU time between ticks (the kernel may round it
+#: up to its timer resolution; stage times are shares, so any rate
+#: works).
+TICK_S = 0.001
 
-#: Pipeline stages of the instrumented step loop, in loop order.
+#: Pipeline stages, in step-loop order.
 STAGES = (
     "events",    # completion/writeback event processing
     "commit",    # commit + classify + golden attribution
@@ -46,122 +54,134 @@ STAGES = (
     "idle",      # exact fast-forward bookkeeping
 )
 
-# Indices for the core's hot adds (list indexing beats dict lookups).
-EV_EVENTS = 0
-EV_COMMIT = 1
-EV_SAMPLE = 2
-EV_ISSUE = 3
-EV_DISPATCH = 4
-EV_FETCH = 5
-EV_DRAIN = 6
-EV_IDLE = 7
+#: ``Core`` methods that enter a stage. A tick charges the innermost
+#: one on the stack; ``step``'s own lines (classify and attribute) are
+#: commit work. Ticks with none of these on the stack are outside the
+#: step loop and are not counted.
+STAGE_OF = {
+    "_process_events": "events",
+    "step": "commit",
+    "_commit": "commit",
+    "_account_commit": "commit",
+    "_poll_samplers": "sample",
+    "add_drain_waiter": "sample",
+    "add_dispatch_tag": "sample",
+    "add_fetch_tag": "sample",
+    "_issue": "issue",
+    "_try_execute": "issue",
+    "_execute_load": "issue",
+    "_execute_store": "issue",
+    "_dispatch": "dispatch",
+    "_rename": "dispatch",
+    "_fetch": "fetch",
+    "_handle_control": "fetch",
+    "_start_drain": "drain",
+    "_fast_forward": "idle",
+    "_attribute_skip": "idle",
+}
 
 #: Synthetic tid base for the per-stage trace tracks.
 _STAGE_TID_BASE = 9000
 
 
-def window_cycles_default() -> int:
-    """The flush window: ``$REPRO_OBS_WINDOW`` or the default."""
-    raw = os.environ.get(WINDOW_ENV, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_WINDOW_CYCLES
-    return value if value > 0 else DEFAULT_WINDOW_CYCLES
+class StageSampler:
+    """``SIGPROF`` stack sampler over one core run; a context manager.
 
-
-class StageProfiler:
-    """Accumulates per-stage wall time and occupancy; flushes windows.
+    Inside the ``with`` block the sampler owns ``SIGPROF`` and
+    ``ITIMER_PROF`` (on the main thread only: elsewhere it records no
+    ticks); the previous handler and timer are restored on exit. The
+    run loop calls :meth:`maybe_flush` as simulated cycles advance and
+    :meth:`finish` once at the end.
 
     Args:
-        name: Label of the profiled run (usually the program name).
-        window_cycles: Simulated cycles per flush window (default:
-            :func:`window_cycles_default`).
+        name: Label of the sampled run (usually the program name).
+        core_cls: The class whose :data:`STAGE_OF` methods the ticks
+            resolve against (code objects, which carry no qualified
+            name before Python 3.11).
     """
 
-    def __init__(
-        self, name: str, window_cycles: int | None = None
-    ) -> None:
+    def __init__(self, name: str, core_cls: type) -> None:
         self.name = name
-        self.window_cycles = (
-            window_cycles_default()
-            if window_cycles is None
-            else max(1, int(window_cycles))
-        )
-        self._acc = [0.0] * len(STAGES)
+        self._stage_of = {
+            getattr(core_cls, method).__code__: STAGES.index(stage)
+            for method, stage in STAGE_OF.items()
+        }
+        #: Stage indices of this window's ticks (appended by the handler).
+        self.ticks: list[int] = []
         self._totals = [0.0] * len(STAGES)
-        # Occupancy sums, weighted by simulated cycles covered.
-        self._occ_keys = ("rob", "fetch_buffer", "iq_int", "iq_mem",
-                          "iq_fp")
-        self._occ_sums = [0.0] * len(self._occ_keys)
-        self._occ_totals = [0.0] * len(self._occ_keys)
-        self._cycles_seen = 0
-        self._total_cycles = 0
+        self._total_ticks = 0
         self._window_start_cycle = 0
         self._window_start_us = now_us()
-        self._named_tracks = False
-        self.windows_flushed = 0
-
-    # -- hot-path feeds (called from the instrumented step loop) -------
-    def add(self, stage: int, seconds: float) -> None:
-        """Accumulate *seconds* of wall time against a stage index."""
-        self._acc[stage] += seconds
-
-    def occupancy(
-        self,
-        rob: int,
-        fetch_buffer: int,
-        iq_int: int,
-        iq_mem: int,
-        iq_fp: int,
-        cycles: int,
-    ) -> None:
-        """Accumulate structure occupancy over *cycles* simulated cycles."""
-        sums = self._occ_sums
-        sums[0] += rob * cycles
-        sums[1] += fetch_buffer * cycles
-        sums[2] += iq_int * cycles
-        sums[3] += iq_mem * cycles
-        sums[4] += iq_fp * cycles
-        self._cycles_seen += cycles
-
-    def maybe_flush(self, cycle: int) -> None:
-        """Flush the window if *cycle* crossed its boundary."""
-        if cycle - self._window_start_cycle >= self.window_cycles:
-            self.flush(cycle)
-
-    # -- window flushing -----------------------------------------------
-    def _name_tracks(self) -> None:
+        self._saved = None
         for index, stage in enumerate(STAGES):
             COLLECTOR.add_thread_name(
                 _STAGE_TID_BASE + index, f"stage:{stage}"
             )
-        self._named_tracks = True
+
+    # -- ticking ---------------------------------------------------------
+    def _on_tick(self, signum, frame) -> None:
+        # May run while the interrupted code holds a COLLECTOR or
+        # COUNTERS lock, so it only appends to a plain list.
+        stage_of = self._stage_of
+        while frame is not None:
+            stage = stage_of.get(frame.f_code)
+            if stage is not None:
+                self.ticks.append(stage)
+                return
+            frame = frame.f_back
+
+    def __enter__(self) -> StageSampler:
+        if threading.current_thread() is threading.main_thread():
+            handler = signal.signal(signal.SIGPROF, self._on_tick)
+            timer = signal.setitimer(signal.ITIMER_PROF, TICK_S, TICK_S)
+            self._saved = (handler, timer)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._saved is None:
+            return
+        handler, timer = self._saved
+        self._saved = None
+        # Timer first: a tick between the two calls must still find a
+        # Python handler (SIGPROF's default action kills the process).
+        signal.setitimer(signal.ITIMER_PROF, *timer)
+        signal.signal(
+            signal.SIGPROF,
+            signal.SIG_DFL if handler is None else handler,
+        )
+
+    # -- window flushing -----------------------------------------------
+    def maybe_flush(self, cycle: int) -> None:
+        """Flush the window if *cycle* crossed its boundary."""
+        if cycle - self._window_start_cycle >= WINDOW_CYCLES:
+            self.flush(cycle)
 
     def flush(self, cycle: int) -> None:
         """Emit this window's spans and counter samples; reset."""
-        if not self._named_tracks:
-            self._name_tracks()
+        # A tick landing mid-swap appends to the list taken here.
+        ticks, self.ticks = self.ticks, []
         now = now_us()
         start = self._window_start_us
         cycles = cycle - self._window_start_cycle
-        acc = self._acc
+        wall_s = max((now - start) / 1e6, 1e-9)
+        counts = Counter(ticks)
         stage_ms: dict[str, float] = {}
         for index, stage in enumerate(STAGES):
-            seconds = acc[index]
-            self._totals[index] += seconds
-            if seconds <= 0.0:
+            count = counts[index]
+            if not count:
                 continue
+            seconds = wall_s * count / len(ticks)
+            self._totals[index] += seconds
             stage_ms[stage] = round(seconds * 1e3, 6)
             COLLECTOR.add_complete(
                 f"stage:{stage}",
                 start,
                 int(seconds * 1e6),
-                {"cycles": cycles, "window_end_cycle": cycle},
+                {"cycles": cycles, "window_end_cycle": cycle,
+                 "ticks": count},
                 cat="core-stage",
                 tid=_STAGE_TID_BASE + index,
             )
-        wall_s = max((now - start) / 1e6, 1e-9)
         COUNTERS.sample(
             f"core.{self.name}.throughput",
             {"cycles_per_sec": round(cycles / wall_s, 1)},
@@ -171,35 +191,13 @@ class StageProfiler:
             COUNTERS.sample(
                 f"core.{self.name}.stage_ms", stage_ms, ts_us=start
             )
-        if self._cycles_seen:
-            seen = self._cycles_seen
-            occ = {
-                key: round(self._occ_sums[index] / seen, 3)
-                for index, key in enumerate(self._occ_keys)
-            }
-            COUNTERS.sample(
-                f"core.{self.name}.occupancy", occ, ts_us=start
-            )
-            for index in range(len(self._occ_keys)):
-                self._occ_totals[index] += self._occ_sums[index]
-                self._occ_sums[index] = 0.0
-        self._total_cycles += cycles
-        self._cycles_seen = 0
-        for index in range(len(acc)):
-            acc[index] = 0.0
+        self._total_ticks += len(ticks)
         self._window_start_cycle = cycle
         self._window_start_us = now
-        self.windows_flushed += 1
 
     def finish(self, cycle: int) -> None:
         """Flush the trailing partial window and report run totals."""
         self.flush(cycle)
         for index, stage in enumerate(STAGES):
             COUNTERS.inc(f"core.stage_s.{stage}", self._totals[index])
-        if self._total_cycles:
-            total = self._total_cycles
-            for index, key in enumerate(self._occ_keys):
-                COUNTERS.gauge(
-                    f"core.occupancy.{key}",
-                    self._occ_totals[index] / total,
-                )
+        COUNTERS.inc("core.stage_ticks", self._total_ticks)

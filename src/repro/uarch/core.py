@@ -46,20 +46,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 from collections.abc import Iterable, Iterator
 
-from time import perf_counter
-
 from repro import obs
-from repro.obs.stageprof import (
-    EV_COMMIT,
-    EV_DISPATCH,
-    EV_DRAIN,
-    EV_EVENTS,
-    EV_FETCH,
-    EV_IDLE,
-    EV_ISSUE,
-    EV_SAMPLE,
-    StageProfiler,
-)
 from repro.branch.predictor import BranchPredictor
 from repro.core.events import Event
 from repro.core.pics import PicsProfile
@@ -551,13 +538,36 @@ class Core:
             SimulationError: On deadlock or when *max_cycles* is exceeded.
         """
         self.start()
-        if obs.enabled() and not self.reference_loop:
-            # Observability opt-in: the instrumented loop performs the
-            # exact same stage calls in the same order (bit-identical
-            # results -- pinned by tests), plus per-stage wall timing.
-            return self._run_profiled(max_cycles)
         step = self.step
         active = self.active
+        if obs.enabled():
+            # Observability opt-in: the same step() calls, timed per
+            # stage by a SIGPROF stack sampler instead of code in the
+            # loop, plus heartbeats and end-of-run counters.
+            workload = self.program.name
+            beat_every = obs.PROGRESS_EVERY_CYCLES
+            next_beat = beat_every
+            sampler = obs.StageSampler(workload, type(self))
+            with obs.span(f"core.run:{workload}"), sampler:
+                while active():
+                    if self.cycle >= max_cycles:
+                        raise SimulationError(
+                            f"{workload}: exceeded {max_cycles} cycles"
+                        )
+                    step()
+                    if self.cycle >= next_beat:
+                        # Observe-only heartbeat: reads the two public
+                        # counts, mutates nothing (bit-identity pinned).
+                        next_beat = self.cycle + beat_every
+                        obs.report_progress(
+                            workload, "detailed",
+                            self.cycle, self.committed_total,
+                        )
+                    sampler.maybe_flush(self.cycle)
+                self._finish()
+            sampler.finish(self.cycle)
+            self._report_obs()
+            return self.result()
         while active():
             if self.cycle >= max_cycles:
                 raise SimulationError(
@@ -565,37 +575,6 @@ class Core:
                 )
             step()
         self._finish()
-        return self.result()
-
-    # tealint: disable=TL002 -- only dispatched from run() behind
-    # obs.enabled(); guarding again here would double the check.
-    def _run_profiled(self, max_cycles: int) -> CoreResult:
-        """Simulate to completion under the instrumented step loop."""
-        prof = StageProfiler(self.program.name)
-        step = self._step_profiled
-        active = self.active
-        workload = self.program.name
-        beat_every = obs.PROGRESS_EVERY_CYCLES
-        next_beat = beat_every
-        with obs.span(f"core.run:{workload}"):
-            while active():
-                if self.cycle >= max_cycles:
-                    raise SimulationError(
-                        f"{workload}: exceeded "
-                        f"{max_cycles} cycles"
-                    )
-                step(prof)
-                if self.cycle >= next_beat:
-                    # Observe-only heartbeat: reads the two public
-                    # counts, mutates nothing (bit-identity pinned).
-                    next_beat = self.cycle + beat_every
-                    obs.report_progress(
-                        workload, "detailed",
-                        self.cycle, self.committed_total,
-                    )
-            self._finish()
-        prof.finish(self.cycle)
-        self._report_obs()
         return self.result()
 
     def finish(self) -> None:
@@ -751,140 +730,12 @@ class Core:
             else:
                 self._golden_base[index] += n
 
-    # ==================================================================
-    # Instrumented step loop (repro.obs opt-in).
-    # ==================================================================
-    def _step_profiled(
-        self, prof: StageProfiler, horizon: int | None = None
-    ) -> None:
-        """One cycle of :meth:`step`, with per-stage wall timing.
-
-        Mirrors the optimised :meth:`step` statement for statement --
-        same stage calls, same guards, same order -- so results are
-        bit-identical; the only additions are ``perf_counter`` reads
-        between stages and occupancy accumulation, fed to *prof*.
-        """
-        perf = perf_counter
-        cycle = self.cycle + 1
-        self.cycle = cycle
-
-        t0 = perf()
-        events = self._events
-        if events and events[0][0] <= cycle:
-            progressed = self._process_events()
-        else:
-            progressed = False
-        t1 = perf()
-        prof.add(EV_EVENTS, t1 - t0)
-
-        rob = self.rob
-        committed = _NO_UOPS
-        if rob:
-            head = rob[0]
-            if head.complete and head.complete_time <= cycle:
-                committed = self._commit()
-
-        if committed:
-            state = _COMPUTE
-            progressed = True
-        elif rob:
-            self.rob_head = rob[0]
-            state = _STALLED
-        else:
-            self.rob_head = None
-            state = _FLUSHED if self._empty_is_flush else _DRAINED
-        self.commit_state = state
-        self.committing_now = committed
-
-        self.state_cycles[state] += 1
-        if state is _COMPUTE:
-            share = 1.0 / len(committed)
-            base = self._golden_base
-            ev = self._golden_ev
-            for uop in committed:
-                psv = uop.psv
-                if psv:
-                    key = (uop.index, psv)
-                    ev[key] = ev.get(key, 0.0) + share
-                else:
-                    base[uop.index] += share
-        else:
-            if self.cycle_trace is not None:
-                self.cycle_trace.on_cycles(
-                    state, 1, rob[0].seq if state is _STALLED else -1
-                )
-            if state is _STALLED:
-                rob[0].exposed_stall += 1
-            elif state is _DRAINED:
-                self._pending_drain += 1
-            else:  # FLUSHED
-                index, psv = self.flush_blame
-                if psv:
-                    ev = self._golden_ev
-                    key = (index, psv)
-                    ev[key] = ev.get(key, 0.0) + 1
-                else:
-                    self._golden_base[index] += 1
-        t2 = perf()
-        prof.add(EV_COMMIT, t2 - t1)
-
-        sheap = self._sampler_heap
-        if sheap and sheap[0][0] <= cycle:
-            self._poll_samplers(cycle)
-        t3 = perf()
-        prof.add(EV_SAMPLE, t3 - t2)
-
-        for queue in self._issue_queues:
-            if queue and queue[0][0] <= cycle:
-                progressed |= self._issue()
-                break
-        t4 = perf()
-        prof.add(EV_ISSUE, t4 - t3)
-
-        fb = self.fetch_buffer
-        if fb and cycle >= fb[0].fetch_cycle + self._frontend_depth:
-            progressed |= self._dispatch()
-        t5 = perf()
-        prof.add(EV_DISPATCH, t5 - t4)
-
-        if (
-            self._waiting_branch is None
-            and cycle >= self._fetch_stall_until
-            and len(self.fetch_buffer) < self._fetch_buffer_entries
-        ):
-            progressed |= self._fetch()
-        t6 = perf()
-        prof.add(EV_FETCH, t6 - t5)
-
-        if self._drain_queue and cycle >= self._drain_port_free:
-            progressed |= self._start_drain()
-        t7 = perf()
-        prof.add(EV_DRAIN, t7 - t6)
-
-        if not progressed and self.fast_forward:
-            self._fast_forward(state, horizon)
-            prof.add(EV_IDLE, perf() - t7)
-
-        # Occupancy is unchanged across fast-forwarded cycles (nothing
-        # progressed), so weighting by the cycles advanced this step
-        # yields exact per-simulated-cycle averages.
-        iq_occ = self._iq_occ  # tealint: instrumentation
-        prof.occupancy(
-            len(self.rob),
-            len(self.fetch_buffer),
-            iq_occ["int"],
-            iq_occ["mem"],
-            iq_occ["fp"],
-            self.cycle - cycle + 1,
-        )
-        prof.maybe_flush(self.cycle)
-
-    # tealint: disable=TL002 -- called only from _run_profiled, which
-    # run() dispatches to behind obs.enabled().
+    # tealint: disable=TL002 -- called only from run()'s
+    # obs.enabled() branch.
     def _report_obs(self) -> None:
         """Report end-of-run counters into the obs registry.
 
-        Called once per instrumented run -- aggregate statistics the
+        Called once per observed run -- aggregate statistics the
         core already tracks (commit-state stall causes, flush causes,
         cache/TLB hit rates, sampler overhead) become counters/gauges,
         and one final counter sample lands in the trace.
@@ -1731,13 +1582,11 @@ def simulate(
     arch_state: ArchState | None = None,
     max_cycles: int = 500_000_000,
     fast_forward: bool = True,
-    reference_loop: bool = False,
     cycle_trace=None,
 ) -> CoreResult:
     """Convenience wrapper: build a :class:`Core` and run it."""
     core = Core(
         program, config, samplers, arch_state,
-        fast_forward=fast_forward, reference_loop=reference_loop,
-        cycle_trace=cycle_trace,
+        fast_forward=fast_forward, cycle_trace=cycle_trace,
     )
     return core.run(max_cycles)

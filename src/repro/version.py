@@ -96,7 +96,7 @@ SEMANTIC_HASHES = {
     "src/repro/memory/tlb.py":
         "6e799416dcd20a2c0efd72914ac75ae599d63a83984b0afc4256bf348662e338",
     "src/repro/uarch/core.py":
-        "bcbe9c6b8ded434507466627d2b2ad83d711f69485b445d792ea3a1845fea337",
+        "6c60b4e08bfb01f5609f7abe2e5c652deb53a87f8f59e1d162d641cd5dbaca13",
     "src/repro/uarch/uop.py":
         "b9f8e405d1b673cc594b23b967b988527218143e6636d802c5717fc9a0d27a63",
 }

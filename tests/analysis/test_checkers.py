@@ -19,62 +19,6 @@ def rules_of(result):
     return [f.rule for f in result.findings]
 
 
-class TestMirrorTL001:
-    def test_clean_mirror_passes(self):
-        result = lint_source(
-            fixture_text("mirror_clean.py"), path=UARCH, rules=["TL001"]
-        )
-        assert result.findings == []
-
-    def test_missing_statement_flagged(self):
-        result = lint_source(
-            fixture_text("mirror_missing.py"),
-            path=UARCH,
-            rules=["TL001"],
-        )
-        assert rules_of(result) == ["TL001"]
-        assert "missing the statement" in result.findings[0].message
-        assert "_issue(cycle)" in result.findings[0].message
-
-    def test_extra_statement_flagged(self):
-        result = lint_source(
-            fixture_text("mirror_extra.py"), path=UARCH, rules=["TL001"]
-        )
-        assert rules_of(result) == ["TL001"]
-        finding = result.findings[0]
-        assert "extra non-instrumentation statement" in finding.message
-        # Anchored at the offending line in _step_profiled.
-        assert "self.extra_state = cycle" in fixture_text(
-            "mirror_extra.py"
-        ).splitlines()[finding.line - 1]
-
-    def test_divergence_localised_inside_nested_body(self):
-        result = lint_source(
-            fixture_text("mirror_diverge.py"),
-            path=UARCH,
-            rules=["TL001"],
-        )
-        assert rules_of(result) == ["TL001"]
-        finding = result.findings[0]
-        assert "diverges" in finding.message
-        assert "_commit()" in finding.message
-        assert "_commit_fast()" in finding.message
-        # Points at the diverging statement, not the whole if.
-        assert "self._commit_fast()" in fixture_text(
-            "mirror_diverge.py"
-        ).splitlines()[finding.line - 1]
-
-    def test_outside_hot_paths_still_applies_per_class(self):
-        # TL001 keys on the step/_step_profiled pair, not the package:
-        # any class shipping the pair gets the mirror contract.
-        result = lint_source(
-            fixture_text("mirror_missing.py"),
-            path="tests/fake_helper.py",
-            rules=["TL001"],
-        )
-        assert rules_of(result) == ["TL001"]
-
-
 class TestObsOverheadTL002:
     def test_only_the_unguarded_use_is_flagged(self):
         result = lint_source(
@@ -434,10 +378,6 @@ def test_fixture_corpus_files_exist():
 
     names = {p.name for p in DATA.glob("*.py")}
     assert {
-        "mirror_clean.py",
-        "mirror_missing.py",
-        "mirror_extra.py",
-        "mirror_diverge.py",
         "obs_mixed.py",
         "det_bad.py",
         "slots_bad.py",

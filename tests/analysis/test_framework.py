@@ -54,7 +54,7 @@ class TestDirectives:
         assert result.findings == []
 
     def test_disable_only_silences_named_rules(self):
-        source = "import time\nt = time.time()  # tealint: disable=TL001\n"
+        source = "import time\nt = time.time()  # tealint: disable=TL002\n"
         result = lint_source(source, path=HOT, rules=["TL003"])
         assert [f.rule for f in result.findings] == ["TL003"]
 
@@ -138,7 +138,7 @@ class TestBaseline:
 
     def test_malformed_raises(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"entries": [{"rule": "TL001"}]}))
+        path.write_text(json.dumps({"entries": [{"rule": "TL002"}]}))
         with pytest.raises(ValueError, match="needs rule/path"):
             Baseline.load(path)
 
@@ -166,8 +166,8 @@ class TestReporters:
 
     def test_text_report_notes_stale_baseline(self):
         result = self._result()
-        result.unused_baseline.append(("TL001", "gone.py", "sym"))
-        assert "stale baseline entry TL001" in render_text(result)
+        result.unused_baseline.append(("TL002", "gone.py", "sym"))
+        assert "stale baseline entry TL002" in render_text(result)
 
     def test_json_report(self):
         doc = json.loads(render_json(self._result()))
@@ -175,15 +175,13 @@ class TestReporters:
         assert doc["counts"]["active"] == 1
         assert doc["findings"][0]["rule"] == "TL003"
         assert {r["id"] for r in doc["rules"]} == {
-            "TL001", "TL002", "TL003", "TL004", "TL005", "TL006",
-            "TL007", "TL008",
+            "TL002", "TL003", "TL004", "TL005", "TL006", "TL007", "TL008",
         }
 
     def test_rule_catalogue_is_complete(self):
         ids = {r["id"] for r in rule_catalogue()}
         assert ids == {
-            "TL001", "TL002", "TL003", "TL004", "TL005", "TL006",
-            "TL007", "TL008",
+            "TL002", "TL003", "TL004", "TL005", "TL006", "TL007", "TL008",
         }
 
 
@@ -237,7 +235,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "TL001 mirror-drift" in out
+        assert "TL002 obs-overhead" in out
         assert "TL006 model-version" in out
 
     def test_clean_paths_exit_zero(self, capsys):
