@@ -3,8 +3,8 @@
 Two checks, on a small-but-real slice of the suite:
 
 1. **Functional vs detailed** — final architectural state (registers,
-   memory) and per-instruction execution counts bit-identical on three
-   workloads.
+   memory) and per-instruction execution counts bit-identical on four
+   workloads, gcc among them (its static program dwarfs what it runs).
 2. **Sampled window identity** — a sampled run and a full detailed run
    sliced at the same boundaries (``reference_ff=True``) produce
    bit-identical per-window profiles on one workload.
@@ -25,7 +25,7 @@ from repro.isa.semantics import InstStream, arch_digest
 from repro.uarch.core import Core
 from repro.workloads import build
 
-FUNCTIONAL_WORKLOADS = ("lbm", "mcf", "x264")
+FUNCTIONAL_WORKLOADS = ("lbm", "mcf", "x264", "gcc")
 SAMPLED_WORKLOAD = "x264"
 SCALE = 0.1
 PLAN = WindowPlan(window=256, stride=768, warmup=256)

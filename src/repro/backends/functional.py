@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 
 from repro import obs
 from repro.backends.base import ExecutionBackend
@@ -144,7 +145,8 @@ def simulate_functional(
                 break
             counts[dyn.static.index] += 1
             committed += 1
-    exec_counts = {i: c for i, c in enumerate(counts) if c}
+    # compress() skips never-executed indices in C, in ascending order.
+    exec_counts = {i: counts[i] for i in compress(range(len(counts)), counts)}
     golden_raw = {(i, 0): float(c) for i, c in exec_counts.items()}
     state_cycles = {state: 0 for state in CommitState}
     state_cycles[CommitState.COMPUTE] = committed

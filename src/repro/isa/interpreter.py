@@ -92,7 +92,7 @@ class Interpreter:
         self.max_insts = max_insts
         self.halted = False
         self.inst_count = 0
-        # Per-instruction closure specialization (see _compile_program).
+        # Per-instruction closure specialization (see _compile_inst).
         # False forces the interpreted path; the equivalence tests compare
         # the two streams instruction by instruction.
         self.compiled = compiled
@@ -111,24 +111,30 @@ class Interpreter:
     def _run_compiled(self) -> Iterator[DynInst]:
         """Drive execution through per-instruction compiled closures.
 
-        Produces exactly the stream of :meth:`_run_interpreted` (the
-        specializer bakes each instruction's register indices, immediate,
-        and constant result tuple into a closure; anything it cannot prove
-        exact falls back to :meth:`_execute` per instruction).
+        Produces exactly the stream of :meth:`_run_interpreted`. Each pc's
+        closure is compiled by :func:`_compile_inst` the first time that
+        pc executes, so set-up cost scales with the instructions that run,
+        not with the program's static size. Anything the specializer
+        cannot prove exact falls back to :meth:`_execute` per instruction.
         """
-        program = self.program
-        handlers = _compile_program(program, self.state, self._execute)
-        if handlers is None:
+        state = self.state
+        int_regs = state.int_regs
+        fp_regs = state.fp_regs
+        if not (
+            all(type(v) is int for v in int_regs)
+            and all(type(v) is float for v in fp_regs)
+        ):
             # Seeded register state breaks the type invariant the
             # specializer relies on; run fully interpreted.
             return self._run_interpreted()
-        return self._drive_compiled(handlers)
+        return self._drive_compiled(int_regs, fp_regs, state.memory)
 
-    def _drive_compiled(self, handlers) -> Iterator[DynInst]:
+    def _drive_compiled(self, int_regs, fp_regs, memory) -> Iterator[DynInst]:
         program = self.program
-        n_insts = len(program)
-        insts = [program[i] for i in range(n_insts)]
-        is_halt = [inst.op is Opcode.HALT for inst in insts]
+        insts = program.insts
+        n_insts = len(insts)
+        handlers = [None] * n_insts
+        fallback = self._execute
         max_insts = self.max_insts
         pc = 0
         seq = 0
@@ -142,11 +148,25 @@ class Interpreter:
                     f"{program.name}: exceeded {max_insts} committed "
                     "instructions without HALT"
                 )
-            next_pc, eff_addr, taken = handlers[pc]()
-            yield DynInst(insts[pc], seq, eff_addr, taken, next_pc)
+            inst = insts[pc]
+            try:
+                next_pc, eff_addr, taken = handlers[pc]()
+            except TypeError:
+                # First execution of this pc: its slot still holds None.
+                # A try block is free on CPython 3.11+, so the hot path
+                # pays nothing, unlike an `is None` test per instruction.
+                if handlers[pc] is not None:
+                    raise
+                handler = handlers[pc] = _compile_inst(
+                    inst, pc, int_regs, fp_regs, memory, fallback
+                )
+                next_pc, eff_addr, taken = handler()
+            yield DynInst(inst, seq, eff_addr, taken, next_pc)
             seq += 1
             self.inst_count = seq
-            if is_halt[pc]:
+            # HALT always returns next_pc == pc, so the opcode is read
+            # only on the rare self-loop.
+            if next_pc == pc and inst.op is Opcode.HALT:
                 self.halted = True
                 return
             pc = next_pc
@@ -366,28 +386,16 @@ class Interpreter:
 # conversion only where the register type invariant proves the value
 # bit-identical -- int_regs hold ints and fp_regs hold floats.
 # write_reg() preserves the invariant (it converts on store), every
-# specialized store does too, and _compile_program() verifies it for the
-# workload-seeded initial state, refusing to compile otherwise. Any
-# opcode or operand-class combination not provably exact falls back to a
-# closure around _execute() itself. The interpreted path is kept intact
-# (Interpreter(compiled=False)) and the equivalence tests compare the
-# two streams instruction by instruction.
+# specialized store does too, and Interpreter._run_compiled() verifies it
+# for the workload-seeded initial state when run() is called, running
+# fully interpreted otherwise. A closure is compiled the first time its
+# pc executes; which closure is built depends only on the static
+# instruction, never on register values, so when it is compiled cannot
+# change what it does. Any opcode or operand-class combination not
+# provably exact falls back to a closure around _execute() itself. The
+# interpreted path is kept intact (Interpreter(compiled=False)) and the
+# equivalence tests compare the two streams instruction by instruction.
 # ----------------------------------------------------------------------
-def _compile_program(program, state, fallback):
-    """Compile *program* to per-pc closures, or None if state forbids it."""
-    int_regs = state.int_regs
-    fp_regs = state.fp_regs
-    if not all(type(v) is int for v in int_regs):
-        return None
-    if not all(type(v) is float for v in fp_regs):
-        return None
-    memory = state.memory
-    return [
-        _compile_inst(program[i], i, int_regs, fp_regs, memory, fallback)
-        for i in range(len(program))
-    ]
-
-
 def _compile_inst(inst, pc, int_regs, fp_regs, memory, fallback):
     """Build the execution closure for one static instruction."""
     op = inst.op

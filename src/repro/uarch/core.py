@@ -44,6 +44,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
+from itertools import compress
 from collections.abc import Iterable, Iterator
 
 from repro import obs
@@ -51,7 +52,7 @@ from repro.branch.predictor import BranchPredictor
 from repro.core.events import Event
 from repro.core.pics import PicsProfile
 from repro.core.states import CommitState
-from repro.isa.instructions import INST_BYTES, NO_REG, DynInst
+from repro.isa.instructions import INST_BYTES, NO_REG, DynInst, StaticInst
 from repro.isa.interpreter import ArchState
 from repro.isa.opcodes import Opcode, OpClass, op_class
 from repro.isa.program import Program
@@ -227,25 +228,17 @@ class Core:
             op: self.config.queue_of(op_class(op)) for op in Opcode
         }
         self._class_by_op = {op: op_class(op) for op in Opcode}
-        # Static-instruction register operands, precomputed per program
-        # index (StaticInst.sources() builds a fresh tuple per call --
-        # far too hot for the rename stage).
-        self._sources_by_index: list[tuple[int, ...]] = [
-            inst.sources() for inst in program
-        ]
-        # Per-program-index fetch metadata: issue queue, op class, and
-        # whether _handle_control has anything to do for the µop.
-        self._queue_by_index: list[str] = [
-            self._queue_by_op[inst.op] for inst in program
-        ]
-        self._class_by_index: list[OpClass] = [
-            self._class_by_op[inst.op] for inst in program
-        ]
-        self._control_by_index: list[bool] = [
-            self._class_by_op[inst.op] is OpClass.BRANCH
-            or inst.op in (Opcode.JUMP, Opcode.CALL, Opcode.RET)
-            for inst in program
-        ]
+        # Per-program-index decode tables, filled by _decode() the first
+        # time _fetch() meets an index, so a large program whose code
+        # mostly never runs costs only what runs: register operands
+        # (StaticInst.sources() builds a fresh tuple per call -- far too
+        # hot for the rename stage), issue queue, op class, and whether
+        # _handle_control has anything to do for the µop.
+        n_insts = len(program)
+        self._sources_by_index: list[tuple[int, ...] | None] = [None] * n_insts
+        self._queue_by_index: list[str | None] = [None] * n_insts
+        self._class_by_index: list[OpClass | None] = [None] * n_insts
+        self._control_by_index: list[bool | None] = [None] * n_insts
         # The dynamic-instruction stream may be shared with other
         # backends (sampled windows): architectural state and stream
         # position live on the stream, not the core. ``source`` and
@@ -633,10 +626,10 @@ class Core:
         for key, value in self._golden_ev.items():
             raw[key] = value
         base = self._golden_base
-        for index in range(len(base)):
-            value = base[index]
-            if value:
-                raw[(index, 0)] = value
+        # compress() skips the zero entries in C; indices stay ascending,
+        # which fixes golden_raw's insertion order.
+        for index in compress(range(len(base)), base):
+            raw[(index, 0)] = base[index]
 
     def _finish(self) -> None:
         """Resolve leftover deferred samples and notify samplers."""
@@ -1211,6 +1204,8 @@ class Core:
                     break
             # _make_uop, inlined (rare-condition checks guarded).
             op_cls = class_by_index[index]
+            if op_cls is None:
+                op_cls = self._decode(dyn.static)
             uop = Uop(dyn, cycle, queue_by_index[index], op_cls)
             if self._pending_fetch_psv:
                 uop.psv |= self._pending_fetch_psv
@@ -1239,6 +1234,20 @@ class Core:
                     pend.append((sampler, weight))
             tag_waiters.clear()
         return progressed
+
+    def _decode(self, inst: StaticInst) -> OpClass:
+        """Fill the per-index decode tables for *inst*; return its class."""
+        index = inst.index
+        op = inst.op
+        op_cls = self._class_by_op[op]
+        self._sources_by_index[index] = inst.sources()
+        self._queue_by_index[index] = self._queue_by_op[op]
+        self._class_by_index[index] = op_cls
+        self._control_by_index[index] = (
+            op_cls is OpClass.BRANCH
+            or op in (Opcode.JUMP, Opcode.CALL, Opcode.RET)
+        )
+        return op_cls
 
     def _handle_control(self, uop: Uop) -> bool:
         """Predict a fetched control µop; False ends this fetch packet."""

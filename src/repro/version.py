@@ -72,7 +72,7 @@ PINNED_MODEL_VERSION = 3
 #: sha256 of each registered file's bytes at pin time.
 SEMANTIC_HASHES = {
     "src/repro/backends/functional.py":
-        "754a63bda63491fc5e6b823e99649bbf783b3f775a6eb5e6bbb862597a9ab657",
+        "dfcb9b16b45c2c446f29da6bbea108198ec4d36f0e25764b4f5c64d61c9956c8",
     "src/repro/backends/sampled.py":
         "f4acbbec70488b07fd883f65e6c9a5e2e6dec3f513696d45557263b9f89ae0bb",
     "src/repro/backends/warmup.py":
@@ -84,7 +84,7 @@ SEMANTIC_HASHES = {
     "src/repro/core/samplers.py":
         "a8ff11cc77d071770c55205a147d8257b115fa66a6bb6546db0f33647cf125b2",
     "src/repro/isa/interpreter.py":
-        "e04c73de307cb31d15aead2e97a7a17c081828d5dbfa1937c4a892f0aed73c26",
+        "de73523af8c5de799e8c637dab2248eb2594129caa2569e43dd32875f9166240",
     "src/repro/isa/semantics.py":
         "550caae32ecb0bcb606e678f97e0c431cc044d3c459d5c21c7af9b889ec57f10",
     "src/repro/memory/cache.py":
@@ -96,7 +96,7 @@ SEMANTIC_HASHES = {
     "src/repro/memory/tlb.py":
         "6e799416dcd20a2c0efd72914ac75ae599d63a83984b0afc4256bf348662e338",
     "src/repro/uarch/core.py":
-        "6c60b4e08bfb01f5609f7abe2e5c652deb53a87f8f59e1d162d641cd5dbaca13",
+        "3a71631468f0a853e77988428d5f853980b93d8afd10d506c7c029ae1c58d160",
     "src/repro/uarch/uop.py":
         "b9f8e405d1b673cc594b23b967b988527218143e6636d802c5717fc9a0d27a63",
 }

@@ -51,7 +51,7 @@ def _window_key(w):
     )
 
 
-@pytest.mark.parametrize("name", ["lbm", "x264", "mcf"])
+@pytest.mark.parametrize("name", ["lbm", "x264", "mcf", "gcc"])
 def test_windows_bit_identical_to_detailed_reference(name):
     sampled = _run(name, _PLAN)
     reference = _run(name, _PLAN, reference_ff=True)

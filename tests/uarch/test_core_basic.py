@@ -1,10 +1,14 @@
 """Basic pipeline tests: completion, invariants, statistics."""
 
+from collections import Counter
+
 import pytest
 
 from repro.isa.builder import ProgramBuilder
+from repro.isa.instructions import StaticInst
 from repro.uarch.config import CoreConfig
 from repro.uarch.core import Core, SimulationError, simulate
+from repro.workloads import build
 
 
 def test_straight_line_completes():
@@ -126,3 +130,21 @@ def test_result_profile_helpers(mixed_program):
         result.sampler_profile("nope")
     golden = result.golden_profile()
     assert golden.total() == pytest.approx(result.cycles)
+
+
+def test_core_decodes_only_the_indices_it_fetches(monkeypatch):
+    """gcc's static program dwarfs what it runs: the core decodes each
+    fetched index once and never touches the never-executed padding."""
+    calls: Counter = Counter()
+    real = StaticInst.sources
+
+    def counting(inst):
+        calls[inst.index] += 1
+        return real(inst)
+
+    monkeypatch.setattr(StaticInst, "sources", counting)
+    workload = build("gcc", scale=0.05)
+    result = Core(workload.program, arch_state=workload.fresh_state()).run()
+    assert set(calls) == set(result.exec_counts)
+    assert set(calls.values()) == {1}
+    assert 10 * len(calls) < len(workload.program)

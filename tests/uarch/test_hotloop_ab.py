@@ -50,7 +50,7 @@ def _profiles(workload, reference_loop: bool):
     }
 
 
-@pytest.mark.parametrize("name", ["lbm", "mcf", "x264"])
+@pytest.mark.parametrize("name", ["lbm", "mcf", "x264", "gcc"])
 def test_reference_loop_bit_identical(name):
     workload = build(name, scale=0.1)
     assert _profiles(workload, False) == _profiles(workload, True)
