@@ -6,7 +6,8 @@ command, and benchmark script funnels through. For each
 
 1. the in-process memo (same object back, as experiments rely on),
 2. the on-disk :class:`~repro.engine.store.RunStore` (cross-process
-   cache hits, reconstructed bit-identically from the stored payload),
+   cache hits, reconstructed bit-identically from the stored payload
+   onto the engine's built workload),
 3. a fresh simulation via the fault-tolerant
    :class:`~repro.engine.executor.SuiteExecutor` -- serial in-process
    for ``jobs=1``, fanned out over a worker pool otherwise, with
@@ -27,6 +28,7 @@ did the cache save" is always answerable after the fact.
 
 from __future__ import annotations
 
+import json
 import time
 from collections.abc import Callable, Mapping
 from typing import Any
@@ -48,6 +50,7 @@ from repro.engine.runs import (
 from repro.engine.spec import RunSpec
 from repro.engine.store import RunStore
 from repro.engine.telemetry import RunLog, RunMetrics
+from repro.workloads import Workload
 
 
 class Engine:
@@ -112,6 +115,7 @@ class Engine:
         self.last_suite_report: SuiteReport | None = None
         self.last_monitor = None
         self._memo: dict[str, BenchmarkRun] = {}
+        self._workloads: dict[str, Workload] = {}
 
     # ------------------------------------------------------------------
     # Single runs.
@@ -129,7 +133,7 @@ class Engine:
             return run
         start = time.perf_counter()
         with obs.span(f"engine.run:{spec.workload}", key=spec.key):
-            workload = build_workload(spec)
+            workload = self._workload(spec)
             payload = (
                 self.store.load(spec) if self.store is not None else None
             )
@@ -222,7 +226,7 @@ class Engine:
                     else None
                 )
                 if payload is not None:
-                    run = run_from_payload(payload, build_workload(spec))
+                    run = run_from_payload(payload, self._workload(spec))
                     self._memo[spec.key] = run
                     obs.COUNTERS.inc("engine.store_hits")
                     self._record(
@@ -264,12 +268,13 @@ class Engine:
             # else can fail, so completed work survives an interrupted
             # or partially failed suite.
             spec = missing[label]
-            run = run_from_payload(payload, build_workload(spec))
-            self.simulations += 1
-            obs.COUNTERS.inc("engine.simulations")
             if self.store is not None:
                 self.store.save(spec, payload)
-            self._memo[spec.key] = run
+            self.simulations += 1
+            obs.COUNTERS.inc("engine.simulations")
+            self._memo[spec.key] = run_from_payload(
+                payload, self._workload(spec)
+            )
 
         executor = SuiteExecutor(
             jobs=jobs,
@@ -309,6 +314,24 @@ class Engine:
         """
         if self.run_log is not None:
             self.run_log.record_event(record)
+
+    def _workload(self, spec: RunSpec) -> Workload:
+        """The workload *spec* names, built once per engine.
+
+        Keyed by what a build depends on -- the workload name, the
+        canonical kwargs and the scale -- so specs that differ only in
+        samplers, backend or config share one program. Every
+        simulation still takes its own :meth:`Workload.fresh_state`.
+        """
+        payload = spec.canonical_payload()
+        key = json.dumps(
+            [payload["workload"], payload["kwargs"], payload["scale"]],
+            sort_keys=True,
+        )
+        workload = self._workloads.get(key)
+        if workload is None:
+            workload = self._workloads[key] = build_workload(spec)
+        return workload
 
     # ------------------------------------------------------------------
     # Telemetry.

@@ -97,7 +97,12 @@ class LoadedSampler:
 
 
 def build_workload(spec: RunSpec) -> Workload:
-    """Build the workload a spec names (fresh program and state).
+    """Build the workload a spec names.
+
+    Each call assembles a new program. An :class:`~repro.engine.Engine`
+    calls it once per distinct workload, scale and kwargs, and the runs
+    it serves share that program; every simulation still takes a fresh
+    architectural state from :meth:`Workload.fresh_state`.
 
     Raises:
         KeyError: For an unknown workload name.

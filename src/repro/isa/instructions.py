@@ -46,7 +46,7 @@ def is_fp_reg(reg: int) -> bool:
     return reg >= FP_BASE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StaticInst:
     """One static instruction of an assembled program.
 

@@ -9,6 +9,7 @@ function extents, and basic-block boundaries. Programs are produced by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from repro.isa.instructions import StaticInst
 from repro.isa.opcodes import BRANCH_OPS, CONTROL_OPS, Opcode
@@ -141,12 +142,10 @@ class Program:
             elif inst.op in (Opcode.HALT, Opcode.SERIAL):
                 if inst.index + 1 < len(self.insts):
                     leaders.add(inst.index + 1)
-        mapping = []
-        current_leader = 0
-        for pos in range(len(self.insts)):
-            if pos in leaders:
-                current_leader = pos
-            mapping.append(current_leader)
+        ordered = sorted(leaders)
+        mapping: list[int] = []
+        for leader, end in zip(ordered, ordered[1:] + [len(self.insts)]):
+            mapping.extend(repeat(leader, end - leader))
         return tuple(mapping)
 
     # Set of conditional-branch static indices (used by predictors/tests).

@@ -11,7 +11,7 @@ Registry usage::
 
     from repro.workloads import build, suite, WORKLOAD_NAMES
     wl = build("lbm")                  # one workload
-    for wl in suite():                 # the full 12-kernel suite
+    for wl in suite():                 # the full 15-kernel suite
         ...
 """
 

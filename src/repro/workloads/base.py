@@ -22,12 +22,16 @@ class Workload:
 
     Attributes:
         name: Benchmark name ("lbm", "bwaves", ...).
-        program: The assembled program.
-        state: Pre-initialised architectural state (arrays etc.). A fresh
-            copy should be produced per simulation via :meth:`fresh_state`
-            since the interpreter mutates it.
+        program: The assembled program. Immutable, so runs of one
+            workload may share it.
+        state_builder: Zero-argument callable returning the
+            pre-initialised architectural state (arrays etc.). Call it
+            through :meth:`fresh_state` once per simulation, since the
+            interpreter mutates the state it runs on.
         description: What SPEC behaviour the kernel mimics.
         traits: Informal expected event signature (used by tests).
+        params: The sizes and options the builder used (iteration
+            counts, chain lengths, flags).
     """
 
     name: str

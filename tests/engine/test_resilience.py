@@ -289,6 +289,28 @@ def test_engine_checkpoints_before_raising(tmp_path):
     assert excinfo.value.suite_report.failed_labels == ["doom"]
 
 
+def test_engine_checkpoints_before_decoding(tmp_path, monkeypatch):
+    """A finished payload is stored before the parent builds the
+    workload to decode it, so an interrupt there loses no work."""
+    import repro.engine.engine as engine_mod
+
+    def interrupted(spec):
+        raise KeyboardInterrupt
+
+    store = RunStore(tmp_path / "store")
+    specs = {"good": spec("exchange2")}
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_mod, "build_workload", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            Engine(store=store).run_suite(specs, jobs=1)
+    assert store.contains(specs["good"])
+
+    resumed = Engine(store=RunStore(store.root))
+    assert set(resumed.run_suite(specs)) == {"good"}
+    assert resumed.simulations == 0
+    assert resumed.store.hits == 1
+
+
 def test_engine_records_attempts_in_run_telemetry(tmp_path):
     log_path = tmp_path / "runs.jsonl"
     worker = FaultyWorker(
