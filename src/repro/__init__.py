@@ -27,10 +27,11 @@ from repro.core.events import EVENT_SETS, Event, event_mask
 from repro.core.pics import Granularity, PicsProfile
 from repro.core.psv import decode_psv, is_combined, signature_name
 from repro.core.report import render_comparison, render_top
+from repro.core.result import CoreResult
 from repro.core.samplers import GoldenReference, Sampler, make_sampler
 from repro.core.states import CommitState
 from repro.isa import Interpreter, Program, ProgramBuilder
-from repro.uarch import Core, CoreConfig, CoreResult, simulate
+from repro.uarch import Core, CoreConfig, simulate
 
 __version__ = "1.0.0"
 

@@ -25,12 +25,7 @@ pin that down.
 from __future__ import annotations
 
 from repro.backends.base import BACKEND_NAMES
-from repro.backends.functional import (
-    FlushCounts,
-    FunctionalBackend,
-    FunctionalResult,
-    simulate_functional,
-)
+from repro.backends.functional import FunctionalBackend, simulate_functional
 from repro.backends.sampled import (
     SampledBackend,
     SampledResult,
@@ -40,9 +35,7 @@ from repro.backends.sampled import (
 
 __all__ = [
     "BACKEND_NAMES",
-    "FlushCounts",
     "FunctionalBackend",
-    "FunctionalResult",
     "SampledBackend",
     "SampledResult",
     "WindowPlan",
@@ -63,9 +56,8 @@ def simulate_backend(
 ):
     """Simulate *program* on the named backend and return its result.
 
-    The returned object always exposes the ``CoreResult`` surface
-    (``cycles``, ``committed``, ``golden_raw``, ``state_cycles``,
-    ``ipc``, ``golden_profile()``, ...) whatever the tier.
+    Every tier returns a :class:`~repro.core.result.CoreResult` (the
+    sampled tier's :class:`SampledResult` subclasses it).
 
     Args:
         backend: One of :data:`BACKEND_NAMES`.

@@ -18,10 +18,9 @@ BACKEND_NAMES: tuple[str, ...] = ("detailed", "functional", "sampled")
 class ExecutionBackend(ABC):
     """Common interface: simulate a program, return a result object.
 
-    Results are duck-typed to the ``CoreResult`` surface (``cycles``,
-    ``committed``, ``golden_raw``, ``state_cycles``, ``ipc``,
-    ``golden_profile()``, ...) so downstream consumers -- payloads,
-    experiments, the CLI -- never branch on the tier.
+    Every tier returns a :class:`~repro.core.result.CoreResult`, so
+    downstream consumers -- payloads, experiments, the CLI -- never
+    branch on the tier.
     """
 
     #: Tier name as it appears in ``RunSpec.backend`` / ``--backend``.

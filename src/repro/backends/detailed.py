@@ -8,7 +8,8 @@ so backend selection is uniform.
 from __future__ import annotations
 
 from repro.backends.base import ExecutionBackend
-from repro.uarch.core import CoreResult, simulate
+from repro.core.result import CoreResult
+from repro.uarch.core import simulate
 
 
 class DetailedBackend(ExecutionBackend):

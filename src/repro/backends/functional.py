@@ -11,95 +11,22 @@ the final architectural state here is bit-identical to a detailed run
 by construction; the differential gate in ``tests/backends`` and CI's
 ``backend-diff`` job verify exactly that on all 15 workloads.
 
-This module must stay free of ``repro.uarch`` imports (tea-lint TL007):
-it defines its own neutral result types instead of borrowing the
-timing model's.
+This module must stay free of ``repro.uarch`` imports (tea-lint TL007);
+it returns the tier-neutral :class:`~repro.core.result.CoreResult`
+every tier shares, with no events, stalls or flushes to report.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress
 
 from repro import obs
 from repro.backends.base import ExecutionBackend
-from repro.core.pics import PicsProfile
+from repro.core.result import CoreResult
 from repro.core.states import CommitState
 from repro.isa.interpreter import ArchState
 from repro.isa.program import Program
 from repro.isa.semantics import InstStream
-
-
-@dataclass
-class FlushCounts:
-    """Pipeline-flush counts by cause (all zero: nothing speculates)."""
-
-    mispredicts: int = 0
-    serial: int = 0
-    ordering: int = 0
-
-    @property
-    def total(self) -> int:
-        """All flushes."""
-        return self.mispredicts + self.serial + self.ordering
-
-
-@dataclass
-class FunctionalResult:
-    """A completed functional run, on the ``CoreResult`` surface.
-
-    ``cycles == committed`` (IPC 1 by definition), every attribution
-    lands on the event-free signature, and there is no warm
-    microarchitectural state to report.
-    """
-
-    program: Program
-    cycles: int
-    committed: int
-    golden_raw: dict[tuple[int, int], float]
-    exec_counts: dict[int, int]
-    event_counts: dict[tuple[int, int], int] = field(default_factory=dict)
-    stall_histogram: Counter = field(default_factory=Counter)
-    evented_execs: int = 0
-    combined_execs: int = 0
-    flushes: FlushCounts = field(default_factory=FlushCounts)
-    hierarchy: object = None
-    predictor: object = None
-    samplers: list = field(default_factory=list)
-    state_cycles: dict[CommitState, int] = field(default_factory=dict)
-    #: Final architectural state (the differential-gate subject).
-    arch_state: ArchState | None = None
-
-    @property
-    def ipc(self) -> float:
-        """Committed instructions per cycle (1.0 by construction)."""
-        return self.committed / self.cycles if self.cycles else 0.0
-
-    def golden_profile(self) -> PicsProfile:
-        """The commit-count profile (each execution weighs one cycle)."""
-        return PicsProfile.from_raw("golden", self.golden_raw)
-
-    def sampler_profile(self, name: str) -> PicsProfile:
-        """Samplers never attach to the functional tier.
-
-        Raises:
-            KeyError: Always.
-        """
-        raise KeyError(f"no sampler named {name!r}")
-
-    def combined_event_fraction(self) -> float:
-        """Fraction of evented executions with combined events (0)."""
-        return 0.0
-
-    def cpi_stack(self) -> dict[CommitState, float]:
-        """Degenerate cycle stack: every cycle commits."""
-        if not self.cycles:
-            return {state: 0.0 for state in CommitState}
-        return {
-            state: count / self.cycles
-            for state, count in self.state_cycles.items()
-        }
 
 
 def simulate_functional(
@@ -108,8 +35,12 @@ def simulate_functional(
     arch_state: ArchState | None = None,
     max_insts: int = 50_000_000,
     stream: InstStream | None = None,
-) -> FunctionalResult:
-    """Execute *program* atomically and return the functional result.
+) -> CoreResult:
+    """Execute *program* atomically and return its result.
+
+    Every instruction commits in one cycle (``cycles == committed``),
+    every attribution lands on the event-free signature, and the
+    result carries the final architectural state.
 
     Args:
         config: Accepted for signature uniformity across backends;
@@ -150,7 +81,7 @@ def simulate_functional(
     golden_raw = {(i, 0): float(c) for i, c in exec_counts.items()}
     state_cycles = {state: 0 for state in CommitState}
     state_cycles[CommitState.COMPUTE] = committed
-    return FunctionalResult(
+    return CoreResult(
         program=program,
         cycles=committed,
         committed=committed,
@@ -173,7 +104,7 @@ class FunctionalBackend(ExecutionBackend):
         samplers=(),
         arch_state=None,
         max_cycles: int = 500_000_000,
-    ) -> FunctionalResult:
+    ) -> CoreResult:
         """Run atomically; samplers are rejected (nothing to sample)."""
         if list(samplers):
             raise ValueError(

@@ -46,13 +46,14 @@ from repro import obs
 from repro.backends.base import ExecutionBackend
 from repro.backends.warmup import warm_window_state
 from repro.branch.predictor import BranchPredictor
+from repro.core.result import CoreResult, FlushStats
 from repro.core.states import CommitState
 from repro.isa.interpreter import ArchState
 from repro.isa.program import Program
 from repro.isa.semantics import InstStream
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.uarch.config import CoreConfig
-from repro.uarch.core import Core, CoreResult, FlushStats, SimulationError
+from repro.uarch.core import Core, SimulationError
 
 #: Extra history beyond ``warmup`` so squash-replayed (produced but
 #: uncommitted) instructions never evict warm-up candidates; bounded by
@@ -147,8 +148,6 @@ class SampledResult(CoreResult):
     measured_cycles: int = 0  # detailed cycles actually simulated
     measured_committed: int = 0  # instructions committed in windows
     ff_committed: int = 0  # instructions fast-forwarded functionally
-    #: Final architectural state (exact: every instruction executed).
-    arch_state: ArchState | None = None
 
 
 class SampledBackend(ExecutionBackend):
@@ -403,8 +402,6 @@ class SampledBackend(ExecutionBackend):
                 serial=int(round(fl_serial)),
                 ordering=int(round(fl_order)),
             ),
-            hierarchy=None,
-            predictor=None,
             samplers=samplers,
             state_cycles={
                 s: int(round(v)) for s, v in state_est.items()

@@ -183,7 +183,11 @@ _PREWARM = {
 # Engine wiring.
 # ----------------------------------------------------------------------
 def make_engine(args) -> Engine:
-    """Build the shared engine from the global CLI flags."""
+    """Build the shared engine from the global CLI flags.
+
+    The engine is also kept as ``args.engine`` so that :func:`main`
+    can close its run log on every exit path (see :func:`_finish_obs`).
+    """
     store = None if args.no_store else RunStore(args.store)
     run_log = None
     if not args.no_run_log:
@@ -192,7 +196,7 @@ def make_engine(args) -> Engine:
             path = store.root / DEFAULT_RUN_LOG_NAME
         if path is not None:
             run_log = RunLog(path)
-    return Engine(
+    args.engine = Engine(
         store=store,
         run_log=run_log,
         jobs=args.jobs,
@@ -203,6 +207,7 @@ def make_engine(args) -> Engine:
         heartbeat=getattr(args, "heartbeat", None),
         stall_after=getattr(args, "stall_after", None),
     )
+    return args.engine
 
 
 def _suite_runner(runner, kind: str):
@@ -359,14 +364,16 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _finish_obs(args, engine: Engine | None = None) -> None:
-    """End-of-command observability export (no-op while disabled).
+def _finish_obs(args) -> None:
+    """End-of-command observability export, run by :func:`main` on
+    every exit path (the export itself no-ops while disabled).
 
-    Appends the collected spans/counters to the engine run log (when
-    one is attached), writes the Chrome trace file named by
-    ``--trace-out`` and the Prometheus textfile named by
-    ``--metrics-out``, and closes the buffered run-log handle.
+    Appends the collected spans/counters to the run log of the
+    command's engine (when it has one) and closes that log, then
+    writes the Chrome trace file named by ``--trace-out`` and the
+    Prometheus textfile named by ``--metrics-out``.
     """
+    engine = getattr(args, "engine", None)
     if engine is not None and engine.run_log is not None:
         if obs.enabled():
             engine.run_log.record_obs(
@@ -381,7 +388,6 @@ def _finish_obs(args, engine: Engine | None = None) -> None:
         print(f"wrote {trace_out} ({count} trace event(s))")
     metrics_out = getattr(args, "metrics_out", None)
     if metrics_out:
-        obs.hub().poll(obs.COUNTERS)
         count = obs.expose_prometheus(metrics_out)
         print(f"wrote {metrics_out} ({count} metric sample(s))")
 
@@ -589,7 +595,6 @@ def cmd_profile(args) -> int:
                 for state, share in stack.items()
             )
         )
-    _finish_obs(args)
     return 0
 
 
@@ -660,7 +665,6 @@ def cmd_predict(args) -> int:
         print(json.dumps(report.to_json(), indent=2))
     else:
         print(report.render())
-    _finish_obs(args, engine)
     return 0
 
 
@@ -948,7 +952,6 @@ def cmd_figures(args) -> int:
     written = render_all(runner, args.out)
     for path in written:
         print(f"wrote {path}")
-    _finish_obs(args, engine)
     return 0
 
 
@@ -1192,11 +1195,6 @@ def main(argv: list[str] | None = None) -> int:
         help="enable observability and write a Prometheus textfile "
         "of the collected counters/gauges/histograms at exit "
         "(node-exporter textfile-collector format)",
-    )
-    parser.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="enable observability and serve live /metrics on this "
-        "port for the duration of the command (0 = ephemeral)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1604,28 +1602,14 @@ def main(argv: list[str] | None = None) -> int:
     if (
         getattr(args, "trace_out", None)
         or getattr(args, "metrics_out", None)
-        or getattr(args, "metrics_port", None) is not None
         or getattr(args, "heartbeat", None)
     ):
         obs.enable()
 
-    metrics_server = None
-    if getattr(args, "metrics_port", None) is not None:
-        metrics_server = obs.MetricsServer(
-            port=args.metrics_port
-        ).start()
-        print(
-            f"serving /metrics on "
-            f"http://127.0.0.1:{metrics_server.port}/metrics",
-            file=sys.stderr,
-        )
-
     try:
         return _dispatch(args)
     finally:
-        if metrics_server is not None:
-            obs.hub().poll(obs.COUNTERS)
-            metrics_server.stop()
+        _finish_obs(args)
 
 
 def _dispatch(args) -> int:
@@ -1671,7 +1655,6 @@ def _dispatch(args) -> int:
                 prewarm(runner, ["report"], resume=args.resume)
             path = write_report(runner, args.out)
             print(f"wrote {path}")
-            _finish_obs(args, engine)
             return 0
 
         if engine.jobs > 1 or args.resume:
@@ -1697,7 +1680,6 @@ def _dispatch(args) -> int:
             )
             continue
         print(f"[{name}: {time.time() - start:.1f}s]\n")
-    _finish_obs(args, engine)
     return 1 if failed else 0
 
 

@@ -15,6 +15,8 @@ This package implements everything above the microarchitectural substrate:
 * :mod:`repro.core.overhead` -- storage / power / performance overhead
   models (Sec. 3).
 * :mod:`repro.core.report` -- human-readable PICS rendering.
+* :mod:`repro.core.result` -- :class:`~repro.core.result.CoreResult`,
+  the result every execution tier returns.
 """
 
 from repro.core.events import (

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.result import CoreResult
 from repro.core.states import CommitState
-from repro.uarch.core import CoreResult
 
 
 @dataclass

@@ -20,11 +20,12 @@ from repro.core.error import pics_error
 from repro.core.events import Event, event_mask
 from repro.core.io import raw_from_list, raw_to_list
 from repro.core.pics import PicsProfile, RawProfile
+from repro.core.result import CoreResult, FlushStats
 from repro.core.samplers import Sampler, make_sampler
 from repro.core.states import CommitState
 from repro.engine.spec import RunSpec
 from repro.version import MODEL_VERSION
-from repro.uarch.core import CoreResult, FlushStats, simulate
+from repro.uarch.core import simulate
 from repro.workloads import Workload, build
 
 #: Schema identifier written into every stored-run payload.
@@ -214,9 +215,9 @@ def run_from_payload(
     """Rebuild a :class:`BenchmarkRun` from a stored-run payload.
 
     The returned run carries a reconstructed :class:`CoreResult` with
-    every field experiments consume; the live microarchitectural
-    substrates (memory hierarchy, branch predictor) are not persisted
-    and come back as ``None``.
+    every field experiments consume; the live substrates (memory
+    hierarchy, branch predictor, final architectural state) are not
+    persisted and come back as ``None``.
 
     Raises:
         ValueError: On an unknown payload schema.
@@ -257,8 +258,6 @@ def run_from_payload(
         evented_execs=int(payload["evented_execs"]),
         combined_execs=int(payload["combined_execs"]),
         flushes=FlushStats(**payload["flushes"]),
-        hierarchy=None,
-        predictor=None,
         samplers=list(samplers.values()),
         state_cycles={
             CommitState[name]: int(count)

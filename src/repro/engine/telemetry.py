@@ -133,36 +133,22 @@ class RunLog:
 
     Args:
         path: Destination JSONL file (parents are created).
-        buffered: Keep the handle open across records (default). When
-            false, every record reopens the file -- the pre-existing
-            behaviour, still useful when the log lives on a filesystem
-            where long-lived handles are a liability.
     """
 
-    def __init__(self, path: str | Path, buffered: bool = True) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.buffered = bool(buffered)
         self._handle: Any = None
 
     # -- handle management ---------------------------------------------
     def _write_line(self, line: str) -> None:
-        if not self.buffered:
-            with open(self.path, "a") as handle:
-                handle.write(line + "\n")
-            return
         if self._handle is None:
             self._handle = open(self.path, "a")
         self._handle.write(line + "\n")
         self._handle.flush()
 
-    def flush(self) -> None:
-        """Flush the buffered handle (no-op when nothing is open)."""
-        if self._handle is not None:
-            self._handle.flush()
-
     def close(self) -> None:
-        """Close the buffered handle; safe to call repeatedly."""
+        """Close the open handle; safe to call repeatedly."""
         handle, self._handle = self._handle, None
         if handle is not None:
             handle.close()

@@ -1,8 +1,8 @@
 """Observability: spans, counters, and simulator self-profiling.
 
 TEA's whole point is explaining where time goes; ``repro.obs`` applies
-the same discipline to the reproduction itself. Three cooperating
-pieces, all **off by default** and zero-overhead while disabled:
+the same discipline to the reproduction itself. Its pieces are all
+**off by default** and zero-overhead while disabled:
 
 * :mod:`repro.obs.spans` -- a lightweight span/trace API
   (``obs.span("decode")`` context manager, :func:`traced` decorator)
@@ -12,20 +12,19 @@ pieces, all **off by default** and zero-overhead while disabled:
 * :mod:`repro.obs.stageprof` -- :class:`StageSampler`, a ``SIGPROF``
   stack sampler giving wall time per core pipeline stage per
   250k-cycle window;
-* :mod:`repro.obs.metrics` -- :class:`MetricsHub` ring-buffer time
-  series over the registry plus Prometheus text exposition
-  (:func:`expose_prometheus`, optional :class:`MetricsServer`);
+* :mod:`repro.obs.metrics` -- Prometheus text exposition of the
+  registry (:func:`expose_prometheus` writes the textfile);
 * :mod:`repro.obs.progress` -- per-run progress beats
   (:func:`report_progress`) the backends emit and the suite executor
   ships cross-process as ``"kind": "heartbeat"`` records.
 
-Exports land in two places: Chrome trace-event JSON for Perfetto /
-``chrome://tracing`` (:func:`export_chrome_trace`), and ``"kind":
+Exports land in three places: Chrome trace-event JSON for Perfetto /
+``chrome://tracing`` (:func:`export_chrome_trace`), ``"kind":
 "span"`` / ``"kind": "counters"`` JSONL records merged into the engine
-run log (:func:`events_to_jsonl`).
+run log (:func:`events_to_jsonl`), and the Prometheus textfile.
 
 Enable with ``REPRO_OBS=1`` or :func:`enable`; the CLI's
-``--trace-out`` flag does it for you.
+``--trace-out`` and ``--metrics-out`` flags do it for you.
 """
 
 from repro.obs.counters import (
@@ -43,12 +42,7 @@ from repro.obs.export import (
     validate_chrome_trace,
 )
 from repro.obs.metrics import (
-    HUB,
-    MetricSeries,
-    MetricsHub,
-    MetricsServer,
     expose_prometheus,
-    hub,
     prometheus_text,
     sanitize_metric_name,
     validate_prometheus_text,
@@ -84,10 +78,6 @@ __all__ = [
     "COLLECTOR",
     "COUNTERS",
     "CounterRegistry",
-    "HUB",
-    "MetricSeries",
-    "MetricsHub",
-    "MetricsServer",
     "OBS_ENV",
     "PROGRESS_EVERY_CYCLES",
     "PROGRESS_EVERY_INSTS",
@@ -109,7 +99,6 @@ __all__ = [
     "export_chrome_trace",
     "expose_prometheus",
     "hist_quantile",
-    "hub",
     "now_us",
     "prometheus_text",
     "read_chrome_trace",
@@ -130,5 +119,4 @@ def reset() -> None:
 
     COLLECTOR.clear()
     COUNTERS.clear()
-    HUB.clear()
     _progress.reset()

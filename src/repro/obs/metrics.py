@@ -1,49 +1,24 @@
-"""Live metrics: ring-buffer time series + Prometheus exposition.
+"""Prometheus text exposition of the counter registry.
 
-Everything else in :mod:`repro.obs` is post-mortem -- spans and counter
-snapshots only become readable after a run completes. This module adds
-the *live* layer:
-
-* :class:`MetricSeries` -- a bounded ring buffer of ``(ts, value)``
-  points for one metric (stdlib :class:`~collections.deque`, so memory
-  stays O(capacity) no matter how long a suite runs);
-* :class:`MetricsHub` -- a named registry of series that periodically
-  snapshots the process-global :class:`~repro.obs.counters
-  .CounterRegistry` (:meth:`MetricsHub.poll`) plus whatever per-run
-  progress gauges :mod:`repro.obs.progress` pushes in;
-* Prometheus text-format exposition -- :func:`prometheus_text` renders
-  the hub + registry as ``# TYPE``-annotated families (counter, gauge,
-  histogram with cumulative ``le`` buckets), :func:`expose_prometheus`
-  writes the node-exporter-style textfile, and :class:`MetricsServer`
-  optionally serves ``GET /metrics`` over :mod:`http.server`;
-* :func:`validate_prometheus_text` -- a small format validator
-  (used by tests and the CI health-smoke job) checking TYPE lines,
-  sample syntax, and cumulative bucket monotonicity.
-
-Like the rest of ``repro.obs``, hub mutators no-op while
-instrumentation is disabled.
+* :func:`prometheus_text` renders the process-global
+  :class:`~repro.obs.counters.CounterRegistry` as ``# TYPE``-annotated
+  families (counter, gauge, histogram with cumulative ``le`` buckets);
+* :func:`expose_prometheus` writes it as a node-exporter-style textfile
+  (the CLI's ``--metrics-out``);
+* :func:`validate_prometheus_text` -- a small format validator (used by
+  tests and the CI health-smoke job) checking TYPE lines, sample
+  syntax, and cumulative bucket monotonicity.
 """
 
 from __future__ import annotations
 
+import os
 import re
-import threading
-from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
 
-from repro.obs import spans as _spans
 from repro.obs.counters import COUNTERS, CounterRegistry
-
-#: Default ring capacity per series: at the default 1 Hz poll cadence
-#: this keeps ~10 minutes of history in a few KiB.
-DEFAULT_CAPACITY = 600
 
 #: Prefix every exposed metric family carries.
 PROM_PREFIX = "tea_"
-
-#: Content type Prometheus scrapers expect for the text format.
-PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 METRIC_KINDS = ("counter", "gauge", "histogram")
 
@@ -67,176 +42,6 @@ def sanitize_metric_name(name: str, prefix: str = PROM_PREFIX) -> str:
     return prefix + body
 
 
-class MetricSeries:
-    """A bounded time series of ``(ts_s, value)`` points.
-
-    *kind* is one of ``counter``/``gauge`` and only affects exposition
-    (histograms are exposed straight from registry summaries, not as
-    ring series).
-    """
-
-    __slots__ = ("name", "kind", "_points")
-
-    def __init__(
-        self, name: str, kind: str = "gauge",
-        capacity: int = DEFAULT_CAPACITY,
-    ) -> None:
-        if kind not in ("counter", "gauge"):
-            raise ValueError(f"bad series kind: {kind!r}")
-        self.name = name
-        self.kind = kind
-        self._points: deque[tuple[float, float]] = deque(
-            maxlen=max(1, int(capacity))
-        )
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def record(self, value: float, ts: float) -> None:
-        """Append one point (oldest point drops past capacity)."""
-        self._points.append((float(ts), float(value)))
-
-    def last(self) -> tuple[float, float] | None:
-        """Newest ``(ts, value)`` point, or ``None`` when empty."""
-        return self._points[-1] if self._points else None
-
-    def points(self) -> list[tuple[float, float]]:
-        """Oldest-to-newest copy of the retained points."""
-        return list(self._points)
-
-    def rate(self, window_s: float = 60.0) -> float | None:
-        """Per-second delta over the trailing *window_s* seconds.
-
-        Meaningful for ``counter`` series (monotone totals); ``None``
-        with fewer than two points or a zero-length window.
-        """
-        if len(self._points) < 2:
-            return None
-        newest_ts, newest_v = self._points[-1]
-        base_ts, base_v = self._points[0]
-        for ts, value in reversed(self._points):
-            if newest_ts - ts > window_s:
-                break
-            base_ts, base_v = ts, value
-        span = newest_ts - base_ts
-        if span <= 0.0:
-            return None
-        return (newest_v - base_v) / span
-
-
-class MetricsHub:
-    """Thread-safe named registry of :class:`MetricSeries`.
-
-    :meth:`poll` snapshots a :class:`CounterRegistry` into the hub --
-    counters become ``counter`` series, gauges become ``gauge`` series,
-    and histogram summaries are kept whole (latest snapshot wins) for
-    exposition. Mutators no-op while instrumentation is disabled,
-    mirroring the registry.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        self._lock = threading.Lock()
-        self._capacity = int(capacity)
-        self._series: dict[str, MetricSeries] = {}
-        self._hists: dict[str, dict[str, Any]] = {}
-        self._polls = 0
-
-    def series(self, name: str, kind: str = "gauge") -> MetricSeries:
-        """The series *name*, created with *kind* on first use."""
-        with self._lock:
-            series = self._series.get(name)
-            if series is None:
-                series = MetricSeries(
-                    name, kind=kind, capacity=self._capacity
-                )
-                self._series[name] = series
-            elif series.kind != kind:
-                raise ValueError(
-                    f"series {name!r} is a {series.kind}, not a {kind}"
-                )
-            return series
-
-    def record(
-        self, name: str, value: float, ts: float | None = None,
-        kind: str = "gauge",
-    ) -> None:
-        """Append one point to series *name* (no-op when disabled)."""
-        if not _spans._ENABLED:
-            return
-        ts = _spans.now_us() / 1e6 if ts is None else ts
-        self.series(name, kind=kind).record(value, ts)
-
-    def poll(
-        self, registry: CounterRegistry | None = None,
-        ts: float | None = None,
-    ) -> int:
-        """Snapshot *registry* (default global) into the hub.
-
-        Returns the number of metrics captured; 0 (and untouched state)
-        while instrumentation is disabled.
-        """
-        if not _spans._ENABLED:
-            return 0
-        registry = COUNTERS if registry is None else registry
-        snap = registry.snapshot()
-        ts = _spans.now_us() / 1e6 if ts is None else ts
-        count = 0
-        for name, value in snap["counters"].items():
-            self.series(name, kind="counter").record(value, ts)
-            count += 1
-        for name, value in snap["gauges"].items():
-            self.series(name, kind="gauge").record(value, ts)
-            count += 1
-        with self._lock:
-            self._hists.update(snap["histograms"])
-            self._polls += 1
-            count += len(snap["histograms"])
-        return count
-
-    @property
-    def polls(self) -> int:
-        """How many times :meth:`poll` captured a snapshot."""
-        with self._lock:
-            return self._polls
-
-    def snapshot(self) -> dict[str, Any]:
-        """JSON-ready dump: every series' points + latest histograms."""
-        with self._lock:
-            return {
-                "series": {
-                    name: {
-                        "kind": series.kind,
-                        "points": [
-                            [ts, value]
-                            for ts, value in series.points()
-                        ],
-                    }
-                    for name, series in sorted(self._series.items())
-                },
-                "histograms": {
-                    name: dict(summary)
-                    for name, summary in sorted(self._hists.items())
-                },
-                "polls": self._polls,
-            }
-
-    def clear(self) -> None:
-        """Drop every series, histogram, and the poll count."""
-        with self._lock:
-            self._series.clear()
-            self._hists.clear()
-            self._polls = 0
-
-
-#: The process-global hub the progress layer and CLI report into.
-HUB = MetricsHub()
-
-
-def hub() -> MetricsHub:
-    """The process-global :class:`MetricsHub`."""
-    return HUB
-
-
 def _fmt_value(value: float) -> str:
     """Prometheus sample value: integers bare, floats via repr."""
     number = float(value)
@@ -245,37 +50,17 @@ def _fmt_value(value: float) -> str:
     return repr(number)
 
 
-def prometheus_text(
-    metrics_hub: MetricsHub | None = None,
-    registry: CounterRegistry | None = None,
-) -> str:
-    """Render the hub + registry in Prometheus text format 0.0.4.
+def prometheus_text(registry: CounterRegistry | None = None) -> str:
+    """Render *registry* in Prometheus text format 0.0.4.
 
-    The *registry* (default: the process-global ``COUNTERS``) supplies
-    the authoritative current values; the *hub* contributes any series
-    recorded directly (progress gauges) that the registry lacks, using
-    each series' newest point. Histograms come from the registry
-    snapshot (falling back to the hub's latest polled summaries) and
+    *registry* defaults to the process-global ``COUNTERS``. Histograms
     emit cumulative ``le`` buckets, ``_sum``, and ``_count``.
     """
-    metrics_hub = HUB if metrics_hub is None else metrics_hub
     registry = COUNTERS if registry is None else registry
     snap = registry.snapshot()
-    counters = dict(snap["counters"])
-    gauges = dict(snap["gauges"])
-    hists = dict(snap["histograms"])
-
-    hub_snap = metrics_hub.snapshot()
-    for name, series in hub_snap["series"].items():
-        if name in counters or name in gauges or not series["points"]:
-            continue
-        value = series["points"][-1][1]
-        if series["kind"] == "counter":
-            counters[name] = value
-        else:
-            gauges[name] = value
-    for name, summary in hub_snap["histograms"].items():
-        hists.setdefault(name, summary)
+    counters = snap["counters"]
+    gauges = snap["gauges"]
+    hists = snap["histograms"]
 
     lines: list[str] = []
     for name in sorted(counters):
@@ -419,9 +204,7 @@ def validate_prometheus_text(text: str) -> list[str]:
 
 
 def expose_prometheus(
-    path: str,
-    metrics_hub: MetricsHub | None = None,
-    registry: CounterRegistry | None = None,
+    path: str, registry: CounterRegistry | None = None,
 ) -> int:
     """Write the Prometheus textfile to *path* (atomically).
 
@@ -429,9 +212,7 @@ def expose_prometheus(
     temporary sibling, then rename into place so scrapers never see a
     torn file. Returns the number of sample lines written.
     """
-    import os
-
-    text = prometheus_text(metrics_hub, registry)
+    text = prometheus_text(registry)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -441,68 +222,3 @@ def expose_prometheus(
         for line in text.splitlines()
         if line and not line.startswith("#")
     )
-
-
-class _MetricsHandler(BaseHTTPRequestHandler):
-    """``GET /metrics`` -> Prometheus text; anything else 404."""
-
-    server: "MetricsServer"
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path.split("?", 1)[0] != "/metrics":
-            self.send_error(404, "try /metrics")
-            return
-        body = prometheus_text(
-            self.server.metrics_hub, self.server.registry
-        ).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", PROM_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args: Any) -> None:
-        """Silence per-request stderr noise."""
-
-
-class MetricsServer(ThreadingHTTPServer):
-    """Optional live ``/metrics`` endpoint (daemon thread).
-
-    ``MetricsServer(port=0)`` binds an ephemeral port (read it back
-    from :attr:`port`); :meth:`start` serves in the background until
-    :meth:`stop`.
-    """
-
-    daemon_threads = True
-
-    def __init__(
-        self, host: str = "127.0.0.1", port: int = 0,
-        metrics_hub: MetricsHub | None = None,
-        registry: CounterRegistry | None = None,
-    ) -> None:
-        super().__init__((host, port), _MetricsHandler)
-        self.metrics_hub = HUB if metrics_hub is None else metrics_hub
-        self.registry = COUNTERS if registry is None else registry
-        self._thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port (useful with ``port=0``)."""
-        return self.server_address[1]
-
-    def start(self) -> "MetricsServer":
-        """Serve requests from a daemon thread; returns ``self``."""
-        self._thread = threading.Thread(
-            target=self.serve_forever, name="tea-metrics",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Shut the server down and join its thread."""
-        self.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.server_close()

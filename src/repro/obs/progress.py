@@ -10,8 +10,7 @@ the backend hands over counts, this module timestamps them.
 Each report becomes a :class:`ProgressEvent` that
 
 * updates the process-global progress gauges in
-  :data:`~repro.obs.counters.COUNTERS` and the
-  :data:`~repro.obs.metrics.HUB` ring buffers, and
+  :data:`~repro.obs.counters.COUNTERS`, and
 * is forwarded to the installed *sink*, throttled to at most one event
   per :data:`MIN_SINK_INTERVAL_S` (``start``/``done`` phases always
   pass). The :class:`~repro.engine.executor.SuiteExecutor` installs a
@@ -33,7 +32,6 @@ from typing import Callable
 
 from repro.obs import spans as _spans
 from repro.obs.counters import COUNTERS
-from repro.obs.metrics import HUB
 
 #: Detailed-core hook cadence: one report per this many cycles.
 PROGRESS_EVERY_CYCLES = 1 << 16
@@ -94,11 +92,6 @@ def set_sink(sink: Sink | None) -> None:
     """Install (or clear) the process-wide heartbeat sink."""
     global _sink
     _sink = sink
-
-
-def sink_installed() -> bool:
-    """Whether a heartbeat sink is currently installed."""
-    return _sink is not None
 
 
 def set_run_context(
@@ -162,10 +155,6 @@ def _emit(
         COUNTERS.gauge("progress.cycles", event.cycles)
         COUNTERS.gauge("progress.committed", event.committed)
         COUNTERS.gauge("progress.instrs_per_s", event.instrs_per_s)
-        HUB.record(
-            "progress.instrs_per_s", event.instrs_per_s, ts=event.ts
-        )
-        HUB.record("progress.committed", event.committed, ts=event.ts)
     if _sink is not None:
         # A sink may carry its own throttle (the executor's heartbeat
         # interval); the module default applies otherwise.
@@ -229,5 +218,4 @@ __all__ = [
     "reset",
     "set_run_context",
     "set_sink",
-    "sink_installed",
 ]

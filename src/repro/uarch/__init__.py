@@ -11,7 +11,8 @@ classification with golden-reference attribution built in.
 
 from repro.uarch.config import CoreConfig
 from repro.uarch.uop import Uop
-from repro.uarch.core import Core, CoreResult, simulate
+from repro.core.result import CoreResult
+from repro.uarch.core import Core, simulate
 from repro.uarch.multicore import CoreSlot, MultiCoreSystem, co_run
 from repro.uarch.presets import PRESETS, preset
 from repro.uarch.summary import render_summary

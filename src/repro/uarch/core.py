@@ -42,7 +42,6 @@ pin the optimised loop to bit-identical golden and sampler profiles.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import compress
 from collections.abc import Iterable, Iterator
@@ -50,7 +49,7 @@ from collections.abc import Iterable, Iterator
 from repro import obs
 from repro.branch.predictor import BranchPredictor
 from repro.core.events import Event
-from repro.core.pics import PicsProfile
+from repro.core.result import CoreResult, FlushStats
 from repro.core.states import CommitState
 from repro.isa.instructions import INST_BYTES, NO_REG, DynInst, StaticInst
 from repro.isa.interpreter import ArchState
@@ -89,77 +88,6 @@ _NO_UOPS: list = []
 
 class SimulationError(RuntimeError):
     """Raised when the timing model deadlocks or diverges."""
-
-
-@dataclass
-class FlushStats:
-    """Pipeline-flush counts by cause."""
-
-    mispredicts: int = 0
-    serial: int = 0
-    ordering: int = 0
-
-    @property
-    def total(self) -> int:
-        """All flushes."""
-        return self.mispredicts + self.serial + self.ordering
-
-
-@dataclass
-class CoreResult:
-    """Everything a completed simulation produced."""
-
-    program: Program
-    cycles: int
-    committed: int
-    golden_raw: dict[tuple[int, int], float]
-    event_counts: dict[tuple[int, int], int]
-    exec_counts: dict[int, int]
-    stall_histogram: Counter
-    evented_execs: int
-    combined_execs: int
-    flushes: FlushStats
-    hierarchy: MemoryHierarchy
-    predictor: BranchPredictor
-    samplers: list = field(default_factory=list)
-    state_cycles: dict[CommitState, int] = field(default_factory=dict)
-
-    @property
-    def ipc(self) -> float:
-        """Committed instructions per cycle."""
-        return self.committed / self.cycles if self.cycles else 0.0
-
-    def golden_profile(self) -> PicsProfile:
-        """Golden-reference PICS at instruction granularity."""
-        return PicsProfile.from_raw("golden", self.golden_raw)
-
-    def sampler_profile(self, name: str) -> PicsProfile:
-        """The PICS profile of an attached sampler, by technique name.
-
-        Raises:
-            KeyError: If no attached sampler has that name.
-        """
-        for sampler in self.samplers:
-            if sampler.name == name:
-                return sampler.profile()
-        raise KeyError(f"no sampler named {name!r}")
-
-    def combined_event_fraction(self) -> float:
-        """Fraction of evented dynamic executions with combined events."""
-        if not self.evented_execs:
-            return 0.0
-        return self.combined_execs / self.evented_execs
-
-    def cpi_stack(self) -> dict[CommitState, float]:
-        """Application-level cycle stack: share of cycles per commit
-        state (the coarse, per-instruction-blind view of classic
-        CPI-stack PMU architectures -- paper Section 7)."""
-        if not self.cycles:
-            return {state: 0.0 for state in CommitState}
-        return {
-            state: count / self.cycles
-            for state, count in self.state_cycles.items()
-        }
 
 
 class Core:

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.result import CoreResult
 from repro.memory.cache import SetAssocCache
 from repro.memory.dram import Dram
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.uarch.config import CoreConfig
-from repro.uarch.core import Core, CoreResult, SimulationError
+from repro.uarch.core import Core, SimulationError
 from repro.workloads.base import Workload
 
 

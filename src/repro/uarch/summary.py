@@ -8,8 +8,8 @@ cache/TLB/branch/DRAM behaviour, and flush counts. Used by
 
 from __future__ import annotations
 
+from repro.core.result import CoreResult
 from repro.core.states import CommitState
-from repro.uarch.core import CoreResult
 
 
 def _rate(part: float, whole: float) -> str:

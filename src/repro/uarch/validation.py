@@ -8,9 +8,9 @@ catch broken attribution long before a benchmark looks subtly wrong.
 
 from __future__ import annotations
 
+from repro.core.result import CoreResult
 from repro.core.states import CommitState
 from repro.uarch.config import CoreConfig
-from repro.uarch.core import CoreResult
 
 
 class ValidationError(AssertionError):

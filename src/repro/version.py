@@ -72,9 +72,9 @@ PINNED_MODEL_VERSION = 3
 #: sha256 of each registered file's bytes at pin time.
 SEMANTIC_HASHES = {
     "src/repro/backends/functional.py":
-        "dfcb9b16b45c2c446f29da6bbea108198ec4d36f0e25764b4f5c64d61c9956c8",
+        "604b5e604f21e2824a1cd88a8bd54ccbe49d9a85c95a5d37e2d97f4d70543ec0",
     "src/repro/backends/sampled.py":
-        "f4acbbec70488b07fd883f65e6c9a5e2e6dec3f513696d45557263b9f89ae0bb",
+        "dd7aa5581d6cd5ef1861c2dca2f6694b3d81ee14ce4e0c8b3c99c45e8c15c4cc",
     "src/repro/backends/warmup.py":
         "59c35f0d5c63e7fbdcc8d3add5d894033139c46c0b735bf520d4006e08fdbdc3",
     "src/repro/branch/predictor.py":
@@ -96,7 +96,7 @@ SEMANTIC_HASHES = {
     "src/repro/memory/tlb.py":
         "6e799416dcd20a2c0efd72914ac75ae599d63a83984b0afc4256bf348662e338",
     "src/repro/uarch/core.py":
-        "3a71631468f0a853e77988428d5f853980b93d8afd10d506c7c029ae1c58d160",
+        "05b6f50da224d2ff5e210a6a173cc433cf6d0a9eed6c47f5cf97b0d4f00ccf95",
     "src/repro/uarch/uop.py":
         "b9f8e405d1b673cc594b23b967b988527218143e6636d802c5717fc9a0d27a63",
 }

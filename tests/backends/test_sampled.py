@@ -201,7 +201,7 @@ def test_empty_window_scale_raises():
     # extrapolate from; returning any factor (the old code returned
     # 0.0) would silently erase its region from the totals.
     from repro.backends.sampled import WindowResult
-    from repro.uarch.core import FlushStats
+    from repro.core.result import FlushStats
 
     window = WindowResult(
         start=0, committed=0, cycles=0, ff_insts=512,

@@ -172,13 +172,13 @@ def test_throughput_floor_skipped_without_simulated_runs():
 # ----------------------------------------------------------------------
 def _seed_log(tmp_path):
     log_path = tmp_path / "runs.jsonl"
-    log = RunLog(log_path, buffered=False)
-    log.record_event(_beat("lbm", "start", 1.0))
-    log.record_event(
-        _beat("lbm", "progress", 1.5, cycles=100, committed=50,
-              workload="lbm", backend="detailed")
-    )
-    log.record_event(_beat("lbm", "done", 2.0, ok=True))
+    with RunLog(log_path) as log:
+        log.record_event(_beat("lbm", "start", 1.0))
+        log.record_event(
+            _beat("lbm", "progress", 1.5, cycles=100, committed=50,
+                  workload="lbm", backend="detailed")
+        )
+        log.record_event(_beat("lbm", "done", 2.0, ok=True))
     return log_path
 
 
@@ -222,12 +222,13 @@ def test_cmd_monitor_renders_mid_run_log(tmp_path, capsys):
     """A log with no suite record yet (the suite is still running)
     must render without waiting for completion."""
     log_path = tmp_path / "runs.jsonl"
-    log = RunLog(log_path, buffered=False)
-    log.record_event(_beat("lbm", "start", 1.0))
-    log.record_event(
-        _beat("lbm", "progress", 1.5, cycles=100, committed=50)
-    )
-    assert main(["monitor", str(log_path), "--once"]) == 0
+    with RunLog(log_path) as log:
+        log.record_event(_beat("lbm", "start", 1.0))
+        log.record_event(
+            _beat("lbm", "progress", 1.5, cycles=100, committed=50)
+        )
+        # Read while the writer still holds the log open.
+        assert main(["monitor", str(log_path), "--once"]) == 0
     out = capsys.readouterr().out
     assert "running" in out
     assert "suite: finished" not in out

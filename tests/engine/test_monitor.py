@@ -247,12 +247,12 @@ def test_suite_report_json_carries_stalls_and_rss(tmp_path):
 # Satellite: concurrent RunLog appends stay line-atomic.
 # ----------------------------------------------------------------------
 def _append_worker(path, worker_id, n):
-    log = RunLog(path, buffered=False)
-    for i in range(n):
-        log.record_event(
-            {"kind": "heartbeat", "label": f"w{worker_id}",
-             "seq": i, "phase": "progress", "ts": float(i)}
-        )
+    with RunLog(path) as log:
+        for i in range(n):
+            log.record_event(
+                {"kind": "heartbeat", "label": f"w{worker_id}",
+                 "seq": i, "phase": "progress", "ts": float(i)}
+            )
 
 
 def test_runlog_concurrent_appends_from_processes(tmp_path):

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.backends.base import BACKEND_NAMES
+from repro.core.result import CoreResult
 from repro.engine import Engine, RunStore
 from repro.engine.runs import PAYLOAD_SCHEMA
 from repro.engine.spec import RunSpec
@@ -16,23 +18,41 @@ def small_spec(**kwargs) -> RunSpec:
 
 
 @pytest.fixture(scope="module")
-def warm_store(tmp_path_factory):
-    """A store holding one simulated run, plus the run that filled it."""
-    store = RunStore(tmp_path_factory.mktemp("store"))
-    engine = Engine(store=store)
-    run = engine.run(small_spec())
-    assert engine.simulations == 1
-    return store, run
+def warm_stores(tmp_path_factory):
+    """``warm_stores(backend)``: a store holding one simulated run on
+    that tier, plus the run that filled it (built on first use)."""
+    filled = {}
+
+    def fill(backend: str = "detailed"):
+        if backend not in filled:
+            store = RunStore(tmp_path_factory.mktemp(f"store-{backend}"))
+            engine = Engine(store=store)
+            run = engine.run(small_spec(backend=backend))
+            assert engine.simulations == 1
+            filled[backend] = store, run
+        return filled[backend]
+
+    return fill
 
 
-def test_round_trip_is_bit_identical(warm_store):
+@pytest.fixture(scope="module")
+def warm_store(warm_stores):
+    """The detailed tier's store and run."""
+    return warm_stores("detailed")
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_round_trip_is_bit_identical(warm_stores, backend):
     """simulate -> persist -> load reproduces profiles and errors
-    exactly (float summation order included), not just approximately."""
-    store, fresh = warm_store
+    exactly (float summation order included), not just approximately,
+    and every tier comes back as the one result type."""
+    store, fresh = warm_stores(backend)
     engine = Engine(store=RunStore(store.root))
-    loaded = engine.run(small_spec())
+    loaded = engine.run(small_spec(backend=backend))
     assert engine.simulations == 0
 
+    assert type(loaded.result) is CoreResult
+    assert isinstance(fresh.result, CoreResult)
     assert loaded.result.cycles == fresh.result.cycles
     assert loaded.result.committed == fresh.result.committed
     assert loaded.result.golden_raw == fresh.result.golden_raw
@@ -50,16 +70,19 @@ def test_round_trip_is_bit_identical(warm_store):
         assert mirror.events == sampler.events
         assert mirror.samples_taken == sampler.samples_taken
         assert mirror.profile().stacks == sampler.profile().stacks
-    for technique in small_spec().techniques:
+    # The run's own samplers: the functional tier has none.
+    for technique in fresh.samplers:
         assert loaded.error(technique) == fresh.error(technique)
 
 
-def test_loaded_run_omits_live_substrates(warm_store):
-    store, _ = warm_store
-    engine = Engine(store=RunStore(store.root))
-    loaded = engine.run(small_spec())
-    assert loaded.result.hierarchy is None
-    assert loaded.result.predictor is None
+def test_loaded_run_omits_live_substrates(warm_stores):
+    for backend in BACKEND_NAMES:
+        store, _ = warm_stores(backend)
+        engine = Engine(store=RunStore(store.root))
+        loaded = engine.run(small_spec(backend=backend))
+        assert loaded.result.hierarchy is None
+        assert loaded.result.predictor is None
+        assert loaded.result.arch_state is None
 
 
 def test_hit_and_miss_counters(warm_store):

@@ -245,16 +245,6 @@ def test_run_log_context_manager_closes(tmp_path):
     assert len(read_run_log(path)) == 1
 
 
-def test_run_log_unbuffered_mode(tmp_path):
-    path = tmp_path / "runs.jsonl"
-    log = RunLog(path, buffered=False)
-    log.record(metrics())
-    assert log._handle is None  # open/append/close per record
-    log.flush()  # no-ops without an open handle
-    log.close()
-    assert len(read_run_log(path)) == 1
-
-
 def test_concurrent_writers_interleave_at_line_granularity(tmp_path):
     path = tmp_path / "runs.jsonl"
     first = RunLog(path)

@@ -1,81 +1,18 @@
-"""The metrics layer: ring-buffer series, hub polling, Prometheus
-exposition (validated against the text-format rules), the textfile
-exporter, and the optional /metrics HTTP endpoint."""
+"""The metrics layer: Prometheus exposition of the counter registry
+(validated against the text-format rules) and the textfile exporter."""
 
 import json
 import threading
-import urllib.request
 
 import pytest
 
 from repro import obs
 from repro.obs.metrics import (
-    HUB,
-    MetricSeries,
-    MetricsHub,
-    MetricsServer,
     expose_prometheus,
     prometheus_text,
     sanitize_metric_name,
     validate_prometheus_text,
 )
-
-
-# ----------------------------------------------------------------------
-# MetricSeries: bounded ring, rate over a window.
-# ----------------------------------------------------------------------
-def test_series_ring_buffer_drops_oldest():
-    series = MetricSeries("s", capacity=3)
-    for i in range(5):
-        series.record(float(i), ts=float(i))
-    assert len(series) == 3
-    assert series.points() == [(2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]
-    assert series.last() == (4.0, 4.0)
-
-
-def test_series_rate_uses_trailing_window():
-    series = MetricSeries("c", kind="counter")
-    # 10 units/s for 100s; the 60s window must not reach back further.
-    for i in range(101):
-        series.record(10.0 * i, ts=float(i))
-    assert series.rate(window_s=60.0) == pytest.approx(10.0)
-    assert MetricSeries("e").rate() is None
-
-
-def test_series_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        MetricSeries("x", kind="histogram")
-
-
-# ----------------------------------------------------------------------
-# MetricsHub: kind pinning, enable gating, registry polling.
-# ----------------------------------------------------------------------
-def test_hub_series_kind_mismatch_raises():
-    local = MetricsHub()
-    local.series("a", kind="counter")
-    with pytest.raises(ValueError):
-        local.series("a", kind="gauge")
-
-
-def test_hub_record_and_poll_noop_while_disabled():
-    HUB.record("x", 1.0)
-    assert obs.COUNTERS is not None
-    assert HUB.poll(obs.COUNTERS) == 0
-    snap = HUB.snapshot()
-    assert snap["series"] == {} and snap["polls"] == 0
-
-
-def test_hub_poll_snapshots_registry():
-    obs.enable()
-    obs.COUNTERS.inc("runs", 3)
-    obs.COUNTERS.gauge("temp", 7.5)
-    obs.COUNTERS.observe("lat", 0.5)
-    captured = HUB.poll(obs.COUNTERS, ts=100.0)
-    assert captured == 3
-    assert HUB.series("runs", kind="counter").last() == (100.0, 3.0)
-    assert HUB.series("temp").last() == (100.0, 7.5)
-    assert HUB.polls == 1
-    assert HUB.snapshot()["histograms"]["lat"]["count"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -92,8 +29,7 @@ def _populated_registry():
 
 def test_prometheus_text_round_trips_through_validator():
     registry = _populated_registry()
-    HUB.poll(registry)
-    text = prometheus_text(HUB, registry)
+    text = prometheus_text(registry)
     assert validate_prometheus_text(text) == []
     # Counters/gauges carry their declared types.
     assert "# TYPE tea_engine_simulations counter" in text
@@ -104,7 +40,7 @@ def test_prometheus_text_round_trips_through_validator():
 
 def test_prometheus_histogram_buckets_are_cumulative():
     registry = _populated_registry()
-    text = prometheus_text(None, registry)
+    text = prometheus_text(registry)
     lines = [
         line for line in text.splitlines()
         if line.startswith("tea_run_wall_s_bucket")
@@ -165,25 +101,6 @@ def test_expose_prometheus_writes_textfile_atomically(tmp_path):
     assert validate_prometheus_text(text) == []
     assert text.endswith("\n")
     assert list(tmp_path.iterdir()) == [path]  # no temp file left
-
-
-def test_metrics_server_serves_exposition():
-    registry = _populated_registry()
-    server = MetricsServer(port=0, registry=registry).start()
-    try:
-        url = f"http://127.0.0.1:{server.port}/metrics"
-        with urllib.request.urlopen(url, timeout=5) as response:
-            body = response.read().decode("utf-8")
-            content_type = response.headers["Content-Type"]
-        assert "text/plain" in content_type
-        assert validate_prometheus_text(body) == []
-        assert "tea_engine_simulations 4" in body
-        with pytest.raises(urllib.error.HTTPError):
-            urllib.request.urlopen(
-                f"http://127.0.0.1:{server.port}/nope", timeout=5
-            )
-    finally:
-        server.stop()
 
 
 # ----------------------------------------------------------------------
