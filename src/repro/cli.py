@@ -429,7 +429,8 @@ def cmd_health(args) -> int:
     """``tea-repro health <run-log> --slo FILE``: SLO gate over a log.
 
     Exit status: 0 when every rule passes, 1 on any violation, 2 on a
-    malformed log path or rules file -- CI-friendly semantics.
+    missing or unreadable run log or a malformed rules file --
+    CI-friendly semantics.
     """
     from repro.engine import check_run_log
 
@@ -1167,7 +1168,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--run-log", default=None, metavar="PATH",
-        help="JSONL run-telemetry log (default: <store>/runs.jsonl)",
+        help="tea-runlog-v1 JSONL run log (default: "
+        "<store>/runs.jsonl)",
     )
     parser.add_argument(
         "--no-run-log", action="store_true",
@@ -1384,7 +1386,7 @@ def main(argv: list[str] | None = None) -> int:
     stats_parser.add_argument(
         "--json", action="store_true",
         help="emit the summary as machine-readable JSON "
-        "(tea-stats-v1 schema)",
+        "(tea-stats-v2 schema)",
     )
 
     monitor_parser = sub.add_parser(
@@ -1425,7 +1427,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     health_parser.add_argument(
         "--slo", required=True, metavar="PATH",
-        help="tea-slo-v1 rules file (max_stall_s, min_cycles_per_sec, "
+        help="tea-slo-v1 rules file (max_stall_s, min_insts_per_sec, "
         "max_retry_rate, max_rss_kb, max_failed_labels)",
     )
     health_parser.add_argument(

@@ -13,9 +13,10 @@ out-of-band methodology) as a real architectural layer:
 * :mod:`repro.engine.monitor` -- the :class:`SuiteMonitor` live view
   over heartbeat records (stall detection, progress rendering);
 * :mod:`repro.engine.health` -- declarative ``tea-slo-v1`` SLO rules
-  evaluated against a run log (:func:`evaluate_health`);
-* :mod:`repro.engine.telemetry` -- :class:`RunMetrics` records and the
-  JSONL :class:`RunLog`;
+  evaluated against a run log's stats (:func:`evaluate_health`);
+* :mod:`repro.engine.telemetry` -- the ``tea-runlog-v1`` run log: the
+  JSONL :class:`RunLog`, its one parser (:func:`tail_run_log`) and
+  the one fold the views read (:func:`aggregate_records`);
 * :mod:`repro.engine.engine` -- the :class:`Engine` orchestrator
   (memo -> store -> simulate).
 
@@ -47,7 +48,6 @@ from repro.engine.health import (
     HealthReport,
     check_run_log,
     evaluate_health,
-    measure_health,
     read_slo_file,
 )
 from repro.engine.monitor import (
@@ -75,6 +75,8 @@ from repro.engine.spec import (
 from repro.engine.store import RunStore, default_store_root
 from repro.engine.telemetry import (
     DEFAULT_RUN_LOG_NAME,
+    RECORD_KEYS,
+    RUNLOG_SCHEMA,
     STATS_SCHEMA,
     RunLog,
     RunMetrics,
@@ -82,9 +84,11 @@ from repro.engine.telemetry import (
     compare_bench,
     read_bench_file,
     read_run_log,
+    record_kind,
     summarize_records,
     summarize_records_json,
     summarize_run_log,
+    tail_run_log,
     validate_stats_doc,
     write_bench_file,
 )
@@ -105,6 +109,8 @@ __all__ = [
     "MODEL_VERSION",
     "PAYLOAD_SCHEMA",
     "ProfileMismatchError",
+    "RECORD_KEYS",
+    "RUNLOG_SCHEMA",
     "RunLog",
     "RunMetrics",
     "RunSpec",
@@ -127,10 +133,10 @@ __all__ = [
     "default_store_root",
     "evaluate_health",
     "format_report",
-    "measure_health",
     "read_bench_file",
     "read_run_log",
     "read_slo_file",
+    "record_kind",
     "render_monitor",
     "run_from_payload",
     "run_suite",
@@ -141,6 +147,7 @@ __all__ = [
     "summarize_records",
     "summarize_records_json",
     "summarize_run_log",
+    "tail_run_log",
     "validate_stats_doc",
     "write_bench_file",
 ]

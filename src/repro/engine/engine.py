@@ -71,9 +71,10 @@ class Engine:
             for tests and fault injection.
         heartbeat: Worker heartbeat interval in seconds; ``None``
             disables live telemetry. When set, suite executions emit
-            ``"kind": "heartbeat"`` and ``"kind": "resources"``
-            records into the run log as they happen, and the parent
-            flags silently stalled workers before their timeout.
+            ``"kind": "heartbeat"`` records into the run log as they
+            happen, and the parent flags silently stalled workers
+            before their timeout. Each executed attempt's
+            ``"kind": "resources"`` record is logged either way.
         stall_after: Seconds of heartbeat silence before a running
             label is flagged stalled (default: four heartbeats).
 
@@ -301,7 +302,6 @@ class Engine:
                 float(payload.get("wall_s") or 0.0),
                 jobs=jobs,
                 attempts=outcome.attempts if outcome else 1,
-                resources=outcome.resources if outcome else None,
             )
         return result.report
 
@@ -344,11 +344,9 @@ class Engine:
         wall_s: float,
         jobs: int = 1,
         attempts: int = 1,
-        resources: Mapping[str, float] | None = None,
     ) -> None:
         if self.run_log is None:
             return
-        resources = resources or {}
         self.run_log.record(
             RunMetrics(
                 workload=spec.workload,
@@ -364,8 +362,5 @@ class Engine:
                 jobs=jobs,
                 attempts=attempts,
                 backend=getattr(spec, "backend", "detailed"),
-                max_rss_kb=float(resources.get("max_rss_kb", 0.0)),
-                cpu_user_s=float(resources.get("cpu_user_s", 0.0)),
-                cpu_sys_s=float(resources.get("cpu_sys_s", 0.0)),
             )
         )

@@ -149,9 +149,6 @@ class LabelOutcome:
     wall_s: float = 0.0
     cause: str | None = None  # short "Type: message" style cause
     traceback: str | None = None  # formatted (remote) traceback
-    #: Final attempt's ``getrusage`` accounting (max_rss_kb,
-    #: cpu_user_s, cpu_sys_s), when the platform provides it.
-    resources: dict[str, float] | None = None
 
     def to_json(self) -> dict[str, Any]:
         """A compact JSON-ready record (traceback elided)."""
@@ -162,8 +159,6 @@ class LabelOutcome:
         }
         if self.cause:
             doc["cause"] = self.cause
-        if self.resources:
-            doc["max_rss_kb"] = self.resources.get("max_rss_kb", 0.0)
         return doc
 
 
@@ -671,7 +666,6 @@ class SuiteExecutor:
                         payloads[label] = outcome.payload
                         report.outcomes[label] = LabelOutcome(
                             label, STATUS_OK, attempt, outcome.wall_s,
-                            resources=outcome.resources,
                         )
                         obs.COUNTERS.inc("executor.runs_ok")
                         self._note("note_done", label, "done")
@@ -703,7 +697,6 @@ class SuiteExecutor:
                             outcome.wall_s,
                             cause=outcome.cause,
                             traceback=outcome.error,
-                            resources=outcome.resources,
                         )
         finally:
             if self.heartbeat is not None:
@@ -902,7 +895,6 @@ class SuiteExecutor:
                 payloads[label] = outcome.payload
                 report.outcomes[label] = LabelOutcome(
                     label, STATUS_OK, attempt, outcome.wall_s,
-                    resources=outcome.resources,
                 )
                 obs.COUNTERS.inc("executor.runs_ok")
                 self._note("note_done", label, "done")
@@ -924,7 +916,6 @@ class SuiteExecutor:
                     outcome.wall_s,
                     cause=outcome.cause,
                     traceback=outcome.error,
-                    resources=outcome.resources,
                 )
         return broken
 

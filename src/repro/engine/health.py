@@ -1,31 +1,38 @@
-"""Declarative run-health gating: SLO rules over a run log.
+"""Declarative run-health gating: SLO rules over a run log's stats.
 
-``tea-repro health <run-log> --slo rules.json`` reads the same JSONL
-run log that :class:`~repro.engine.telemetry.RunLog` writes -- run
-records, suite reports, and the live ``heartbeat``/``resources``
-records -- measures a small set of health indicators, and checks them
-against a committed ``tea-slo-v1`` rules file. Any violated rule is a
-non-zero exit, which is what lets CI fail a build whose suite ran to
-completion but ran *badly*: workers that went silent for seconds,
-throughput that cratered, retry storms, or memory blow-ups.
+``tea-repro health <run-log> --slo rules.json`` reads the run log with
+the one parser (:func:`~repro.engine.telemetry.read_run_log`), folds it
+into the ``tea-stats-v2`` document ``tea-repro stats --json`` prints
+(:func:`~repro.engine.telemetry.aggregate_records`), and checks each
+rule of a committed ``tea-slo-v1`` file against the field of that
+document it names. Any violated rule is a non-zero exit, which is what
+lets CI fail a build whose suite ran to completion but ran *badly*:
+workers that went silent for seconds, throughput that cratered, retry
+storms, or memory blow-ups.
 
-Rules (all optional; absent rules are not checked):
+Rules (all optional; absent rules are not checked), each a ceiling or
+a floor on one stats field (see :data:`RULES`):
 
 ``max_stall_s``
-    Longest observed heartbeat silence (seconds) a running worker may
-    show. Measured from the gaps between consecutive heartbeats of
-    each label/attempt and from ``phase: "stalled"`` flags.
-``min_cycles_per_sec``
-    Floor on aggregate simulated throughput over the log's runs.
+    Ceiling on ``live.max_stall_s``: the longest heartbeat silence
+    (seconds) a running worker showed, from the gaps between
+    consecutive heartbeats of each label/attempt and from
+    ``phase: "stalled"`` flags.
+``min_insts_per_sec``
+    Floor on ``runs.sim_insts_per_sec``: committed instructions per
+    simulated wall second over the log's simulated runs. A log with
+    nothing simulated has no rate (null), and the floor is skipped.
 ``max_retry_rate``
-    Ceiling on retries per dispatched label (0.5 = one retry per two
-    labels) across the log's suite executions.
+    Ceiling on ``suites.retry_rate``: retries per dispatched label
+    (0.5 = one retry per two labels) across the log's suite
+    executions.
 ``max_rss_kb``
-    Ceiling on the peak worker resident set (kilobytes, as reported
-    by ``getrusage``).
+    Ceiling on ``live.max_rss_kb``: the peak worker resident set
+    (kilobytes, as reported by ``getrusage``).
 ``max_failed_labels``
-    Ceiling on terminally failed suite labels (default expectation
-    for CI is 0, but the rule is only checked when present).
+    Ceiling on ``suites.failed_labels``: terminally failed suite
+    labels (default expectation for CI is 0, but the rule is only
+    checked when present).
 """
 
 from __future__ import annotations
@@ -36,19 +43,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.engine.telemetry import aggregate_records
+from repro.engine.telemetry import aggregate_records, read_run_log
 
 #: Schema tag every SLO rules file must carry.
 SLO_SCHEMA = "tea-slo-v1"
 
-#: The rule names :func:`evaluate_health` understands.
-RULE_NAMES = (
-    "max_stall_s",
-    "min_cycles_per_sec",
-    "max_retry_rate",
-    "max_rss_kb",
-    "max_failed_labels",
-)
+#: Each rule: the section and field of the stats document it bounds,
+#: and whether the bound is a ceiling (True) or a floor (False).
+RULES: dict[str, tuple[str, str, bool]] = {
+    "max_stall_s": ("live", "max_stall_s", True),
+    "min_insts_per_sec": ("runs", "sim_insts_per_sec", False),
+    "max_retry_rate": ("suites", "retry_rate", True),
+    "max_rss_kb": ("live", "max_rss_kb", True),
+    "max_failed_labels": ("suites", "failed_labels", True),
+}
 
 
 def read_slo_file(path: str | Path) -> dict[str, float]:
@@ -67,54 +75,20 @@ def read_slo_file(path: str | Path) -> dict[str, float]:
     rules = doc.get("rules")
     if not isinstance(rules, dict) or not rules:
         raise ValueError(f"{path}: missing or empty 'rules' mapping")
-    unknown = sorted(set(rules) - set(RULE_NAMES))
+    unknown = sorted(set(rules) - set(RULES))
     if unknown:
         raise ValueError(
             f"{path}: unknown rule(s) {', '.join(unknown)} "
-            f"(known: {', '.join(RULE_NAMES)})"
+            f"(known: {', '.join(RULES)})"
         )
     return {name: float(value) for name, value in rules.items()}
 
 
-def max_heartbeat_gap(
-    records: Iterable[Mapping[str, Any]],
-) -> float:
-    """Longest heartbeat silence (seconds) observed in *records*.
-
-    The gap is measured between consecutive heartbeats of the same
-    label *while it was running* -- i.e. from ``start``/``progress``
-    beats to the next beat of that label, including its ``done``. A
-    label's attempts are tracked separately (a retry restarts the
-    clock), and explicit ``phase: "stalled"`` flags contribute their
-    ``stalled_for_s`` directly, so a worker that died silently (never
-    beat again) still registers.
-    """
-    last: dict[tuple[str, int], float] = {}
-    worst = 0.0
-    for rec in records:
-        if rec.get("kind") != "heartbeat":
-            continue
-        phase = rec.get("phase")
-        ts = float(rec.get("ts", 0.0))
-        key = (str(rec.get("label", "")), int(rec.get("attempt", 1)))
-        if phase == "stalled":
-            worst = max(worst, float(rec.get("stalled_for_s", 0.0)))
-            continue
-        prev = last.get(key)
-        if prev is not None and ts > prev:
-            worst = max(worst, ts - prev)
-        if phase == "done":
-            last.pop(key, None)
-        else:
-            last[key] = ts
-    return worst
-
-
 @dataclass
 class HealthReport:
-    """Measured indicators plus the rules they violated."""
+    """Measured stats fields plus the rules they violated."""
 
-    metrics: dict[str, float] = field(default_factory=dict)
+    metrics: dict[str, float | None] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
     rules: dict[str, float] = field(default_factory=dict)
 
@@ -138,91 +112,51 @@ class HealthReport:
             "health: " + ("PASS" if self.ok else "FAIL")
             + f" ({len(self.rules)} rule(s) checked)"
         ]
-        for name in RULE_NAMES:
+        for name, (_, metric, _) in RULES.items():
             if name not in self.rules:
                 continue
-            measured = self.metrics.get(_METRIC_FOR_RULE[name], 0.0)
+            measured = self.metrics[metric]
             verdict = "violated" if any(
                 v.startswith(name) for v in self.violations
-            ) else "ok"
+            ) else "skipped" if measured is None else "ok"
+            shown = "n/a" if measured is None else f"{measured:g}"
             lines.append(
                 f"  {name} = {self.rules[name]:g}: "
-                f"measured {measured:g} -- {verdict}"
+                f"measured {shown} -- {verdict}"
             )
         for violation in self.violations:
             lines.append(f"  FAIL {violation}")
         return "\n".join(lines)
 
 
-#: Which measured indicator each rule is checked against.
-_METRIC_FOR_RULE = {
-    "max_stall_s": "max_stall_s",
-    "min_cycles_per_sec": "sim_cycles_per_sec",
-    "max_retry_rate": "retry_rate",
-    "max_rss_kb": "max_rss_kb",
-    "max_failed_labels": "failed_labels",
-}
-
-
-def measure_health(
-    records: Iterable[Mapping[str, Any]],
-) -> dict[str, float]:
-    """The health indicators of a run log's records."""
-    records = list(records)
-    agg = aggregate_records(records)
-    suites = [r for r in records if r.get("kind") == "suite"]
-    labels = sum(int(r.get("labels", 0)) for r in suites)
-    retries = agg["suites"]["retries"]
-    return {
-        "max_stall_s": round(max_heartbeat_gap(records), 6),
-        "sim_cycles_per_sec": agg["runs"]["sim_cycles_per_sec"],
-        "retry_rate": round(retries / labels, 6) if labels else 0.0,
-        "max_rss_kb": agg["live"]["max_rss_kb"],
-        "failed_labels": float(agg["suites"]["failed_labels"]),
-        "heartbeats": float(agg["live"]["heartbeats"]),
-        "stall_flags": float(agg["live"]["stall_flags"]),
-        "simulated_runs": float(
-            agg["runs"]["by_source"].get("simulated", 0)
-        ),
-    }
-
-
 def evaluate_health(
     records: Iterable[Mapping[str, Any]],
     rules: Mapping[str, float],
 ) -> HealthReport:
-    """Check a run log's records against SLO *rules*.
+    """Check the stats of a run log's records against SLO *rules*.
 
-    ``min_cycles_per_sec`` is only enforced when the log contains at
-    least one simulated run (a log of pure cache hits has no
-    throughput to judge); every other rule checks unconditionally --
-    an empty measurement is a 0, which trivially passes ceilings.
+    The report's metrics are the stats fields :data:`RULES` bound. A
+    field with no measurement is null (a rate with nothing simulated)
+    and its rule is skipped; every other empty measurement is a 0,
+    which trivially passes ceilings.
     """
-    metrics = measure_health(records)
-    report = HealthReport(metrics=metrics, rules=dict(rules))
-
-    def ceiling(rule: str, metric: str, unit: str = "") -> None:
-        if rule not in rules:
-            return
-        limit = float(rules[rule])
-        value = metrics[metric]
-        if value > limit:
+    doc = aggregate_records(records)
+    report = HealthReport(
+        metrics={
+            metric: doc[section][metric]
+            for section, metric, _ in RULES.values()
+        },
+        rules=dict(rules),
+    )
+    for name, (_, metric, ceiling) in RULES.items():
+        value = report.metrics[metric]
+        if name not in rules or value is None:
+            continue
+        limit = float(rules[name])
+        if value > limit if ceiling else value < limit:
+            bound = "exceeds limit" if ceiling else "is below floor"
             report.violations.append(
-                f"{rule}: measured {value:g}{unit} exceeds "
-                f"limit {limit:g}{unit}"
-            )
-
-    ceiling("max_stall_s", "max_stall_s", "s")
-    ceiling("max_retry_rate", "retry_rate")
-    ceiling("max_rss_kb", "max_rss_kb", "kB")
-    ceiling("max_failed_labels", "failed_labels")
-    if "min_cycles_per_sec" in rules and metrics["simulated_runs"]:
-        limit = float(rules["min_cycles_per_sec"])
-        value = metrics["sim_cycles_per_sec"]
-        if value < limit:
-            report.violations.append(
-                f"min_cycles_per_sec: measured {value:g} cycles/s "
-                f"is below floor {limit:g}"
+                f"{name}: measured {value:g} {bound} {limit:g}"
             )
     return report
 
@@ -230,19 +164,24 @@ def evaluate_health(
 def check_run_log(
     path: str | Path, slo_path: str | Path
 ) -> HealthReport:
-    """Read a run log and an SLO file; evaluate the rules."""
-    from repro.engine.telemetry import read_run_log
+    """Read a run log and an SLO file; evaluate the rules.
 
-    return evaluate_health(read_run_log(path), read_slo_file(slo_path))
+    Raises:
+        OSError: When the run log is missing or unreadable: a gate
+            over a log that is not there must not pass.
+        ValueError: On a malformed rules file.
+    """
+    rules = read_slo_file(slo_path)
+    if not Path(path).is_file():
+        raise FileNotFoundError(f"no run log at {path}")
+    return evaluate_health(read_run_log(path), rules)
 
 
 __all__ = [
-    "RULE_NAMES",
+    "RULES",
     "SLO_SCHEMA",
     "HealthReport",
     "check_run_log",
     "evaluate_health",
-    "max_heartbeat_gap",
-    "measure_health",
     "read_slo_file",
 ]

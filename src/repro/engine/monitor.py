@@ -12,22 +12,23 @@ whose worker has shown no activity (neither dispatch nor heartbeat)
 for ``stall_after`` seconds is flagged **stalled** while the timeout
 is still counting down.
 
-The same class powers ``tea-repro monitor``: it folds records parsed
-from a run-log JSONL (heartbeats, resources, suite outcomes) into the
-identical table, and :func:`render_monitor` draws the refreshing text
-view -- per-label progress bars, beat counts, and aggregate
-throughput. Feeding is incremental (:meth:`SuiteMonitor.feed_file`
-remembers its file offset), so an in-flight suite renders without
-waiting for completion.
+The same class powers ``tea-repro monitor``: it folds the records the
+run-log parser (:func:`~repro.engine.telemetry.tail_run_log`) returns
+(heartbeats, resources, suite outcomes) into the identical table, and
+:func:`render_monitor` draws the refreshing text view -- per-label
+activity bars, beat counts, and aggregate throughput. Feeding is
+incremental (:meth:`SuiteMonitor.feed_file` hands back the parser's
+file offset), so an in-flight suite renders without waiting for
+completion.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
+
+from repro.engine.telemetry import tail_run_log
 
 #: Live statuses a label moves through (terminal: done/failed/timeout).
 STATUS_PENDING = "pending"
@@ -57,7 +58,6 @@ class LabelState:
     cycles: int = 0
     committed: int = 0
     instrs_per_s: float = 0.0
-    eta_s: float | None = None
     wall_s: float = 0.0
     beats: int = 0
     stall_events: int = 0
@@ -84,7 +84,6 @@ class LabelState:
             "cycles": self.cycles,
             "committed": self.committed,
             "instrs_per_s": round(self.instrs_per_s, 1),
-            "eta_s": self.eta_s,
             "wall_s": round(self.wall_s, 3),
             "beats": self.beats,
             "stall_events": self.stall_events,
@@ -114,7 +113,6 @@ class SuiteMonitor:
             None if stall_after is None else float(stall_after)
         )
         self.clock = clock
-        self.stalls = 0
         self.suite_done = False
         self._states: dict[str, LabelState] = {
             label: LabelState(label) for label in labels
@@ -178,7 +176,6 @@ class SuiteMonitor:
         state.instrs_per_s = float(
             record.get("instrs_per_s", state.instrs_per_s)
         )
-        state.eta_s = record.get("eta_s", state.eta_s)
         state.wall_s = float(record.get("wall_s", state.wall_s))
         state.last_beat_ts = float(
             record.get("ts", state.last_beat_ts)
@@ -221,29 +218,17 @@ class SuiteMonitor:
             )
 
     def feed_file(self, path: str, offset: int = 0) -> int:
-        """Fold complete JSONL lines from *path* past *offset*.
+        """Fold the run-log records of *path* past *offset*.
 
-        Returns the new offset (hand it back on the next call); only
-        newline-terminated lines are consumed, so a record the writer
-        is mid-append on is picked up next round, never torn. A
+        Returns the new offset (hand it back on the next call). The
+        run-log parser reads complete lines only, so a record the
+        writer is mid-append on is picked up next round, never torn; a
         missing file leaves the offset unchanged.
         """
-        if not os.path.exists(path):
-            return offset
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            chunk = handle.read()
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return offset
-        for raw in chunk[: end + 1].splitlines():
-            try:
-                record = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                continue
-            if isinstance(record, dict):
-                self.observe(record)
-        return offset + end + 1
+        records, offset = tail_run_log(path, offset)
+        for record in records:
+            self.observe(record)
+        return offset
 
     # ------------------------------------------------------------------
     # Stall detection.
@@ -271,7 +256,6 @@ class SuiteMonitor:
                 continue
             state.status = STATUS_STALLED
             state.stall_events += 1
-            self.stalls += 1
             flagged.append(
                 {
                     "kind": "heartbeat",
@@ -318,7 +302,9 @@ class SuiteMonitor:
             "cycles": sum(s.cycles for s in self._states.values()),
             "instrs_per_s": sum(s.instrs_per_s for s in live),
             "beats": sum(s.beats for s in self._states.values()),
-            "stalls": self.stalls,
+            "stalls": sum(
+                s.stall_events for s in self._states.values()
+            ),
             "max_rss_kb": max(
                 (s.max_rss_kb for s in self._states.values()),
                 default=0.0,
@@ -359,21 +345,15 @@ def _fmt_count(value: float) -> str:
 
 
 def _bar(state: LabelState) -> str:
-    """A text progress bar for one label.
+    """A text activity bar for one label.
 
-    With an ETA the fill is real fractional progress
-    (``wall / (wall + eta)``); terminal labels render full/empty; an
-    in-flight label without an ETA shows a moving activity marker
-    driven by the beat count.
+    Terminal labels render full/empty; an in-flight label shows a
+    moving activity marker driven by the beat count.
     """
     if state.status == STATUS_DONE:
         return "[" + "#" * _BAR_WIDTH + "]"
     if state.status in (STATUS_FAILED, STATUS_TIMEOUT):
         return "[" + "-" * _BAR_WIDTH + "]"
-    if state.eta_s is not None and state.wall_s > 0:
-        fraction = state.wall_s / (state.wall_s + max(state.eta_s, 0.0))
-        filled = max(0, min(_BAR_WIDTH, int(fraction * _BAR_WIDTH)))
-        return "[" + "#" * filled + "." * (_BAR_WIDTH - filled) + "]"
     if state.beats == 0:
         return "[" + " " * _BAR_WIDTH + "]"
     pos = state.beats % _BAR_WIDTH
@@ -388,7 +368,7 @@ def render_monitor(
     """Draw the live status table as plain text.
 
     One row per label -- status, attempt, beats, committed
-    instructions, live throughput, progress bar -- plus the aggregate
+    instructions, live throughput, activity bar -- plus the aggregate
     footer ``tea-repro monitor`` refreshes on.
     """
     states = monitor.states()

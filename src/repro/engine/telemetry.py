@@ -1,18 +1,29 @@
-"""Run telemetry: structured per-run metrics and the JSONL run log.
+"""Run telemetry: the ``tea-runlog-v1`` run log, its one parser, and
+the one fold every view reads.
 
 Every engine run -- simulated, loaded from the store, or served from
 the in-process memo -- produces one :class:`RunMetrics` record. With a
-:class:`RunLog` attached the engine appends each record as one JSON
-line, giving a durable, greppable account of what actually simulated
-versus what was a cache hit (``tea-repro stats`` summarises it, and the
-acceptance check "a warm store performs zero new simulations" reads
-exactly these counters).
+:class:`RunLog` attached the engine appends it as one JSON line, next
+to the suite reports, trace captures, worker heartbeats, per-attempt
+resource accounting and observability records of the same
+invocation. Every line is a record of one of the kinds in
+:data:`RECORD_KEYS`, tagged with its ``"kind"`` and stamped
+``"schema": "tea-runlog-v1"``.
+
+Reading goes one way. :func:`tail_run_log` (and :func:`read_run_log`
+on top of it) is the one parser, and :func:`record_kind` the one
+validator. :func:`aggregate_records` is the one fold: ``tea-repro
+stats`` renders its ``tea-stats-v2`` document, and ``tea-repro
+health`` rules bound its fields. ``tea-repro monitor`` feeds the same
+parsed records to a :class:`~repro.engine.monitor.SuiteMonitor`. So
+the views cannot disagree on what a log holds -- including the
+acceptance check "a warm store performs zero new simulations", which
+reads the run records' ``source`` counts.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,8 +36,58 @@ DEFAULT_RUN_LOG_NAME = "runs.jsonl"
 #: Metric sources, in increasing cheapness.
 SOURCES = ("simulated", "store", "memo")
 
+#: Schema tag :class:`RunLog` stamps on every run-log record.
+RUNLOG_SCHEMA = "tea-runlog-v1"
+
 #: Schema tag carried by ``tea-repro stats --json`` documents.
-STATS_SCHEMA = "tea-stats-v1"
+STATS_SCHEMA = "tea-stats-v2"
+
+_NUMBER = (int, float)
+
+#: The record kinds of a ``tea-runlog-v1`` log and the keys (with
+#: their JSON types) each must carry; every other key is optional and
+#: read with a default. Lines an older version wrote stay valid: they
+#: carry no schema tag, and their run records no kind.
+RECORD_KEYS: dict[str, dict[str, Any]] = {
+    # One engine run (:class:`RunMetrics`).
+    "run": {"workload": str, "source": str, "wall_s": _NUMBER,
+            "cycles": int},
+    # One suite execution (:class:`~repro.engine.executor.SuiteReport`).
+    "suite": {"retries": int, "timeouts": int, "pool_recreations": int,
+              "failed": list},
+    # One columnar-trace capture or sidecar load.
+    "trace": {"workload": str, "cached": bool, "wall_s": _NUMBER,
+              "rows": dict},
+    # One worker progress beat, or the parent's stall flag.
+    "heartbeat": {"label": str, "phase": str, "ts": _NUMBER},
+    # One worker attempt's ``getrusage`` accounting.
+    "resources": {"label": str, "max_rss_kb": _NUMBER,
+                  "cpu_user_s": _NUMBER, "cpu_sys_s": _NUMBER},
+    # One obs span or instant (a Chrome trace event).
+    "span": {"name": str, "ph": str, "ts": _NUMBER},
+    # One obs counter sample, or the final registry snapshot.
+    "counters": {"name": str, "ts": _NUMBER, "args": dict},
+}
+
+
+def record_kind(record: Any) -> str | None:
+    """The kind of a valid ``tea-runlog-v1`` record; None otherwise.
+
+    Valid means a JSON object, tagged with this schema or untagged, of
+    a kind :data:`RECORD_KEYS` knows (an untagged kind is ``"run"``),
+    that carries the keys of its kind with their types.
+    """
+    if not isinstance(record, dict) or (
+        record.get("schema", RUNLOG_SCHEMA) != RUNLOG_SCHEMA
+    ):
+        return None
+    kind = record.get("kind", "run")
+    keys = RECORD_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None or not all(
+        isinstance(record.get(key), types) for key, types in keys.items()
+    ):
+        return None
+    return kind
 
 
 def validate_stats_doc(doc: Any) -> dict[str, Any]:
@@ -49,7 +110,7 @@ def validate_stats_doc(doc: Any) -> dict[str, Any]:
 
 @dataclass
 class RunMetrics:
-    """Telemetry for one engine run.
+    """Telemetry for one engine run: one ``"kind": "run"`` record.
 
     Attributes:
         workload: Workload name.
@@ -66,11 +127,6 @@ class RunMetrics:
         backend: Execution tier the run used (``"detailed"``,
             ``"functional"``, or ``"sampled"``).
         timestamp: Unix time the record was created.
-        max_rss_kb: Peak resident set of the worker process
-            (``getrusage``; 0 when not captured -- cache hits, or
-            platforms without the ``resource`` module).
-        cpu_user_s: User CPU seconds the final attempt cost.
-        cpu_sys_s: System CPU seconds the final attempt cost.
     """
 
     workload: str
@@ -84,52 +140,35 @@ class RunMetrics:
     attempts: int = 1
     backend: str = "detailed"
     timestamp: float = field(default_factory=time.time)
-    max_rss_kb: float = 0.0
-    cpu_user_s: float = 0.0
-    cpu_sys_s: float = 0.0
-
-    @property
-    def cycles_per_sec(self) -> float:
-        """Simulated cycles per wall second (0 for instant cache hits)."""
-        if self.wall_s <= 0:
-            return 0.0
-        return self.cycles / self.wall_s
 
     def to_json(self) -> dict[str, Any]:
         """A JSON-ready dict (one run-log line)."""
-        doc = {
+        return {
+            "kind": "run",
             "workload": self.workload,
             "spec_key": self.spec_key,
             "source": self.source,
             "wall_s": round(self.wall_s, 6),
             "cycles": self.cycles,
             "committed": self.committed,
-            "cycles_per_sec": round(self.cycles_per_sec, 1),
             "samples": self.samples,
             "jobs": self.jobs,
             "attempts": self.attempts,
             "backend": self.backend,
             "timestamp": self.timestamp,
         }
-        if self.max_rss_kb or self.cpu_user_s or self.cpu_sys_s:
-            doc["resources"] = {
-                "max_rss_kb": self.max_rss_kb,
-                "cpu_user_s": self.cpu_user_s,
-                "cpu_sys_s": self.cpu_sys_s,
-            }
-        return doc
 
 
 class RunLog:
-    """Append-only JSONL sink for :class:`RunMetrics` records.
+    """Append-only JSONL sink of ``tea-runlog-v1`` records.
 
     The log holds one lazily opened append-mode handle instead of
     reopening the file for every line (which a busy suite pays
-    hundreds of times). Each record is written as one complete line
-    and flushed immediately, so the append stays a single ``write``
-    of a full line -- concurrent writers (parallel suites logging to
-    a shared store) still interleave at line granularity, never
-    mid-record.
+    hundreds of times). Each record is written as one complete line,
+    stamped with the schema tag, and flushed immediately, so the append
+    stays a single ``write`` of a full line -- concurrent writers
+    (parallel suites logging to a shared store) still interleave at
+    line granularity, never mid-record.
 
     Args:
         path: Destination JSONL file (parents are created).
@@ -141,9 +180,13 @@ class RunLog:
         self._handle: Any = None
 
     # -- handle management ---------------------------------------------
-    def _write_line(self, line: str) -> None:
+    def _write(self, record: Mapping[str, Any]) -> None:
+        """Append *record*, stamped with the schema tag, as one line."""
         if self._handle is None:
             self._handle = open(self.path, "a")
+        line = json.dumps(
+            {**record, "schema": RUNLOG_SCHEMA}, sort_keys=True
+        )
         self._handle.write(line + "\n")
         self._handle.flush()
 
@@ -162,26 +205,24 @@ class RunLog:
 
     # -- record emission -----------------------------------------------
     def record(self, metrics: RunMetrics) -> None:
-        """Append one metrics record as a JSON line."""
-        self._write_line(json.dumps(metrics.to_json(), sort_keys=True))
+        """Append one ``"kind": "run"`` record."""
+        self._write(metrics.to_json())
 
     def record_suite(self, report) -> None:
-        """Append one suite-execution record as a JSON line.
+        """Append one ``"kind": "suite"`` record.
 
         Args:
             report: A :class:`~repro.engine.executor.SuiteReport`; the
-                line carries ``"kind": "suite"`` plus the report's
-                retry/timeout/pool-recovery counters and per-label
-                outcomes, so resilience behaviour is auditable from
-                the same log as the runs (``tea-repro stats``
-                summarises both).
+                line carries the report's retry/timeout/pool-recovery
+                counters and per-label outcomes, so resilience
+                behaviour is auditable from the same log as the runs.
         """
-        doc = {"kind": "suite", "timestamp": time.time()}
-        doc.update(report.to_json())
-        self._write_line(json.dumps(doc, sort_keys=True))
+        self._write(
+            {"kind": "suite", "timestamp": time.time(), **report.to_json()}
+        )
 
     def record_event(self, record: Mapping[str, Any]) -> None:
-        """Append one live-telemetry record as a JSON line.
+        """Append one live-telemetry record.
 
         Used for the executor's ``"kind": "heartbeat"`` and
         ``"kind": "resources"`` records; the record is written as-is
@@ -190,7 +231,7 @@ class RunLog:
         :class:`~repro.engine.monitor.SuiteMonitor` never sees a torn
         write.
         """
-        self._write_line(json.dumps(dict(record), sort_keys=True))
+        self._write(record)
 
     def record_trace(
         self,
@@ -199,7 +240,7 @@ class RunLog:
         cached: bool,
         wall_s: float = 0.0,
     ) -> None:
-        """Append one columnar-trace record as a JSON line.
+        """Append one ``"kind": "trace"`` record.
 
         Args:
             spec: The :class:`~repro.engine.spec.RunSpec` traced.
@@ -209,20 +250,17 @@ class RunLog:
                 simulation), false for a fresh capture.
             wall_s: Wall-clock seconds the capture cost (0 for hits).
         """
-        self._write_line(
-            json.dumps(
-                {
-                    "kind": "trace",
-                    "workload": spec.workload,
-                    "spec_key": spec.key,
-                    "cached": bool(cached),
-                    "wall_s": round(float(wall_s), 6),
-                    "cycles": int(store.meta.get("cycles", 0)),
-                    "rows": store.row_counts(),
-                    "timestamp": time.time(),
-                },
-                sort_keys=True,
-            )
+        self._write(
+            {
+                "kind": "trace",
+                "workload": spec.workload,
+                "spec_key": spec.key,
+                "cached": bool(cached),
+                "wall_s": round(float(wall_s), 6),
+                "cycles": int(store.meta.get("cycles", 0)),
+                "rows": store.row_counts(),
+                "timestamp": time.time(),
+            }
         )
 
     def record_obs(
@@ -232,19 +270,24 @@ class RunLog:
     ) -> int:
         """Append observability records; returns how many were written.
 
-        Trace events become ``"kind": "span"`` / ``"kind": "counters"``
-        lines (see :func:`repro.obs.export.events_to_jsonl`); when a
-        counter *registry* is given, its snapshot is appended as one
-        final ``"kind": "counters"`` record named
-        ``"registry.snapshot"``.
+        Each trace event becomes one record: counter samples
+        (``ph == "C"``) ``"kind": "counters"``, spans and instants
+        ``"kind": "span"``; metadata events are dropped. When a counter
+        *registry* is given, its snapshot is appended as one final
+        ``"kind": "counters"`` record named ``"registry.snapshot"``.
         """
-        from repro.obs.export import events_to_jsonl
-
-        records = events_to_jsonl(events)
+        written = 0
+        for event in events:
+            phase = event.get("ph")
+            if phase == "M":
+                continue
+            kind = "counters" if phase == "C" else "span"
+            self._write({**event, "kind": kind})
+            written += 1
         if registry is not None:
             snapshot = registry.snapshot()
             if any(snapshot.values()):
-                records.append(
+                self._write(
                     {
                         "kind": "counters",
                         "name": "registry.snapshot",
@@ -252,155 +295,180 @@ class RunLog:
                         "args": snapshot,
                     }
                 )
-        for record in records:
-            self._write_line(json.dumps(record, sort_keys=True))
-        return len(records)
+                written += 1
+        return written
+
+
+def tail_run_log(
+    path: str | Path, offset: int = 0
+) -> tuple[list[dict[str, Any]], int]:
+    """The valid records of *path*'s complete lines past *offset*.
+
+    Returns the records and the offset after the last complete line;
+    hand that back on the next call to read only what was appended
+    since. Only newline-terminated lines are read, so a record a writer
+    is still appending is deferred, not misread. Lines that are not
+    valid records (:func:`record_kind`) are skipped. A missing file
+    has no records yet.
+    """
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(offset)
+            chunk = handle.read()
+    except FileNotFoundError:
+        return [], offset
+    end = chunk.rfind(b"\n") + 1
+    records = []
+    for line in chunk[:end].splitlines():
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        if record_kind(record) is not None:
+            records.append(record)
+    return records, offset + end
 
 
 def read_run_log(path: str | Path) -> list[dict[str, Any]]:
-    """All records of a JSONL run log (skips malformed lines)."""
-    records: list[dict[str, Any]] = []
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        return records
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
+    """Every valid record of a run log (:func:`tail_run_log`)."""
+    return tail_run_log(path)[0]
+
+
+def _max_heartbeat_gap(beats: Iterable[Mapping[str, Any]]) -> float:
+    """Longest heartbeat silence (seconds) among *beats*.
+
+    The gap is measured between consecutive heartbeats of the same
+    label *while it was running* -- i.e. from ``start``/``progress``
+    beats to the next beat of that label, including its ``done``. A
+    label's attempts are tracked separately (a retry restarts the
+    clock), and explicit ``phase: "stalled"`` flags contribute their
+    ``stalled_for_s`` directly, so a worker that died silently (never
+    beat again) still registers.
+    """
+    last: dict[tuple[str, int], float] = {}
+    worst = 0.0
+    for rec in beats:
+        phase = rec.get("phase")
+        ts = float(rec.get("ts", 0.0))
+        key = (str(rec.get("label", "")), int(rec.get("attempt", 1)))
+        if phase == "stalled":
+            worst = max(worst, float(rec.get("stalled_for_s", 0.0)))
             continue
-        try:
-            records.append(json.loads(line))
-        except ValueError:
-            continue
-    return records
+        prev = last.get(key)
+        if prev is not None and ts > prev:
+            worst = max(worst, ts - prev)
+        if phase == "done":
+            last.pop(key, None)
+        else:
+            last[key] = ts
+    return worst
+
+
+def _sim_totals(**counts: Any) -> dict[str, Any]:
+    """*counts* plus zeroed totals of simulated runs."""
+    return {**counts, "sim_cycles": 0, "sim_insts": 0, "sim_wall_s": 0.0}
+
+
+def _with_rate(group: dict[str, Any]) -> dict[str, Any]:
+    """*group* with its simulated wall rounded and its
+    ``sim_insts_per_sec``: committed instructions per simulated wall
+    second, None when nothing simulated (there is no rate to judge)."""
+    wall = group["sim_wall_s"]
+    return group | {
+        "sim_wall_s": round(wall, 6),
+        "sim_insts_per_sec": (
+            round(group["sim_insts"] / wall, 1) if wall > 0 else None
+        ),
+    }
+
+
+def _total(records: Iterable[Mapping[str, Any]], key: str) -> int:
+    return sum(int(rec.get(key, 0)) for rec in records)
 
 
 def aggregate_records(
-    records: Iterable[dict[str, Any]],
+    records: Iterable[Mapping[str, Any]],
 ) -> dict[str, Any]:
-    """Aggregate run-log records into one JSON-ready summary document.
+    """Fold run-log records into the ``tea-stats-v2`` summary.
 
-    Records are partitioned by ``kind``: plain run records (no
-    ``kind``), ``"suite"`` execution reports, and observability
-    records (``"span"`` / ``"counters"``). Throughput aggregates --
-    the overall rate and the per-run geometric mean -- are computed
-    **only over simulated runs**: store and memo hits are near-instant
-    and carry ``cycles_per_sec == 0``, so folding them in would drag
-    every mean toward zero. Cache hits are reported as counts instead.
+    The one fold over a run log: records are partitioned by kind once
+    (an untagged record is a run record; unknown kinds are ignored),
+    and every figure ``stats`` renders and every field a ``health``
+    rule bounds comes from here. Rates cover **simulated runs only**:
+    store and memo hits are near-instant, so folding them in would
+    drag every rate toward zero. Cache hits are counted instead.
     """
-    records = list(records)
-    runs = [r for r in records if r.get("kind") is None]
-    suites = [r for r in records if r.get("kind") == "suite"]
-    traces = [r for r in records if r.get("kind") == "trace"]
-    beats = [r for r in records if r.get("kind") == "heartbeat"]
-    resources = [r for r in records if r.get("kind") == "resources"]
-    span_count = sum(1 for r in records if r.get("kind") == "span")
-    counter_count = sum(
-        1 for r in records if r.get("kind") == "counters"
-    )
+    by_kind: dict[str, list[Mapping[str, Any]]] = {
+        kind: [] for kind in RECORD_KEYS
+    }
+    for rec in records:
+        bucket = by_kind.get(rec.get("kind", "run"))
+        if bucket is not None:
+            bucket.append(rec)
+    runs, suites, traces = by_kind["run"], by_kind["suite"], by_kind["trace"]
+    beats, resources = by_kind["heartbeat"], by_kind["resources"]
 
-    by_source = {source: 0 for source in SOURCES}
-    wall_by_source = {source: 0.0 for source in SOURCES}
-    sim_cycles = 0
-    log_rates: list[float] = []
-    per_workload: dict[str, dict[str, float]] = {}
-    per_backend: dict[str, dict[str, float]] = {}
+    by_source = dict.fromkeys(SOURCES, 0)
+    totals = _sim_totals()
+    backends: dict[str, dict[str, Any]] = {}
+    workloads: dict[str, dict[str, Any]] = {}
     for rec in runs:
         source = rec.get("source", "simulated")
-        if source not in by_source:
-            by_source[source] = 0
-            wall_by_source[source] = 0.0
-        by_source[source] += 1
-        wall_by_source[source] += float(rec.get("wall_s", 0.0))
-        tier = per_backend.setdefault(
-            rec.get("backend", "detailed"),
-            {"runs": 0, "sim_cycles": 0, "sim_wall_s": 0.0},
+        wall = float(rec.get("wall_s", 0.0))
+        by_source[source] = by_source.get(source, 0) + 1
+        tier = backends.setdefault(
+            rec.get("backend", "detailed"), _sim_totals(runs=0)
         )
         tier["runs"] += 1
-        if source == "simulated":
-            tier["sim_cycles"] += int(rec.get("cycles", 0))
-            tier["sim_wall_s"] += float(rec.get("wall_s", 0.0))
-        row = per_workload.setdefault(
+        row = workloads.setdefault(
             rec.get("workload", "?"),
-            {s: 0 for s in SOURCES}
-            | {"wall_s": 0.0, "cycles": 0, "sim_wall_s": 0.0},
+            _sim_totals(**dict.fromkeys(SOURCES, 0), wall_s=0.0),
         )
         row[source] = row.get(source, 0) + 1
-        row["wall_s"] += float(rec.get("wall_s", 0.0))
+        row["wall_s"] += wall
         if source == "simulated":
-            cycles = int(rec.get("cycles", 0))
-            wall = float(rec.get("wall_s", 0.0))
-            sim_cycles += cycles
-            row["cycles"] += cycles
-            row["sim_wall_s"] += wall
-            if cycles > 0 and wall > 0:
-                log_rates.append(math.log(cycles / wall))
+            for group in (totals, tier, row):
+                group["sim_cycles"] += int(rec.get("cycles", 0))
+                group["sim_insts"] += int(rec.get("committed", 0))
+                group["sim_wall_s"] += wall
 
-    sim_wall = wall_by_source.get("simulated", 0.0)
-    rate = sim_cycles / sim_wall if sim_wall > 0 else 0.0
-    geomean = (
-        math.exp(sum(log_rates) / len(log_rates)) if log_rates else 0.0
-    )
-    workloads = {
-        name: {
-            "simulated": int(row["simulated"]),
-            "store": int(row["store"]),
-            "memo": int(row["memo"]),
-            "wall_s": round(row["wall_s"], 6),
-            "sim_cycles": int(row["cycles"]),
-            "sim_cycles_per_sec": round(
-                row["cycles"] / row["sim_wall_s"], 1
-            )
-            if row["sim_wall_s"] > 0
-            else 0.0,
-        }
-        for name, row in sorted(per_workload.items())
-    }
-    doc: dict[str, Any] = {
-        "runs": {
-            "total": len(runs),
-            "by_source": {
-                source: count
-                for source, count in sorted(by_source.items())
-            },
-            "cache_hits": by_source.get("store", 0)
-            + by_source.get("memo", 0),
-            "sim_cycles": sim_cycles,
-            "sim_wall_s": round(sim_wall, 6),
-            "sim_cycles_per_sec": round(rate, 1),
-            "sim_cycles_per_sec_geomean": round(geomean, 1),
-        },
-        "backends": {
-            name: {
-                "runs": int(row["runs"]),
-                "sim_cycles": int(row["sim_cycles"]),
-                "sim_wall_s": round(row["sim_wall_s"], 6),
-                "sim_cycles_per_sec": round(
-                    row["sim_cycles"] / row["sim_wall_s"], 1
-                )
-                if row["sim_wall_s"] > 0
-                else 0.0,
+    labels = _total(suites, "labels")
+    retries = _total(suites, "retries")
+    captures = [rec for rec in traces if not rec.get("cached")]
+    return {
+        "runs": _with_rate(
+            {
+                "total": len(runs),
+                "by_source": by_source,
+                "cache_hits": by_source["store"] + by_source["memo"],
+                **totals,
             }
-            for name, row in sorted(per_backend.items())
+        ),
+        "backends": {
+            name: _with_rate(row) for name, row in sorted(backends.items())
         },
-        "workloads": workloads,
+        "workloads": {
+            name: _with_rate(row | {"wall_s": round(row["wall_s"], 6)})
+            for name, row in sorted(workloads.items())
+        },
         "suites": {
             "executions": len(suites),
-            "retries": sum(int(r.get("retries", 0)) for r in suites),
-            "timeouts": sum(int(r.get("timeouts", 0)) for r in suites),
-            "pool_recreations": sum(
-                int(r.get("pool_recreations", 0)) for r in suites
-            ),
+            "labels": labels,
+            "retries": retries,
+            "retry_rate": round(retries / labels, 6) if labels else 0.0,
+            "timeouts": _total(suites, "timeouts"),
+            "pool_recreations": _total(suites, "pool_recreations"),
             "failed_labels": sum(
-                len(r.get("failed", ())) for r in suites
+                len(rec.get("failed", ())) for rec in suites
             ),
-            "stalls": sum(int(r.get("stalls", 0)) for r in suites),
+            "stalls": _total(suites, "stalls"),
         },
         "live": {
             "heartbeats": len(beats),
             "stall_flags": sum(
-                1 for r in beats if r.get("phase") == "stalled"
+                1 for rec in beats if rec.get("phase") == "stalled"
             ),
+            "max_stall_s": round(_max_heartbeat_gap(beats), 6),
             "resources": len(resources),
             "max_rss_kb": round(
                 max(
@@ -418,165 +486,111 @@ def aggregate_records(
                 6,
             ),
         },
-        "obs": {"spans": span_count, "counters": counter_count},
+        "obs": {
+            "spans": len(by_kind["span"]),
+            "counters": len(by_kind["counters"]),
+        },
         "traces": {
-            "captures": sum(1 for r in traces if not r.get("cached")),
-            "loads": sum(1 for r in traces if r.get("cached")),
+            "captures": len(captures),
+            "loads": len(traces) - len(captures),
             "capture_wall_s": round(
-                sum(
-                    float(r.get("wall_s", 0.0))
-                    for r in traces
-                    if not r.get("cached")
-                ),
-                6,
+                sum(float(rec.get("wall_s", 0.0)) for rec in captures), 6
             ),
             "rows": sum(
-                sum(int(n) for n in r.get("rows", {}).values())
-                for r in traces
+                sum(int(n) for n in rec.get("rows", {}).values())
+                for rec in traces
             ),
         },
     }
-    return doc
 
 
 def summarize_records_json(
-    records: Iterable[dict[str, Any]],
+    records: Iterable[Mapping[str, Any]],
 ) -> dict[str, Any]:
     """The machine-readable run-log summary (``tea-repro stats --json``).
 
-    The document leads with ``"schema": "tea-stats-v1"``; readers
+    The document leads with ``"schema": "tea-stats-v2"``; readers
     check it via :func:`validate_stats_doc` before trusting the rest.
     """
     return {"schema": STATS_SCHEMA, **aggregate_records(records)}
 
 
-def summarize_records(records: Iterable[dict[str, Any]]) -> str:
-    """Render a run-log summary (totals plus a per-workload table)."""
+def _per_s(group: Mapping[str, Any]) -> str:
+    """A group's ``sim_insts_per_sec`` for the text summary."""
+    rate = group["sim_insts_per_sec"]
+    return "n/a insts/s" if rate is None else f"{rate:,.0f} insts/s"
+
+
+def summarize_records(records: Iterable[Mapping[str, Any]]) -> str:
+    """Render the ``tea-stats-v2`` summary of *records* as text.
+
+    The runs with a per-workload table come first, then one line for
+    each other kind of record the log holds.
+    """
     from repro.experiments.runner import format_table
 
-    records = list(records)
     agg = aggregate_records(records)
-    suites = [r for r in records if r.get("kind") == "suite"]
-    runs = agg["runs"]
-    obs_counts = agg["obs"]
-    trace_counts = agg["traces"]
-    live = agg["live"]
-    have_obs = obs_counts["spans"] or obs_counts["counters"]
-    have_traces = trace_counts["captures"] or trace_counts["loads"]
-    have_live = live["heartbeats"] or live["resources"]
-    if not runs["total"] and not suites and not have_obs \
-            and not have_traces and not have_live:
-        return "run log: empty (no engine runs recorded yet)"
-    if not runs["total"]:
-        lines = []
-        if suites:
-            lines.append(_summarize_suites(suites))
-        if have_obs:
-            lines.append(_summarize_obs(obs_counts))
-        if have_traces:
-            lines.append(_summarize_traces(trace_counts))
-        if have_live:
-            lines.append(_summarize_live(live))
-        return "\n".join(lines)
-
-    by_source = runs["by_source"]
-    total = runs["total"]
-    lines = [
-        f"run log: {total} run(s) -- "
-        f"{by_source.get('simulated', 0)} simulated, "
-        f"{by_source.get('store', 0)} store hit(s), "
-        f"{by_source.get('memo', 0)} memo hit(s) "
-        f"({runs['cache_hits'] / total:.0%} cached)",
-        f"simulated: {runs['sim_cycles']:,} cycles in "
-        f"{runs['sim_wall_s']:.2f}s wall "
-        f"({runs['sim_cycles_per_sec']:,.0f} cycles/s, "
-        f"geomean {runs['sim_cycles_per_sec_geomean']:,.0f} cycles/s "
-        f"over simulated runs only)",
-    ]
-    backends = agg.get("backends", {})
-    if backends:
-        lines.append(
-            "backends: "
-            + "; ".join(
-                f"{name} {row['runs']} run(s), "
-                f"{row['sim_cycles_per_sec']:,.0f} sim cycles/s"
-                for name, row in backends.items()
-            )
-        )
-    lines.append("")
-    rows = [
-        [
-            name,
-            str(row["simulated"]),
-            str(row["store"]),
-            str(row["memo"]),
-            f"{row['wall_s']:.2f}s",
-            f"{row['sim_cycles']:,}",
-        ]
-        for name, row in agg["workloads"].items()
-    ]
-    lines.append(
-        format_table(
+    runs, suites, live = agg["runs"], agg["suites"], agg["live"]
+    obs_counts, traces = agg["obs"], agg["traces"]
+    sections = []
+    if runs["total"]:
+        by_source = runs["by_source"]
+        table = format_table(
             ["workload", "simulated", "store", "memo", "wall",
              "sim cycles"],
-            rows,
+            [
+                [name, str(row["simulated"]), str(row["store"]),
+                 str(row["memo"]), f"{row['wall_s']:.2f}s",
+                 f"{row['sim_cycles']:,}"]
+                for name, row in agg["workloads"].items()
+            ],
         )
-    )
-    if suites:
-        lines.append("")
-        lines.append(_summarize_suites(suites))
-    if have_obs:
-        lines.append("")
-        lines.append(_summarize_obs(obs_counts))
-    if have_traces:
-        lines.append("")
-        lines.append(_summarize_traces(trace_counts))
-    if have_live:
-        lines.append("")
-        lines.append(_summarize_live(live))
-    return "\n".join(lines)
-
-
-def _summarize_live(live: Mapping[str, Any]) -> str:
-    """One-line summary of the live-telemetry records in the log."""
-    return (
-        f"live: {live['heartbeats']} heartbeat(s) "
-        f"({live['stall_flags']} stall flag(s)), "
-        f"{live['resources']} resource record(s), "
-        f"peak RSS {live['max_rss_kb']:,.0f} kB"
-    )
-
-
-def _summarize_traces(trace_counts: Mapping[str, Any]) -> str:
-    """One-line summary of the columnar-trace records in the log."""
-    return (
-        f"traces: {trace_counts['captures']} capture(s) "
-        f"({trace_counts['capture_wall_s']:.2f}s wall), "
-        f"{trace_counts['loads']} sidecar load(s), "
-        f"{trace_counts['rows']:,} column row(s)"
-    )
-
-
-def _summarize_obs(obs_counts: Mapping[str, int]) -> str:
-    """One-line summary of the observability records in the log."""
-    return (
-        f"obs: {obs_counts['spans']} span record(s), "
-        f"{obs_counts['counters']} counter record(s)"
-    )
-
-
-def _summarize_suites(suites: list[dict[str, Any]]) -> str:
-    """One-line resilience summary of the suite-execution records."""
-    retries = sum(int(r.get("retries", 0)) for r in suites)
-    timeouts = sum(int(r.get("timeouts", 0)) for r in suites)
-    recreations = sum(
-        int(r.get("pool_recreations", 0)) for r in suites
-    )
-    failed = sum(len(r.get("failed", ())) for r in suites)
-    return (
-        f"suites: {len(suites)} execution(s) -- {retries} retrie(s), "
-        f"{timeouts} timeout(s), {recreations} pool recreation(s), "
-        f"{failed} failed label(s)"
+        sections.append(
+            f"run log: {runs['total']} run(s) -- "
+            f"{by_source['simulated']} simulated, "
+            f"{by_source['store']} store hit(s), "
+            f"{by_source['memo']} memo hit(s) "
+            f"({runs['cache_hits'] / runs['total']:.0%} cached)\n"
+            f"simulated: {runs['sim_cycles']:,} cycles, "
+            f"{runs['sim_insts']:,} insts in {runs['sim_wall_s']:.2f}s "
+            f"wall ({_per_s(runs)} over simulated runs only)\n"
+            "backends: "
+            + "; ".join(
+                f"{name} {row['runs']} run(s), {_per_s(row)}"
+                for name, row in agg["backends"].items()
+            )
+            + "\n\n"
+            + table
+        )
+    if suites["executions"]:
+        sections.append(
+            f"suites: {suites['executions']} execution(s) -- "
+            f"{suites['retries']} retrie(s), "
+            f"{suites['timeouts']} timeout(s), "
+            f"{suites['pool_recreations']} pool recreation(s), "
+            f"{suites['failed_labels']} failed label(s)"
+        )
+    if obs_counts["spans"] or obs_counts["counters"]:
+        sections.append(
+            f"obs: {obs_counts['spans']} span record(s), "
+            f"{obs_counts['counters']} counter record(s)"
+        )
+    if traces["captures"] or traces["loads"]:
+        sections.append(
+            f"traces: {traces['captures']} capture(s) "
+            f"({traces['capture_wall_s']:.2f}s wall), "
+            f"{traces['loads']} sidecar load(s), "
+            f"{traces['rows']:,} column row(s)"
+        )
+    if live["heartbeats"] or live["resources"]:
+        sections.append(
+            f"live: {live['heartbeats']} heartbeat(s) "
+            f"({live['stall_flags']} stall flag(s)), "
+            f"{live['resources']} resource record(s), "
+            f"peak RSS {live['max_rss_kb']:,.0f} kB"
+        )
+    return "\n\n".join(sections) or (
+        "run log: empty (no engine runs recorded yet)"
     )
 
 

@@ -20,8 +20,9 @@ the same discipline to the reproduction itself. Its pieces are all
 
 Exports land in three places: Chrome trace-event JSON for Perfetto /
 ``chrome://tracing`` (:func:`export_chrome_trace`), ``"kind":
-"span"`` / ``"kind": "counters"`` JSONL records merged into the engine
-run log (:func:`events_to_jsonl`), and the Prometheus textfile.
+"span"`` / ``"kind": "counters"`` records in the engine run log
+(:meth:`repro.engine.telemetry.RunLog.record_obs`), and the Prometheus
+textfile.
 
 Enable with ``REPRO_OBS=1`` or :func:`enable`; the CLI's
 ``--trace-out`` and ``--metrics-out`` flags do it for you.
@@ -36,7 +37,6 @@ from repro.obs.counters import (
 )
 from repro.obs.export import (
     chrome_trace_doc,
-    events_to_jsonl,
     export_chrome_trace,
     read_chrome_trace,
     validate_chrome_trace,
@@ -95,7 +95,6 @@ __all__ = [
     "enable",
     "enabled",
     "end_run",
-    "events_to_jsonl",
     "export_chrome_trace",
     "expose_prometheus",
     "hist_quantile",

@@ -1,16 +1,12 @@
 """Exporters for collected observability data.
 
-Two output planes:
-
-* :func:`export_chrome_trace` writes a Chrome trace-event JSON file
-  (the ``{"traceEvents": [...]}`` object form) loadable in Perfetto or
-  ``chrome://tracing``. Timestamps are normalised to the earliest
-  event so the timeline starts at zero, and per-pid ``process_name``
-  metadata is synthesised so worker processes render as named tracks.
-* :func:`events_to_jsonl` converts events into run-log records --
-  ``"kind": "span"`` for intervals/instants and ``"kind": "counters"``
-  for counter samples -- which :meth:`repro.engine.telemetry.RunLog.
-  record_obs` appends to the same JSONL stream as the run metrics.
+:func:`export_chrome_trace` writes a Chrome trace-event JSON file (the
+``{"traceEvents": [...]}`` object form) loadable in Perfetto or
+``chrome://tracing``. Timestamps are normalised to the earliest event
+so the timeline starts at zero, and per-pid ``process_name`` metadata
+is synthesised so worker processes render as named tracks. (The same
+events reach the run log through
+:meth:`repro.engine.telemetry.RunLog.record_obs`.)
 
 :func:`validate_chrome_trace` is the schema check the test suite (and
 CI) runs against emitted traces: it verifies the envelope and the
@@ -156,22 +152,3 @@ def read_chrome_trace(path: str | Path) -> dict[str, Any]:
             f"{path}: invalid Chrome trace -- " + "; ".join(problems[:5])
         )
     return doc
-
-
-def events_to_jsonl(
-    events: list[dict[str, Any]],
-) -> list[dict[str, Any]]:
-    """Run-log records for *events* (metadata events are dropped).
-
-    Counter samples (``ph == "C"``) become ``"kind": "counters"``
-    records; spans and instants become ``"kind": "span"`` records.
-    """
-    records: list[dict[str, Any]] = []
-    for event in events:
-        phase = event.get("ph")
-        if phase == "M":
-            continue
-        record = dict(event)
-        record["kind"] = "counters" if phase == "C" else "span"
-        records.append(record)
-    return records

@@ -17,10 +17,9 @@ Each report becomes a :class:`ProgressEvent` that
   queue-forwarding sink in each worker process, which is how heartbeat
   records reach the parent.
 
-The surrounding context (suite label, attempt number, an optional
-total-instruction hint for ETA) is set per run by
-:func:`set_run_context`; :func:`begin_run`/:func:`end_run` bracket one
-run and emit the unconditional ``start``/``done`` beats.
+The surrounding context (suite label and attempt number) is set per
+run by :func:`set_run_context`; :func:`begin_run`/:func:`end_run`
+bracket one run and emit the unconditional ``start``/``done`` beats.
 """
 
 from __future__ import annotations
@@ -58,8 +57,6 @@ class ProgressEvent:
     committed: int      #: instructions retired so far
     wall_s: float       #: seconds since begin_run
     instrs_per_s: float  #: cumulative committed / wall_s
-    cycles_per_s: float
-    eta_s: float | None  #: remaining-time estimate (needs total hint)
     ts: float           #: epoch seconds (cross-process comparable)
     ok: bool = True     #: done-phase only: did the run succeed
 
@@ -79,7 +76,6 @@ class _RunState:
 
     label: str = ""
     attempt: int = 1
-    total_hint: int = 0
     start: float = 0.0        #: perf_counter at begin_run
     last_sink: float = -1.0   #: perf_counter of last forwarded beat
 
@@ -94,17 +90,10 @@ def set_sink(sink: Sink | None) -> None:
     _sink = sink
 
 
-def set_run_context(
-    label: str = "", attempt: int = 1, total_hint: int = 0,
-) -> None:
-    """Attach suite context to subsequent progress events.
-
-    *total_hint* is the expected committed-instruction total (0 =
-    unknown); when present, beats carry an ETA.
-    """
+def set_run_context(label: str = "", attempt: int = 1) -> None:
+    """Attach suite context to subsequent progress events."""
     _state.label = label
     _state.attempt = int(attempt)
-    _state.total_hint = int(total_hint)
 
 
 def clear_run_context() -> None:
@@ -118,7 +107,6 @@ def reset() -> None:
     _sink = None
     _state.label = ""
     _state.attempt = 1
-    _state.total_hint = 0
     _state.start = 0.0
     _state.last_sink = -1.0
 
@@ -130,11 +118,6 @@ def _emit(
     now = time.perf_counter()
     wall_s = max(now - _state.start, 0.0) if _state.start else 0.0
     instrs_per_s = committed / wall_s if wall_s > 0 else 0.0
-    cycles_per_s = cycles / wall_s if wall_s > 0 else 0.0
-    eta_s: float | None = None
-    if _state.total_hint > 0 and instrs_per_s > 0:
-        remaining = max(_state.total_hint - committed, 0)
-        eta_s = remaining / instrs_per_s
     event = ProgressEvent(
         label=_state.label or workload,
         workload=workload,
@@ -146,8 +129,6 @@ def _emit(
         committed=int(committed),
         wall_s=wall_s,
         instrs_per_s=instrs_per_s,
-        cycles_per_s=cycles_per_s,
-        eta_s=eta_s,
         ts=_spans.now_us() / 1e6,
         ok=ok,
     )

@@ -1,6 +1,6 @@
-"""SLO health gating: rules files, indicator measurement, violation
-reporting, the CLI exit-code contract, and the engine's end-to-end
-live-telemetry path into the run log."""
+"""SLO health gating: rules files, the stats fields the rules bound,
+violation reporting, the CLI exit-code contract, and the engine's
+end-to-end live-telemetry path into the run log."""
 
 import json
 
@@ -15,7 +15,7 @@ from repro.engine import (
     read_run_log,
     read_slo_file,
 )
-from repro.engine.health import max_heartbeat_gap, measure_health
+from repro.engine.telemetry import aggregate_records
 
 from tests.engine.conftest import SMALL
 
@@ -33,10 +33,10 @@ def write_slo(path, rules):
 def test_read_slo_file_round_trip(tmp_path):
     path = write_slo(
         tmp_path / "slo.json",
-        {"max_stall_s": 5.0, "min_cycles_per_sec": 100},
+        {"max_stall_s": 5.0, "min_insts_per_sec": 100},
     )
     assert read_slo_file(path) == {
-        "max_stall_s": 5.0, "min_cycles_per_sec": 100.0,
+        "max_stall_s": 5.0, "min_insts_per_sec": 100.0,
     }
 
 
@@ -53,6 +53,11 @@ def test_read_slo_file_rejects_bad_schema_and_rules(tmp_path):
         read_slo_file(
             write_slo(tmp_path / "typo.json", {"max_stals": 1})
         )
+    # The cycles/s floor is gone: a file naming it fails loudly.
+    with pytest.raises(ValueError, match="unknown rule"):
+        read_slo_file(
+            write_slo(tmp_path / "old.json", {"min_cycles_per_sec": 1})
+        )
 
 
 def test_committed_smoke_slo_file_is_valid():
@@ -64,7 +69,7 @@ def test_committed_smoke_slo_file_is_valid():
 
 
 # ----------------------------------------------------------------------
-# Indicator measurement.
+# The stats fields the rules bound.
 # ----------------------------------------------------------------------
 def _beat(label, phase, ts, attempt=1, **extra):
     record = {
@@ -73,6 +78,10 @@ def _beat(label, phase, ts, attempt=1, **extra):
     }
     record.update(extra)
     return record
+
+
+def max_stall_s(records):
+    return aggregate_records(records)["live"]["max_stall_s"]
 
 
 def test_max_heartbeat_gap_per_label_and_attempt():
@@ -86,7 +95,7 @@ def test_max_heartbeat_gap_per_label_and_attempt():
         _beat("a", "start", 30.0, attempt=2),
         _beat("a", "done", 31.0, attempt=2),
     ]
-    assert max_heartbeat_gap(records) == pytest.approx(7.0)
+    assert max_stall_s(records) == pytest.approx(7.0)
 
 
 def test_max_heartbeat_gap_counts_stall_flags():
@@ -95,25 +104,27 @@ def test_max_heartbeat_gap_counts_stall_flags():
         _beat("a", "stalled", 15.0, stalled_for_s=4.5),
     ]
     # The flag's own measured silence is authoritative.
-    assert max_heartbeat_gap(records) == pytest.approx(4.5)
+    assert max_stall_s(records) == pytest.approx(4.5)
 
 
 def test_measure_health_over_mixed_records():
     records = [
         {"workload": "lbm", "source": "simulated", "wall_s": 1.0,
-         "cycles": 50_000},
+         "cycles": 50_000, "committed": 20_000},
         {"kind": "suite", "labels": 4, "retries": 1, "failed": ["xz"]},
         _beat("lbm", "start", 1.0),
         _beat("lbm", "done", 2.0),
         {"kind": "resources", "label": "lbm", "max_rss_kb": 2048.0,
          "cpu_user_s": 0.9, "cpu_sys_s": 0.1},
     ]
-    metrics = measure_health(records)
-    assert metrics["sim_cycles_per_sec"] == pytest.approx(50_000.0)
-    assert metrics["retry_rate"] == pytest.approx(0.25)
-    assert metrics["max_rss_kb"] == 2048.0
-    assert metrics["failed_labels"] == 1.0
-    assert metrics["max_stall_s"] == pytest.approx(1.0)
+    metrics = evaluate_health(records, {}).metrics
+    assert metrics == {
+        "max_stall_s": pytest.approx(1.0),
+        "sim_insts_per_sec": pytest.approx(20_000.0),
+        "retry_rate": pytest.approx(0.25),
+        "max_rss_kb": 2048.0,
+        "failed_labels": 1,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -122,13 +133,13 @@ def test_measure_health_over_mixed_records():
 def test_evaluate_health_passes_generous_rules():
     records = [
         {"workload": "lbm", "source": "simulated", "wall_s": 1.0,
-         "cycles": 50_000},
+         "cycles": 50_000, "committed": 20_000},
         _beat("lbm", "start", 1.0),
         _beat("lbm", "done", 1.5),
     ]
     report = evaluate_health(
         records,
-        {"max_stall_s": 60.0, "min_cycles_per_sec": 1.0,
+        {"max_stall_s": 60.0, "min_insts_per_sec": 1.0,
          "max_failed_labels": 0},
     )
     assert report.ok
@@ -139,7 +150,7 @@ def test_evaluate_health_passes_generous_rules():
 def test_evaluate_health_flags_each_violated_rule():
     records = [
         {"workload": "lbm", "source": "simulated", "wall_s": 1.0,
-         "cycles": 1_000},
+         "cycles": 1_000, "committed": 400},
         {"kind": "suite", "labels": 2, "retries": 4, "failed": ["a"]},
         _beat("lbm", "start", 1.0),
         _beat("lbm", "done", 9.0),
@@ -147,7 +158,7 @@ def test_evaluate_health_flags_each_violated_rule():
     ]
     report = evaluate_health(
         records,
-        {"max_stall_s": 2.0, "min_cycles_per_sec": 1e9,
+        {"max_stall_s": 2.0, "min_insts_per_sec": 1e9,
          "max_retry_rate": 0.5, "max_rss_kb": 1_000.0,
          "max_failed_labels": 0},
     )
@@ -155,16 +166,19 @@ def test_evaluate_health_flags_each_violated_rule():
     assert len(report.violations) == 5
     rendered = report.render()
     assert "FAIL" in rendered
-    assert "min_cycles_per_sec" in rendered
+    assert "FAIL min_insts_per_sec: measured 400 is below floor 1e+09" \
+        in rendered
 
 
 def test_throughput_floor_skipped_without_simulated_runs():
     records = [
         {"workload": "lbm", "source": "memo", "wall_s": 0.0,
-         "cycles": 50_000},
+         "cycles": 50_000, "committed": 20_000},
     ]
-    report = evaluate_health(records, {"min_cycles_per_sec": 1e9})
+    report = evaluate_health(records, {"min_insts_per_sec": 1e9})
     assert report.ok  # nothing simulated => no throughput to judge
+    assert report.metrics["sim_insts_per_sec"] is None
+    assert "measured n/a -- skipped" in report.render()
 
 
 # ----------------------------------------------------------------------
@@ -195,6 +209,17 @@ def test_cmd_health_pass_fail_and_error(tmp_path, capsys):
     assert main(["health", str(log_path), "--slo", str(broken)]) == 2
 
 
+def test_cmd_health_on_a_missing_log_is_an_error(tmp_path, capsys):
+    """A gate over a log that is not there must not pass: no records
+    would satisfy every ceiling."""
+    slo = write_slo(tmp_path / "slo.json", {"max_stall_s": 60.0})
+    missing = tmp_path / "missing.jsonl"
+    assert main(["health", str(missing), "--slo", slo]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert str(missing) in captured.err
+
+
 def test_cmd_health_json_document(tmp_path, capsys):
     log_path = _seed_log(tmp_path)
     slo = write_slo(tmp_path / "slo.json", {"max_stall_s": 60.0})
@@ -203,7 +228,7 @@ def test_cmd_health_json_document(tmp_path, capsys):
     ) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
-    assert doc["metrics"]["heartbeats"] == 3.0
+    assert doc["metrics"]["max_stall_s"] == 0.5
     assert doc["rules"] == {"max_stall_s": 60.0}
 
 
@@ -263,8 +288,11 @@ def test_engine_suite_writes_live_records_to_run_log(tmp_path):
     # were flushed live, not batched at the end.
     assert kinds.index("heartbeat") < kinds.index("suite")
     assert engine.last_monitor is not None
-    # Run records carry the settled resource accounting.
-    run_records = [r for r in records if r.get("kind") is None]
+    # The per-attempt resources records carry the accounting; the
+    # run records do not repeat it.
     assert all(
-        r["resources"]["max_rss_kb"] > 0 for r in run_records
+        r["max_rss_kb"] > 0 for r in records if r["kind"] == "resources"
     )
+    run_records = [r for r in records if r["kind"] == "run"]
+    assert len(run_records) == 2
+    assert not any("resources" in r for r in run_records)

@@ -131,7 +131,7 @@ def test_feed_file_is_incremental_and_ignores_torn_tail(tmp_path):
     monitor = SuiteMonitor()
     with open(path, "w") as handle:
         handle.write(json.dumps(beat("a", "start", 1.0)) + "\n")
-        handle.write('{"kind": "heartbeat", "label": "a", "pha')
+        handle.write('{"kind": "heartbeat", "label": "a", "ts": 1.5, "pha')
     offset = monitor.feed_file(str(path))
     assert monitor.states()["a"].beats == 1  # torn line not consumed
     with open(path, "a") as handle:
@@ -144,6 +144,20 @@ def test_feed_file_is_incremental_and_ignores_torn_tail(tmp_path):
     assert offset == os.path.getsize(path)
     # Missing files leave the offset unchanged.
     assert monitor.feed_file(str(tmp_path / "nope.jsonl"), 7) == 7
+
+
+def test_feed_file_counts_the_stall_flags_of_a_log(tmp_path):
+    """Read from a log, the stall count is the log's stall flags."""
+    path = tmp_path / "runs.jsonl"
+    with RunLog(path) as log:
+        log.record_event(beat("a", "start", 1.0))
+        log.record_event(beat("a", "stalled", 5.0, stalled_for_s=4.0))
+        log.record_event(beat("a", "done", 6.0, ok=True))
+    monitor = SuiteMonitor()
+    monitor.feed_file(str(path))
+    assert monitor.states()["a"].stall_events == 1
+    assert monitor.aggregate()["stalls"] == 1
+    assert "3 beat(s), 1 stall(s)" in render_monitor(monitor)
 
 
 def test_render_monitor_shows_rows_and_totals():
@@ -232,15 +246,22 @@ def test_serial_suite_heartbeats_without_a_pool(tmp_path):
     assert any(e.get("kind") == "resources" for e in events)
 
 
-def test_suite_report_json_carries_stalls_and_rss(tmp_path):
+def test_suite_report_json_carries_stalls_not_rss(tmp_path):
+    """Peak RSS is logged once, in the per-attempt resources record;
+    the suite outcome does not repeat it."""
     worker = FaultyWorker(tmp_path, {})
+    events = []
     executor = SuiteExecutor(
-        jobs=1, retries=0, fn=worker, heartbeat=0.05
+        jobs=1, retries=0, fn=worker, heartbeat=0.05,
+        on_event=events.append,
     )
     result = executor.execute([("solo", None)])
     doc = result.report.to_json()
     assert doc["stalls"] == 0
-    assert doc["outcomes"]["solo"]["max_rss_kb"] > 0
+    assert "max_rss_kb" not in doc["outcomes"]["solo"]
+    resources = [e for e in events if e["kind"] == "resources"]
+    assert [r["label"] for r in resources] == ["solo"]
+    assert resources[0]["max_rss_kb"] > 0
 
 
 # ----------------------------------------------------------------------

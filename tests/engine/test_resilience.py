@@ -323,7 +323,7 @@ def test_engine_records_attempts_in_run_telemetry(tmp_path):
     )
     engine.run_suite({"flaky": spec("exchange2")})
     records = [
-        r for r in read_run_log(log_path) if r.get("kind") is None
+        r for r in read_run_log(log_path) if r["kind"] == "run"
     ]
     assert [r["attempts"] for r in records] == [2]
     assert records[0]["source"] == "simulated"

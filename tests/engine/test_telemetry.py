@@ -1,18 +1,24 @@
-"""Run telemetry: metrics records, the JSONL log, and `stats`."""
+"""Run telemetry: metrics records, the tea-runlog-v1 log and its one
+parser, and `stats`."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import main
 from repro.engine import (
     DEFAULT_RUN_LOG_NAME,
+    RECORD_KEYS,
+    RUNLOG_SCHEMA,
     Engine,
     RunLog,
     RunMetrics,
     RunStore,
     read_run_log,
+    record_kind,
     summarize_run_log,
+    tail_run_log,
 )
 from repro.engine.spec import RunSpec
 from repro.engine.telemetry import summarize_records
@@ -36,15 +42,11 @@ def metrics(**overrides) -> RunMetrics:
 
 def test_metrics_to_json():
     rec = metrics().to_json()
+    assert rec["kind"] == "run"
     assert rec["workload"] == "lbm"
     assert rec["source"] == "simulated"
-    assert rec["cycles_per_sec"] == pytest.approx(50_000)
     assert rec["samples"] == {"TEA": 341}
     assert rec["timestamp"] > 0
-
-
-def test_cycles_per_sec_is_zero_for_instant_hits():
-    assert metrics(wall_s=0.0, source="memo").cycles_per_sec == 0.0
 
 
 def test_run_log_round_trip(tmp_path):
@@ -279,8 +281,8 @@ def test_record_obs_appends_span_and_counter_lines(tmp_path):
     )
     log.close()
     assert written == 2  # metadata dropped
-    kinds = [r.get("kind") for r in read_run_log(path)]
-    assert kinds == [None, "span", "counters"]
+    kinds = [r["kind"] for r in read_run_log(path)]
+    assert kinds == ["run", "span", "counters"]
     registry = CounterRegistry()
     # An all-empty registry snapshot adds no record.
     log2 = RunLog(tmp_path / "other.jsonl")
@@ -289,17 +291,17 @@ def test_record_obs_appends_span_and_counter_lines(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Aggregation: geomean excludes cache hits; stats --json.
+# Aggregation: rates exclude cache hits; stats --json.
 # ----------------------------------------------------------------------
 _GOLDEN_RECORDS = [
     {"workload": "lbm", "source": "simulated", "wall_s": 2.0,
-     "cycles": 100_000},
+     "cycles": 100_000, "committed": 40_000},
     {"workload": "lbm", "source": "store", "wall_s": 0.01,
-     "cycles": 100_000},
+     "cycles": 100_000, "committed": 40_000},
     {"workload": "nab", "source": "simulated", "wall_s": 1.0,
-     "cycles": 200_000},
+     "cycles": 200_000, "committed": 80_000},
     {"workload": "nab", "source": "memo", "wall_s": 0.0,
-     "cycles": 200_000},
+     "cycles": 200_000, "committed": 80_000},
     {"kind": "suite", "retries": 2, "timeouts": 1,
      "pool_recreations": 0, "failed": ["xz"], "stalls": 1},
     {"kind": "heartbeat", "label": "lbm", "workload": "lbm",
@@ -330,47 +332,49 @@ _GOLDEN_RECORDS = [
 ]
 
 
-def test_geomean_excludes_cache_hits():
-    """Store/memo hits are near-instant (0 cycles/s); folding them into
-    the throughput mean would drag it toward zero."""
+def test_insts_per_sec_excludes_cache_hits():
+    """Store/memo hits are near-instant; folding them into the
+    throughput would drag it toward zero, so they are counted only."""
     from repro.engine.telemetry import aggregate_records
 
     agg = aggregate_records(_GOLDEN_RECORDS)
     runs = agg["runs"]
-    # Geomean over the two simulated runs only: sqrt(50k * 200k).
-    assert runs["sim_cycles_per_sec_geomean"] == pytest.approx(
-        100_000.0
-    )
+    # 120k instructions over the two simulated runs' 3 s of wall.
+    assert runs["sim_insts_per_sec"] == pytest.approx(40_000.0)
     assert runs["cache_hits"] == 2
     # Per-workload throughput divides by *simulated* wall only.
-    assert agg["workloads"]["lbm"]["sim_cycles_per_sec"] == (
-        pytest.approx(50_000.0)
+    assert agg["workloads"]["lbm"]["sim_insts_per_sec"] == (
+        pytest.approx(20_000.0)
     )
+    # Nothing simulated: no rate at all, not a rate of zero.
+    hits = [r for r in _GOLDEN_RECORDS if r.get("source") == "memo"]
+    assert aggregate_records(hits)["runs"]["sim_insts_per_sec"] is None
 
 
 def test_per_backend_aggregation():
     """Each tier's throughput aggregates separately: a sampled run's
-    cycles/s must not blend into the detailed-tier average."""
+    insts/s must not blend into the detailed-tier average."""
     from repro.engine.telemetry import aggregate_records
 
     records = [
         {"workload": "lbm", "source": "simulated", "wall_s": 2.0,
-         "cycles": 100_000},  # legacy record: implicitly detailed
+         "cycles": 100_000, "committed": 100_000},  # legacy: detailed
         {"workload": "lbm", "source": "simulated", "wall_s": 1.0,
-         "cycles": 400_000, "backend": "sampled"},
+         "cycles": 400_000, "committed": 400_000, "backend": "sampled"},
         {"workload": "mcf", "source": "simulated", "wall_s": 0.5,
-         "cycles": 200_000, "backend": "functional"},
+         "cycles": 200_000, "committed": 200_000,
+         "backend": "functional"},
         {"workload": "lbm", "source": "store", "wall_s": 0.01,
-         "cycles": 400_000, "backend": "sampled"},
+         "cycles": 400_000, "committed": 400_000, "backend": "sampled"},
     ]
     backends = aggregate_records(records)["backends"]
-    assert backends["detailed"]["sim_cycles_per_sec"] == pytest.approx(
+    assert backends["detailed"]["sim_insts_per_sec"] == pytest.approx(
         50_000.0
     )
-    assert backends["sampled"]["sim_cycles_per_sec"] == pytest.approx(
+    assert backends["sampled"]["sim_insts_per_sec"] == pytest.approx(
         400_000.0
     )
-    assert backends["functional"]["sim_cycles_per_sec"] == (
+    assert backends["functional"]["sim_insts_per_sec"] == (
         pytest.approx(400_000.0)
     )
     assert backends["sampled"]["runs"] == 2  # cache hits still count
@@ -395,7 +399,7 @@ def test_summary_text_with_mixed_kind_records():
     text = summarize_records(_GOLDEN_RECORDS)
     assert "4 run(s)" in text  # span/counter lines don't count as runs
     assert "2 simulated" in text
-    assert "geomean 100,000 cycles/s" in text
+    assert "120,000 insts in 3.00s wall (40,000 insts/s" in text
     assert "suites: 1 execution(s)" in text
     assert "obs: 1 span record(s), 1 counter record(s)" in text
 
@@ -429,3 +433,101 @@ def test_cmd_stats_json_without_log(capsys):
     assert main(["--no-store", "stats", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"store": None, "run_log": None, "summary": None}
+
+
+# ----------------------------------------------------------------------
+# One schema, one parser: every view reads the same records.
+# ----------------------------------------------------------------------
+_DATA = pathlib.Path(__file__).parent / "data"
+#: Seven valid records (one an untagged run record an older version
+#: wrote), a JSON array, a record of a kind this version does not know,
+#: and a torn tail: a complete object whose newline is not written yet.
+_MIXED_LOG = _DATA / "mixed_runlog.jsonl"
+
+
+def test_every_record_the_code_writes_is_tea_runlog_v1(tmp_path):
+    """A heartbeat suite (run, suite, heartbeat, resources), a trace
+    capture (trace) and record_obs (span, counters) into one log: every
+    line validates, and all seven kinds appear."""
+    from repro.obs.counters import CounterRegistry
+    from repro.trace import ensure_trace
+
+    store = RunStore(tmp_path / "store")
+    path = tmp_path / "store" / DEFAULT_RUN_LOG_NAME
+    log = RunLog(path)
+    engine = Engine(store=store, run_log=log, jobs=2, heartbeat=0.1)
+    engine.run_suite({"a": spec(), "b": spec("mcf")})
+    ensure_trace(spec("xz"), run_store=store, run_log=log)
+    registry = CounterRegistry()
+    registry.inc("engine.simulations")
+    log.record_obs(
+        [
+            {"name": "run:a", "ph": "X", "ts": 1, "dur": 2, "pid": 1,
+             "tid": 1},
+            {"name": "rates", "ph": "C", "ts": 1, "pid": 1, "tid": 0,
+             "args": {"l1d": 0.9}},
+        ],
+        registry,
+    )
+    log.close()
+    lines = path.read_text().splitlines()
+    assert all(json.loads(line)["schema"] == RUNLOG_SCHEMA for line in lines)
+    records = read_run_log(path)
+    assert len(records) == len(lines)
+    assert {record_kind(record) for record in records} == set(RECORD_KEYS)
+
+
+def test_validator_rejects_what_is_not_a_record():
+    run = {"kind": "run", "schema": RUNLOG_SCHEMA, "workload": "lbm",
+           "source": "memo", "wall_s": 0.0, "cycles": 10}
+    assert record_kind(run) == "run"
+    legacy = {key: value for key, value in run.items()
+              if key not in ("kind", "schema")}
+    assert record_kind(legacy) == "run"
+    assert record_kind([1, 2]) is None
+    assert record_kind(run | {"schema": "tea-runlog-v9"}) is None
+    assert record_kind(run | {"kind": "profile"}) is None
+    assert record_kind(run | {"kind": ["run"]}) is None
+    assert record_kind(run | {"cycles": None}) is None
+    assert record_kind({"kind": "run", "workload": "lbm"}) is None
+
+
+def test_parser_skips_invalid_lines_and_defers_a_torn_tail(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    raw = _MIXED_LOG.read_bytes()
+    path.write_bytes(raw)
+    records, offset = tail_run_log(path)
+    assert [record_kind(record) for record in records] == [
+        "run", "run", "heartbeat", "heartbeat", "heartbeat",
+        "resources", "suite",
+    ]
+    assert offset == raw.rindex(b"\n") + 1 < len(raw)
+    assert tail_run_log(path, offset) == ([], offset)
+    with open(path, "a") as handle:
+        handle.write("\n")  # the torn tail's writer ends its line
+    records, end = tail_run_log(path, offset)
+    assert [record["label"] for record in records] == ["nab"]
+    assert end == len(raw) + 1
+
+
+def test_stats_monitor_and_health_read_the_same_records(capsys):
+    """The legacy run counts; the array, the unknown kind and the torn
+    tail count in no view."""
+    slo = _DATA.parents[2] / "benchmarks" / "SLO_smoke.json"
+    log = str(_MIXED_LOG)
+    assert main(["--no-store", "--run-log", log, "stats"]) == 0
+    assert "run log: 2 run(s) -- 2 simulated" in capsys.readouterr().out
+    assert main(["--no-store", "--run-log", log, "stats", "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)["summary"]
+    assert stats["runs"]["total"] == 2
+    assert stats["runs"]["sim_insts_per_sec"] == 40_000.0
+    assert stats["live"]["heartbeats"] == 3
+    assert main(["monitor", log, "--json"]) == 0
+    monitor = json.loads(capsys.readouterr().out)
+    assert list(monitor["labels"]) == ["lbm"]
+    assert monitor["aggregate"]["beats"] == 3
+    assert monitor["aggregate"]["stalls"] == stats["live"]["stall_flags"]
+    assert main(["health", log, "--slo", str(slo), "--json"]) == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    assert metrics["sim_insts_per_sec"] == 40_000.0
+    assert metrics["max_stall_s"] == stats["live"]["max_stall_s"] == 4.0

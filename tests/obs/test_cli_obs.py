@@ -124,7 +124,7 @@ def test_stats_json_round_trips_obs_records(tmp_path, capsys):
     assert summary["runs"]["total"] == 1
     assert summary["obs"] == {"spans": 1, "counters": 1}
     # Obs records never pollute the throughput aggregates.
-    assert summary["runs"]["sim_cycles_per_sec"] == 50_000.0
+    assert summary["runs"]["sim_insts_per_sec"] == 20_000.0
 
 
 def _export_args(tmp_path) -> list[str]:

@@ -1,4 +1,4 @@
-"""Chrome trace-event export: envelope, schema check, JSONL records."""
+"""Chrome trace-event export: envelope and schema check."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 from repro import obs
 from repro.obs.export import (
     chrome_trace_doc,
-    events_to_jsonl,
     export_chrome_trace,
     read_chrome_trace,
     validate_chrome_trace,
@@ -121,16 +120,3 @@ def test_read_rejects_invalid_file(tmp_path):
     path.write_text(json.dumps({"traceEvents": [{"ph": "??"}]}))
     with pytest.raises(ValueError, match="invalid Chrome trace"):
         read_chrome_trace(path)
-
-
-def test_events_to_jsonl_kinds():
-    obs.enable()
-    with obs.span("work"):
-        pass
-    obs.COLLECTOR.add_instant("tick")
-    obs.COUNTERS.sample("rates", {"x": 1.0})
-    obs.COLLECTOR.add_thread_name(5, "stage:commit")
-    records = events_to_jsonl(obs.COLLECTOR.snapshot())
-    kinds = [r["kind"] for r in records]
-    assert kinds == ["span", "span", "counters"]  # metadata dropped
-    assert all("ph" in r for r in records)
