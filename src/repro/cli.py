@@ -524,17 +524,6 @@ def _profile_workload(workload, technique: str, period: int):
     return result, sampler
 
 
-def _window_plan_from_args(args):
-    """The sampled-tier WindowPlan the CLI knobs describe."""
-    from repro.backends.sampled import WindowPlan
-
-    if getattr(args, "window", 0):
-        return WindowPlan(
-            window=args.window, stride=args.stride, warmup=args.warmup
-        )
-    return WindowPlan()
-
-
 def cmd_profile(args) -> int:
     """``tea-repro profile <workload> ...``: print a PICS profile."""
     workload = parse_workload_spec(args.workload, args.scale)
@@ -548,12 +537,15 @@ def cmd_profile(args) -> int:
         profile = result.golden_profile()
         sample_note = "functional tier (exact counts, no timing)"
     elif backend == "sampled":
-        from repro.backends.sampled import SampledBackend
+        from repro.backends.sampled import SampledBackend, WindowPlan
 
+        plan = WindowPlan()
+        if args.window:
+            plan = WindowPlan(
+                window=args.window, stride=args.stride, warmup=args.warmup
+            )
         sampler = make_sampler(args.technique, args.period)
-        result = SampledBackend(
-            plan=_window_plan_from_args(args)
-        ).simulate(
+        result = SampledBackend(plan=plan).simulate(
             workload.program,
             samplers=[sampler],
             arch_state=workload.fresh_state(),
@@ -956,126 +948,6 @@ def cmd_figures(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """``tea-repro bench``: A/B throughput benchmark + regression gate."""
-    from repro.engine.benchmark import (
-        SMOKE_WORKLOADS,
-        TIER_BACKENDS,
-        ProfileMismatchError,
-        format_report,
-        run_suite,
-        run_tier_suite,
-    )
-    from repro.engine.telemetry import (
-        compare_bench,
-        read_bench_file,
-        write_bench_file,
-    )
-
-    workloads = (
-        [w.strip() for w in args.workloads.split(",") if w.strip()]
-        if args.workloads
-        else list(SMOKE_WORKLOADS)
-    )
-    scale = args.scale
-    backend = getattr(args, "backend", "detailed")
-    tiers = (
-        ()
-        if backend == "detailed"
-        else (TIER_BACKENDS if backend == "all" else (backend,))
-    )
-    try:
-        if tiers:
-            report = run_tier_suite(
-                workloads,
-                scale=scale,
-                repeat=args.repeat,
-                backends=tiers,
-                ab=not args.no_ab,
-                period=args.period,
-                plan=_window_plan_from_args(args),
-            )
-        else:
-            report = run_suite(
-                workloads,
-                scale=scale,
-                repeat=args.repeat,
-                ab=not args.no_ab,
-                period=args.period,
-            )
-    except ProfileMismatchError as exc:
-        print(f"A/B FAILURE: {exc}", file=sys.stderr)
-        return 1
-    print(format_report(report))
-
-    if args.out:
-        write_bench_file(
-            args.out,
-            report.to_bench_entries(),
-            note=f"tea-repro bench: scale={scale}, period={args.period}, "
-            f"repeat={args.repeat}, best-of-N cycles/s"
-            + (f", tiers={','.join(tiers)}" if tiers else ""),
-        )
-        print(f"wrote {args.out}")
-
-    failed = False
-    if args.baseline:
-        problems = compare_bench(
-            read_bench_file(args.baseline),
-            report.to_bench_entries(),
-            tolerance=args.tolerance,
-        )
-        for problem in problems:
-            print(f"REGRESSION: {problem}", file=sys.stderr)
-        if problems:
-            failed = True
-        else:
-            print(
-                f"regression gate: OK "
-                f"(tolerance {args.tolerance:.0%} vs {args.baseline})"
-            )
-    if args.min_speedup is not None:
-        geomean = report.geomean_speedup
-        if geomean is None:
-            print(
-                "min-speedup check needs A/B runs (drop --no-ab)",
-                file=sys.stderr,
-            )
-            failed = True
-        elif geomean < args.min_speedup:
-            print(
-                f"SPEEDUP FAILURE: geomean {geomean:.2f}x < "
-                f"required {args.min_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            failed = True
-    if getattr(args, "min_tier_speedup", None) is not None:
-        if not tiers:
-            print(
-                "min-tier-speedup check needs a tier benchmark "
-                "(pass --backend)",
-                file=sys.stderr,
-            )
-            failed = True
-        for tier in tiers:
-            tier_geomean = report.geomean_tier_speedup(tier)
-            if tier_geomean is None or (
-                tier_geomean < args.min_tier_speedup
-            ):
-                shown = (
-                    f"{tier_geomean:.2f}x"
-                    if tier_geomean is not None
-                    else "n/a"
-                )
-                print(
-                    f"TIER SPEEDUP FAILURE: {tier} geomean {shown} < "
-                    f"required {args.min_tier_speedup:.2f}x",
-                    file=sys.stderr,
-                )
-                failed = True
-    return 1 if failed else 0
-
-
 def cmd_fuzz(args) -> int:
     """``tea-repro fuzz``: differential scenario fuzzing."""
     from repro.backends.sampled import WindowPlan
@@ -1441,8 +1313,8 @@ def main(argv: list[str] | None = None) -> int:
         "docs/internals.md)",
     )
     lint_parser.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to lint (default: src)",
+        "paths", nargs="*", default=["src", "tests"],
+        help="files or directories to lint (default: src tests)",
     )
     lint_parser.add_argument(
         "--json", action="store_true",
@@ -1479,67 +1351,6 @@ def main(argv: list[str] | None = None) -> int:
     lint_parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
-    )
-
-    bench_parser = sub.add_parser(
-        "bench",
-        help="A/B throughput benchmark (optimised vs reference loop)",
-    )
-    bench_parser.add_argument(
-        "--workloads", default=None, metavar="A,B,...",
-        help="comma-separated workload names (default: the smoke trio)",
-    )
-    bench_parser.add_argument(
-        "--repeat", type=int, default=3,
-        help="timed runs per side, best counts (default 3)",
-    )
-    bench_parser.add_argument(
-        "--no-ab", action="store_true",
-        help="skip the reference-loop side (timing only, no "
-        "bit-identity check)",
-    )
-    bench_parser.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write a BENCH json of the measurements",
-    )
-    bench_parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="committed BENCH json to gate against",
-    )
-    bench_parser.add_argument(
-        "--tolerance", type=float, default=0.2,
-        help="allowed fractional cycles/s drop vs the baseline "
-        "(default 0.2)",
-    )
-    bench_parser.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="fail unless the geomean A/B speedup reaches this",
-    )
-    bench_parser.add_argument(
-        "--backend", default="detailed",
-        choices=["detailed", "functional", "sampled", "all"],
-        help="also benchmark an execution tier against the detailed "
-        "core ('all' = both tiers); tier rows land in the BENCH file "
-        "as <workload>@<backend>",
-    )
-    bench_parser.add_argument(
-        "--window", type=int, default=0, metavar="N",
-        help="sampled tier: window length (0 = plan default)",
-    )
-    bench_parser.add_argument(
-        "--stride", type=int, default=0, metavar="N",
-        help="sampled tier: fast-forward stride (used when --window "
-        "is set)",
-    )
-    bench_parser.add_argument(
-        "--warmup", type=int, default=0, metavar="N",
-        help="sampled tier: warm-up replay depth (used when --window "
-        "is set)",
-    )
-    bench_parser.add_argument(
-        "--min-tier-speedup", type=float, default=None, metavar="X",
-        help="fail unless every benchmarked tier's geomean speedup "
-        "vs detailed reaches this",
     )
 
     fuzz_parser = sub.add_parser(
@@ -1634,8 +1445,6 @@ def _dispatch(args) -> int:
         return cmd_stats(args)
     if args.command == "lint":
         return cmd_lint(args)
-    if args.command == "bench":
-        return cmd_bench(args)
     if args.command == "fuzz":
         return cmd_fuzz(args)
     if args.command == "figures":

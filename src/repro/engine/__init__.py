@@ -24,14 +24,6 @@ out-of-band methodology) as a real architectural layer:
 package.
 """
 
-from repro.engine.benchmark import (
-    BenchReport,
-    ProfileMismatchError,
-    WorkloadBench,
-    format_report,
-    run_suite,
-    run_workload,
-)
 from repro.engine.engine import Engine
 from repro.engine.executor import (
     LabelOutcome,
@@ -81,8 +73,6 @@ from repro.engine.telemetry import (
     RunLog,
     RunMetrics,
     aggregate_records,
-    compare_bench,
-    read_bench_file,
     read_run_log,
     record_kind,
     summarize_records,
@@ -90,11 +80,9 @@ from repro.engine.telemetry import (
     summarize_run_log,
     tail_run_log,
     validate_stats_doc,
-    write_bench_file,
 )
 
 __all__ = [
-    "BenchReport",
     "BenchmarkRun",
     "DEFAULT_PERIOD",
     "DEFAULT_RUN_LOG_NAME",
@@ -108,7 +96,6 @@ __all__ = [
     "LoadedSampler",
     "MODEL_VERSION",
     "PAYLOAD_SCHEMA",
-    "ProfileMismatchError",
     "RECORD_KEYS",
     "RUNLOG_SCHEMA",
     "RunLog",
@@ -123,25 +110,19 @@ __all__ = [
     "SuiteReport",
     "SuiteResult",
     "TECHNIQUES",
-    "WorkloadBench",
     "aggregate_records",
     "backoff_delay",
     "build_workload",
     "canonical",
     "check_run_log",
-    "compare_bench",
     "default_store_root",
     "evaluate_health",
-    "format_report",
-    "read_bench_file",
     "read_run_log",
     "read_slo_file",
     "record_kind",
     "render_monitor",
     "run_from_payload",
-    "run_suite",
     "run_to_payload",
-    "run_workload",
     "simulate_spec",
     "simulate_to_payload",
     "summarize_records",
@@ -149,5 +130,4 @@ __all__ = [
     "summarize_run_log",
     "tail_run_log",
     "validate_stats_doc",
-    "write_bench_file",
 ]

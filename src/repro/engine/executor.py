@@ -434,9 +434,11 @@ def _instant(name: str, **args: Any) -> None:
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Kill a pool's worker processes and release its resources.
 
-    Used both when a hung worker must be cancelled (the only way to
-    preempt a worker process is to terminate it) and after a
-    :class:`BrokenProcessPool` (the pool object is unusable anyway).
+    Used when a hung worker must be cancelled (the only way to preempt
+    a worker process is to terminate it), after a
+    :class:`BrokenProcessPool` (the pool object is unusable anyway) and
+    when the suite loop itself raises. A suite that finishes shuts its
+    pool down cleanly instead.
     """
     processes = list(getattr(pool, "_processes", {}).values())
     for process in processes:
@@ -804,8 +806,16 @@ class SuiteExecutor:
                         )
                     report.pool_recreations += 1
                     obs.COUNTERS.inc("executor.pool_recreations")
-        finally:
+        except BaseException:
             _terminate_pool(pool)
+            raise
+        else:
+            # Every run settled: let the idle workers exit cleanly. Pump
+            # first, so a worker still flushing its last beats into the
+            # queue cannot block the join.
+            self._pump(beat_queue, report)
+            pool.shutdown(wait=True)
+        finally:
             self._pump(beat_queue, report)
             if beat_queue is not None:
                 beat_queue.close()

@@ -93,8 +93,7 @@ def record_kind(record: Any) -> str | None:
 def validate_stats_doc(doc: Any) -> dict[str, Any]:
     """Validate a stats summary document's schema tag.
 
-    Readers of ``tea-repro stats --json`` output call this first;
-    BENCH files carry ``tea-bench-v1`` the same way.
+    Readers of ``tea-repro stats --json`` output call this first.
 
     Raises:
         ValueError: When *doc* is not a dict or carries the wrong
@@ -598,83 +597,3 @@ def summarize_run_log(path: str | Path) -> str:
     """Read and summarise a JSONL run log."""
     return summarize_records(read_run_log(path))
 
-
-# ----------------------------------------------------------------------
-# BENCH files: committed throughput baselines for the regression gate.
-# ----------------------------------------------------------------------
-
-#: Schema tag written into every BENCH file.
-BENCH_SCHEMA = "tea-bench-v1"
-
-
-def write_bench_file(
-    path: str | Path,
-    workloads: Mapping[str, Mapping[str, float]],
-    note: str = "",
-) -> None:
-    """Write a BENCH file of per-workload throughput measurements.
-
-    Args:
-        path: Destination (conventionally ``BENCH_<tag>.json``).
-        workloads: name -> measurement mapping; each measurement must
-            carry at least ``cycles_per_sec`` and may add context keys
-            (e.g. ``before_cps``, ``speedup``).
-        note: Free-form provenance note (machine, protocol, date).
-    """
-    doc: dict[str, Any] = {
-        "schema": BENCH_SCHEMA,
-        "note": note,
-        "workloads": {
-            name: dict(entry) for name, entry in sorted(workloads.items())
-        },
-    }
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def read_bench_file(path: str | Path) -> dict[str, dict[str, float]]:
-    """The per-workload measurements of a BENCH file.
-
-    Raises:
-        ValueError: On a malformed file or unknown schema.
-    """
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict) or doc.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
-            f"{path}: not a {BENCH_SCHEMA} file "
-            f"(schema={doc.get('schema') if isinstance(doc, dict) else None!r})"
-        )
-    workloads = doc.get("workloads")
-    if not isinstance(workloads, dict):
-        raise ValueError(f"{path}: missing 'workloads' mapping")
-    return {name: dict(entry) for name, entry in workloads.items()}
-
-
-def compare_bench(
-    baseline: Mapping[str, Mapping[str, float]],
-    current: Mapping[str, Mapping[str, float]],
-    tolerance: float = 0.2,
-) -> list[str]:
-    """Throughput regressions of *current* against *baseline*.
-
-    A workload regresses when its ``cycles_per_sec`` drops more than
-    *tolerance* (fractional) below the baseline's. Returns one message
-    per regression (empty list = gate passes); workloads present in only
-    one of the two files are ignored -- the gate compares overlap, so
-    adding or retiring a workload does not trip it.
-    """
-    problems: list[str] = []
-    for name in sorted(set(baseline) & set(current)):
-        base_cps = float(baseline[name].get("cycles_per_sec", 0.0))
-        cur_cps = float(current[name].get("cycles_per_sec", 0.0))
-        if base_cps <= 0:
-            continue
-        floor = base_cps * (1.0 - tolerance)
-        if cur_cps < floor:
-            problems.append(
-                f"{name}: {cur_cps:,.0f} cycles/s is "
-                f"{1.0 - cur_cps / base_cps:.1%} below baseline "
-                f"{base_cps:,.0f} (tolerance {tolerance:.0%})"
-            )
-    return problems

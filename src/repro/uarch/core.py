@@ -35,8 +35,8 @@ it is written for speed under CPython:
 
 ``reference_loop=True`` selects the frozen pre-optimisation loop
 (linear sampler polling, direct dict accumulation). It exists for the
-A/B harness (:mod:`repro.engine.benchmark`) and equivalence tests that
-pin the optimised loop to bit-identical golden and sampler profiles.
+equivalence tests that pin the optimised loop to bit-identical golden
+and sampler profiles.
 """
 
 from __future__ import annotations

@@ -96,7 +96,7 @@ SEMANTIC_HASHES = {
     "src/repro/memory/tlb.py":
         "6e799416dcd20a2c0efd72914ac75ae599d63a83984b0afc4256bf348662e338",
     "src/repro/uarch/core.py":
-        "05b6f50da224d2ff5e210a6a173cc433cf6d0a9eed6c47f5cf97b0d4f00ccf95",
+        "5a25ee6ec5bc9203ff55c33ad5c16bf6c18b88f7965e6a67be5495a84610f056",
     "src/repro/uarch/uop.py":
         "b9f8e405d1b673cc594b23b967b988527218143e6636d802c5717fc9a0d27a63",
 }

@@ -133,6 +133,12 @@ class TestBaseline:
         active, baselined, unused = baseline.split([])
         assert unused == [make_finding().key]
 
+    def test_entry_of_an_unregistered_rule_is_stale(self):
+        gone = make_finding(rule="TL001")
+        baseline = Baseline.from_findings([gone])
+        result = lint_source("x = 1\n", path=HOT, baseline=baseline)
+        assert result.unused_baseline == [gone.key]
+
     def test_missing_file_is_empty(self, tmp_path):
         assert len(Baseline.load(tmp_path / "absent.json")) == 0
 
@@ -259,6 +265,16 @@ class TestCli:
 
     def test_unknown_rule_exits_two(self, capsys):
         assert cli_main(["lint", "--rule", "TL999"]) == 2
+
+    def test_default_paths_match_the_shipped_baseline(
+        self, monkeypatch, capsys
+    ):
+        """No paths lints what CI lints, so no live entry reads stale."""
+        monkeypatch.chdir(REPO_ROOT)
+        assert cli_main(["lint"]) == 0
+        out = capsys.readouterr().out
+        assert "stale baseline entry" not in out
+        assert "0 finding(s)" in out
 
     def test_update_baseline_then_clean(self, hot_copy, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"

@@ -1,10 +1,12 @@
 """Suite executor: retry semantics, failure reporting, parallelism."""
 
 import functools
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.engine import SuiteExecutionError, SuiteExecutor
+from repro.engine import executor as executor_module
 from repro.engine.executor import simulate_to_payload
 from repro.engine.spec import RunSpec
 
@@ -91,3 +93,31 @@ def test_parallel_matches_serial_bit_identically():
     assert set(serial) == set(parallel) == {"exchange2", "xz"}
     for label in serial:
         assert _strip_wall(parallel[label]) == _strip_wall(serial[label])
+
+
+def _echo_worker(item):
+    """Picklable worker that succeeds at once."""
+    return item[0], {"ok": item[0]}
+
+
+@pytest.mark.parametrize("heartbeat", [None, 0.05])
+def test_successful_parallel_suite_lets_its_workers_exit(
+    monkeypatch, heartbeat
+):
+    """A suite that finishes shuts its pool down; it kills no worker."""
+    workers = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            workers.extend((self._processes or {}).values())
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", RecordingPool)
+    executor = SuiteExecutor(jobs=2, fn=_echo_worker, heartbeat=heartbeat)
+    labels = ["a", "b", "c", "d"]
+    results = executor.map([(label, None) for label in labels])
+    assert results == {label: {"ok": label} for label in labels}
+    assert workers
+    for process in workers:
+        process.join(timeout=30)
+    assert [process.exitcode for process in workers] == [0] * len(workers)
