@@ -16,7 +16,7 @@ This package provides the architectural substrate that the timing model in
 
 from repro.isa.opcodes import Opcode, OpClass, op_class
 from repro.isa.instructions import StaticInst, DynInst
-from repro.isa.program import Program, FunctionInfo
+from repro.isa.program import Program, FunctionInfo, Hole
 from repro.isa.builder import ProgramBuilder, Reg
 from repro.isa.interpreter import Interpreter, ArchState, InterpreterError
 from repro.isa.asmtext import AsmSyntaxError, format_asm, parse_asm
@@ -32,6 +32,7 @@ __all__ = [
     "DynInst",
     "Program",
     "FunctionInfo",
+    "Hole",
     "ProgramBuilder",
     "Reg",
     "Interpreter",

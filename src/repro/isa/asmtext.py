@@ -12,9 +12,13 @@ profiles can reference readable listings::
         halt
 
 Rules: one instruction per line; ``#`` starts a comment; ``name:``
-defines a label; ``.func name`` starts a function; memory operands use
-``offset(base)``. :func:`format_asm` emits text that :func:`parse_asm`
-reparses into an identical program (round-trip tested property-style).
+defines a label; ``.func name`` starts a function; ``.org index`` fills
+the slots up to *index* with ``nop``s of the current function, kept as
+one hole (:meth:`~repro.isa.builder.ProgramBuilder.pad_to`), and may
+not move backwards; memory operands use ``offset(base)``.
+:func:`format_asm` emits text that :func:`parse_asm` reparses into an
+identical program (round-trip tested property-style), writing each hole
+as an ``.org`` line.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import re
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import NO_REG, StaticInst, reg_name
 from repro.isa.opcodes import BRANCH_OPS, Opcode
-from repro.isa.program import Program, ProgramError
+from repro.isa.program import Hole, Program, ProgramError
 
 
 class AsmSyntaxError(ProgramError):
@@ -114,6 +118,20 @@ def parse_asm(text: str, name: str = "asm") -> Program:
                     f"line {line_no}: .func needs exactly one name"
                 )
             builder.function(parts[1])
+            continue
+        if line.startswith(".org"):
+            parts = line.split()
+            if len(parts) != 2 or not parts[1].isdigit():
+                raise AsmSyntaxError(
+                    f"line {line_no}: .org needs exactly one index"
+                )
+            index = int(parts[1])
+            if index < builder.here():
+                raise AsmSyntaxError(
+                    f"line {line_no}: .org {index} is below the current "
+                    f"index {builder.here()}"
+                )
+            builder.pad_to(index)
             continue
         if line.endswith(":") and " " not in line:
             builder.label(line[:-1])
@@ -234,18 +252,31 @@ def format_asm(program: Program) -> str:
     labels: dict[int, str] = {
         index: name for name, index in program.labels.items()
     }
-    for inst in program:
-        if inst.op in BRANCH_OPS or inst.op in (Opcode.JUMP, Opcode.CALL):
-            labels.setdefault(inst.target, f"L{inst.target}")
+    for seg in program.segments:
+        if type(seg) is not Hole and (
+            seg.op in BRANCH_OPS or seg.op in (Opcode.JUMP, Opcode.CALL)
+        ):
+            labels.setdefault(seg.target, f"L{seg.target}")
     lines: list[str] = []
     current_func = None
-    for inst in program:
-        if inst.func != current_func:
-            current_func = inst.func
+    for seg in program.segments:
+        if seg.func != current_func:
+            current_func = seg.func
             lines.append(f".func {current_func}")
-        if inst.index in labels:
-            lines.append(f"{labels[inst.index]}:")
-        mnemonic = _OPCODE_TO_MNEMONIC[inst.op]
-        operands = _format_operands(inst, labels)
+        if type(seg) is Hole:
+            if seg.start in labels:
+                lines.append(f"{labels[seg.start]}:")
+            # A label inside the hole needs its slot, so it splits it.
+            for index in sorted(
+                i for i in labels if seg.start < i < seg.end
+            ):
+                lines.append(f".org {index}")
+                lines.append(f"{labels[index]}:")
+            lines.append(f".org {seg.end}")
+            continue
+        if seg.index in labels:
+            lines.append(f"{labels[seg.index]}:")
+        mnemonic = _OPCODE_TO_MNEMONIC[seg.op]
+        operands = _format_operands(seg, labels)
         lines.append(f"    {mnemonic} {operands}".rstrip())
     return "\n".join(lines) + "\n"

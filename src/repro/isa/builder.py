@@ -13,14 +13,15 @@
     program = b.build()
 
 Registers may be written as strings (``"x0".."x31"``, ``"f0".."f31"``) or as
-already-encoded integers.
+already-encoded integers. :meth:`ProgramBuilder.pad_to` pads with ``nop``s
+that are made only when read, for code placed at a fixed index.
 """
 
 from __future__ import annotations
 
 from repro.isa.instructions import FP_BASE, LINK_REG, NO_REG, StaticInst
 from repro.isa.opcodes import Opcode
-from repro.isa.program import Program, ProgramError
+from repro.isa.program import Hole, Program, ProgramError
 
 
 def parse_reg(reg: int | str) -> int:
@@ -50,8 +51,10 @@ class ProgramBuilder:
     def __init__(self, name: str) -> None:
         self.name = name
         # One (op, rd, rs1, rs2, imm, target_label, func, label) tuple
-        # per instruction, before label resolution.
-        self._insts: list[tuple] = []
+        # per instruction, before label resolution, and one Hole per
+        # pad_to gap.
+        self._insts: list[tuple | Hole] = []
+        self._here = 0
         self._labels: dict[str, int] = {}
         self._current_func = "main"
         self._pending_label: str | None = None
@@ -68,13 +71,37 @@ class ProgramBuilder:
         """Attach a label to the next emitted instruction."""
         if name in self._labels:
             raise ProgramError(f"duplicate label {name!r}")
-        self._labels[name] = len(self._insts)
+        self._labels[name] = self._here
         self._pending_label = name
         return self
 
     def here(self) -> int:
         """Index the next emitted instruction will have."""
-        return len(self._insts)
+        return self._here
+
+    def pad_to(self, index: int) -> "ProgramBuilder":
+        """Fill slots [here(), index) with ``nop``s of the current function.
+
+        The result is the same as emitting ``nop()`` until ``here()`` is
+        *index*, a pending label included, but the slots are kept as one
+        :class:`~repro.isa.program.Hole`: the program makes their
+        ``nop``s only when they are read.
+
+        Raises:
+            ProgramError: If *index* is below ``here()``.
+        """
+        if index < self._here:
+            raise ProgramError(
+                f"{self.name}: pad_to({index}) is below here() = "
+                f"{self._here}"
+            )
+        if index > self._here:
+            self._insts.append(Hole(
+                self._here, index, self._current_func, self._pending_label
+            ))
+            self._pending_label = None
+            self._here = index
+        return self
 
     # ------------------------------------------------------------------
     # Emission helper.
@@ -99,6 +126,7 @@ class ProgramBuilder:
             self._pending_label,
         ))
         self._pending_label = None
+        self._here += 1
         return self
 
     # ------------------------------------------------------------------
@@ -289,8 +317,13 @@ class ProgramBuilder:
         Raises:
             ProgramError: On unresolved labels or validation failure.
         """
-        insts: list[StaticInst] = []
-        for index, pending in enumerate(self._insts):
+        insts: list[StaticInst | Hole] = []
+        index = 0
+        for pending in self._insts:
+            if type(pending) is Hole:
+                insts.append(pending)
+                index = pending.end
+                continue
             op, rd, rs1, rs2, imm, target_label, func, label = pending
             target = -1
             if target_label is not None:
@@ -300,8 +333,9 @@ class ProgramBuilder:
                     )
                 target = self._labels[target_label]
             # Positional, in field order: keywords cost a third more
-            # per instruction, and gcc has 73,744 of them.
+            # per instruction.
             insts.append(StaticInst(
                 index, op, rd, rs1, rs2, imm, target, func, label
             ))
+            index += 1
         return Program(self.name, insts, self._labels)

@@ -131,9 +131,12 @@ class Interpreter:
 
     def _drive_compiled(self, int_regs, fp_regs, memory) -> Iterator[DynInst]:
         program = self.program
-        insts = program.insts
-        n_insts = len(insts)
+        n_insts = len(program)
+        # Per-pc closures and static instructions, both filled on a pc's
+        # first execution: reading the program costs a Python-level
+        # __getitem__, which the hot path must not pay per instruction.
         handlers = [None] * n_insts
+        insts = [None] * n_insts
         fallback = self._execute
         max_insts = self.max_insts
         pc = 0
@@ -157,6 +160,7 @@ class Interpreter:
                 # pays nothing, unlike an `is None` test per instruction.
                 if handlers[pc] is not None:
                     raise
+                inst = insts[pc] = program[pc]
                 handler = handlers[pc] = _compile_inst(
                     inst, pc, int_regs, fp_regs, memory, fallback
                 )

@@ -1,17 +1,23 @@
 """Assembled program representation with symbol information.
 
-A :class:`Program` is an immutable list of :class:`~repro.isa.instructions.
-StaticInst` plus the symbol tables needed by profile aggregation: label map,
-function extents, and basic-block boundaries. Programs are produced by
-:class:`repro.isa.builder.ProgramBuilder`.
+A :class:`Program` is an immutable sequence of :class:`~repro.isa.
+instructions.StaticInst` plus the symbol tables needed by profile
+aggregation: label map, function extents, and basic-block boundaries.
+Programs are produced by :class:`repro.isa.builder.ProgramBuilder`.
+
+Padding that never runs need not be built: a :class:`Hole` stands for a
+run of filler ``nop``s, and the program makes each slot's ``nop`` the
+first time it is read. Lengths, indices and addresses are those of the
+padded program, so a hole is invisible to everything that reads it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import repeat
 
-from repro.isa.instructions import StaticInst
+from repro.isa.instructions import NO_REG, StaticInst
 from repro.isa.opcodes import BRANCH_OPS, CONTROL_OPS, Opcode
 
 
@@ -31,13 +37,29 @@ class FunctionInfo:
         return self.start <= index < self.end
 
 
+@dataclass(frozen=True)
+class Hole:
+    """Slots [start, end) of filler ``nop``s in function *func*.
+
+    Each slot reads as ``StaticInst(index, Opcode.NOP, func=func)``, the
+    instruction ``ProgramBuilder.nop`` would have emitted there. *label*
+    is the first slot's label, if one was pending when the hole began.
+    """
+
+    start: int
+    end: int
+    func: str = "main"
+    label: str | None = None
+
+
 class Program:
     """An assembled program.
 
     Args:
         name: Workload name (used in reports).
-        insts: The instruction list; each instruction's ``index`` must equal
-            its position.
+        insts: The program in order: each item is a :class:`StaticInst`,
+            whose ``index`` must equal its position, or a :class:`Hole`,
+            whose ``start`` must.
         labels: Mapping of label name to instruction index.
 
     Raises:
@@ -47,49 +69,106 @@ class Program:
     def __init__(
         self,
         name: str,
-        insts: list[StaticInst],
+        insts: Iterable[StaticInst | Hole],
         labels: dict[str, int] | None = None,
     ) -> None:
         self.name = name
-        self.insts: tuple[StaticInst, ...] = tuple(insts)
+        #: The program as built: its instructions and holes, in order.
+        self.segments: tuple[StaticInst | Hole, ...] = tuple(insts)
         self.labels: dict[str, int] = dict(labels or {})
+        self._holes = tuple(s for s in self.segments if type(s) is Hole)
+        # The instructions that were built, holes left out.
+        self._code = tuple(s for s in self.segments if type(s) is not Hole)
         self.validate()
+        # One entry per slot: a hole's slots hold None until first read.
+        self._slots: list[StaticInst | None] = []
+        func_of: list[str] = []
+        for seg in self.segments:
+            if type(seg) is Hole:
+                size = seg.end - seg.start
+                self._slots.extend(repeat(None, size))
+                func_of.extend(repeat(seg.func, size))
+            else:
+                self._slots.append(seg)
+                func_of.append(seg.func)
+        self._func_of: tuple[str, ...] = tuple(func_of)
         self.functions: tuple[FunctionInfo, ...] = self._compute_functions()
-        self._func_of: tuple[str, ...] = tuple(i.func for i in self.insts)
         self.basic_blocks: tuple[int, ...] = self._compute_basic_blocks()
 
     def __len__(self) -> int:
-        return len(self.insts)
+        return len(self._slots)
 
-    def __getitem__(self, index: int) -> StaticInst:
-        return self.insts[index]
+    def __getitem__(self, index):
+        """The instruction at *index*, or a tuple of them for a slice."""
+        if isinstance(index, slice):
+            span = range(len(self._slots))[index]
+            if span:
+                lo, hi = sorted((span[0], span[-1]))
+                self._fill(lo, hi + 1)
+            return tuple(self._slots[index])
+        inst = self._slots[index]
+        if inst is None:
+            index %= len(self._slots)
+            self._fill(index, index + 1)
+            inst = self._slots[index]
+        return inst
 
     def __iter__(self):
-        return iter(self.insts)
+        self._fill(0, len(self._slots))
+        return iter(self._slots)
+
+    def _fill(self, lo: int, hi: int) -> None:
+        """Make the filler ``nop`` of every unread hole slot in [lo, hi)."""
+        slots = self._slots
+        for hole in self._holes:
+            if hole.start >= hi:
+                break
+            start, end = max(lo, hole.start), min(hi, hole.end)
+            if start >= end:
+                continue
+            func, first, label = hole.func, hole.start, hole.label
+            slots[start:end] = [
+                inst if inst is not None else StaticInst(
+                    pos, Opcode.NOP, NO_REG, NO_REG, NO_REG, 0, -1, func,
+                    label if pos == first else None,
+                )
+                for pos, inst in enumerate(slots[start:end], start)
+            ]
 
     def validate(self) -> None:
         """Check structural invariants of the program.
 
         Raises:
-            ProgramError: If indices are not sequential, a control-flow
-                target is out of range, the program is empty, or the program
-                cannot terminate (contains no HALT).
+            ProgramError: If indices are not sequential, a hole is empty,
+                a control-flow target is out of range, the program is
+                empty, or the program cannot terminate (contains no HALT).
         """
-        if not self.insts:
+        if not self.segments:
             raise ProgramError(f"program {self.name!r} is empty")
-        for pos, inst in enumerate(self.insts):
-            if inst.index != pos:
-                raise ProgramError(
-                    f"{self.name}: instruction at position {pos} has "
-                    f"index {inst.index}"
-                )
-            if inst.op in CONTROL_OPS and inst.op != Opcode.RET:
-                if not 0 <= inst.target < len(self.insts):
+        pos = 0
+        for seg in self.segments:
+            if type(seg) is Hole:
+                if seg.start != pos or seg.end <= pos:
                     raise ProgramError(
-                        f"{self.name}: {inst.disasm()} at {pos} targets "
-                        f"{inst.target}, outside [0, {len(self.insts)})"
+                        f"{self.name}: hole [{seg.start}, {seg.end}) at "
+                        f"position {pos}"
                     )
-        if not any(i.op == Opcode.HALT for i in self.insts):
+                pos = seg.end
+            else:
+                if seg.index != pos:
+                    raise ProgramError(
+                        f"{self.name}: instruction at position {pos} has "
+                        f"index {seg.index}"
+                    )
+                pos += 1
+        for inst in self._code:
+            if inst.op in CONTROL_OPS and inst.op != Opcode.RET:
+                if not 0 <= inst.target < pos:
+                    raise ProgramError(
+                        f"{self.name}: {inst.disasm()} at {inst.index} "
+                        f"targets {inst.target}, outside [0, {pos})"
+                    )
+        if not any(i.op == Opcode.HALT for i in self._code):
             raise ProgramError(f"program {self.name!r} has no HALT")
 
     def func_of(self, index: int) -> str:
@@ -105,7 +184,7 @@ class Program:
         index_to_label = {v: k for k, v in self.labels.items()}
         lines = []
         current_func = None
-        for inst in self.insts:
+        for inst in self:
             if inst.func != current_func:
                 current_func = inst.func
                 lines.append(f"<{current_func}>:")
@@ -117,34 +196,37 @@ class Program:
 
     def _compute_functions(self) -> tuple[FunctionInfo, ...]:
         funcs: list[FunctionInfo] = []
-        start = 0
-        current = self.insts[0].func
-        for pos, inst in enumerate(self.insts):
-            if inst.func != current:
+        start = pos = 0
+        current = self.segments[0].func
+        for seg in self.segments:
+            if seg.func != current:
                 funcs.append(FunctionInfo(current, start, pos))
-                start, current = pos, inst.func
-        funcs.append(FunctionInfo(current, start, len(self.insts)))
+                start, current = pos, seg.func
+            pos = seg.end if type(seg) is Hole else pos + 1
+        funcs.append(FunctionInfo(current, start, pos))
         return tuple(funcs)
 
     def _compute_basic_blocks(self) -> tuple[int, ...]:
         """Map every instruction index to its basic-block leader index.
 
         Leaders are: instruction 0, every control-flow target, and every
-        instruction following a control-flow instruction or a HALT.
+        instruction following a control-flow instruction or a HALT. A
+        hole holds only ``nop``s, so it adds no leaders of its own.
         """
+        n = len(self._slots)
         leaders = {0}
-        for inst in self.insts:
+        for inst in self._code:
             if inst.op in CONTROL_OPS:
                 if inst.target >= 0:
                     leaders.add(inst.target)
-                if inst.index + 1 < len(self.insts):
+                if inst.index + 1 < n:
                     leaders.add(inst.index + 1)
             elif inst.op in (Opcode.HALT, Opcode.SERIAL):
-                if inst.index + 1 < len(self.insts):
+                if inst.index + 1 < n:
                     leaders.add(inst.index + 1)
         ordered = sorted(leaders)
         mapping: list[int] = []
-        for leader, end in zip(ordered, ordered[1:] + [len(self.insts)]):
+        for leader, end in zip(ordered, ordered[1:] + [n]):
             mapping.extend(repeat(leader, end - leader))
         return tuple(mapping)
 
@@ -153,5 +235,5 @@ class Program:
     def branch_indices(self) -> frozenset[int]:
         """Indices of all conditional branch instructions."""
         return frozenset(
-            i.index for i in self.insts if i.op in BRANCH_OPS
+            i.index for i in self._code if i.op in BRANCH_OPS
         )

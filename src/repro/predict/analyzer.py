@@ -152,7 +152,7 @@ def _predict_block(
     leader: int,
     end: int,
 ) -> BlockPrediction:
-    insts = program.insts[leader:end]
+    insts = program[leader:end]
     costs = model.block_costs(insts)
     is_loop = _is_self_loop(program, leader, end)
     graph = BlockDepGraph.build(insts, costs, loop=is_loop)

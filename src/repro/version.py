@@ -84,7 +84,7 @@ SEMANTIC_HASHES = {
     "src/repro/core/samplers.py":
         "a8ff11cc77d071770c55205a147d8257b115fa66a6bb6546db0f33647cf125b2",
     "src/repro/isa/interpreter.py":
-        "de73523af8c5de799e8c637dab2248eb2594129caa2569e43dd32875f9166240",
+        "bfdb719b313cbf65478ae0d0a788b44fff072d156b7fdfa2d7d8b00a4961bad2",
     "src/repro/isa/semantics.py":
         "550caae32ecb0bcb606e678f97e0c431cc044d3c459d5c21c7af9b889ec57f10",
     "src/repro/memory/cache.py":

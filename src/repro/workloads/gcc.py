@@ -13,8 +13,11 @@ one-cache-line "pass" functions placed 8 KiB apart so that (i) all of
 them map to the same L1I set and thrash its 8 ways (every visit is an
 L1I conflict miss), and (ii) their 36 distinct pages cyclically overrun
 the 32-entry I-TLB (every visit also misses the I-TLB). The padding
-between blocks is never executed. The result: a realistic
-DR-L1/DR-TLB-dominated profile over a few hundred executed instructions.
+between blocks is never executed, so it is built as holes
+(:meth:`~repro.isa.builder.ProgramBuilder.pad_to`): the program spans
+73,744 slots but builds only its 581 instructions. The result: a
+realistic DR-L1/DR-TLB-dominated profile over a few hundred executed
+instructions.
 """
 
 from __future__ import annotations
@@ -46,13 +49,8 @@ def build_gcc(scale: float = 1.0) -> Workload:
     b.bne("x1", "x0", "lap")
     b.halt()
 
-    def pad_to(target_index: int) -> None:
-        b.function("padding")
-        while b.here() < target_index:
-            b.nop()
-
     for block in range(_N_BLOCKS):
-        pad_to((block + 1) * _BLOCK_SPACING)
+        b.function("padding").pad_to((block + 1) * _BLOCK_SPACING)
         b.function(f"pass_{block}")
         b.label(f"pass_{block}")
         base = (block % 7) + 2  # registers x2..x8

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.isa.asmtext import AsmSyntaxError, format_asm, parse_asm
+from repro.isa.instructions import StaticInst
 from repro.isa.interpreter import Interpreter
 from repro.isa.opcodes import Opcode
+from repro.isa.program import Hole, Program
 
 EXAMPLE = """
 # countdown with a store and a call
@@ -96,8 +98,6 @@ def test_format_roundtrip_workloads():
     from repro.workloads import WORKLOAD_NAMES, build
 
     for name in WORKLOAD_NAMES:
-        if name == "gcc":
-            continue  # 74k-instruction padding: slow, nothing new
         program = build(name, scale=0.05).program
         reparsed = parse_asm(format_asm(program), name)
         assert len(reparsed) == len(program)
@@ -105,6 +105,61 @@ def test_format_roundtrip_workloads():
             assert (a.op, a.rd, a.rs1, a.rs2, int(a.imm), a.target) == (
                 b.op, b.rd, b.rs1, b.rs2, int(b.imm), b.target
             )
+
+
+def test_org_pads_with_a_hole():
+    program = parse_asm(
+        ".func main\n    jump end\n.func padding\n.org 40\n"
+        ".func main\nend:\n    halt\n"
+    )
+    assert len(program) == 41
+    assert program.segments[1] == Hole(1, 40, "padding")
+    assert program[39] == StaticInst(39, Opcode.NOP, func="padding")
+    assert program[40].op == Opcode.HALT
+    assert program.labels == {"end": 40}
+
+
+def test_org_below_the_current_index():
+    with pytest.raises(AsmSyntaxError, match="line 4: .org 1 is below"):
+        parse_asm("    nop\n    nop\n\n.org 1\n    halt\n")
+
+
+@pytest.mark.parametrize("line", [".org", ".org x", ".org 3 4", ".org -2"])
+def test_bad_org_directive(line):
+    with pytest.raises(AsmSyntaxError, match="line 2: .org needs"):
+        parse_asm(f"    nop\n{line}\n    halt\n")
+
+
+def test_format_writes_each_hole_as_one_org_line():
+    from repro.workloads import build
+
+    program = build("gcc", scale=0.05).program
+    lines = format_asm(program).splitlines()
+    orgs = [line for line in lines if line.startswith(".org")]
+    assert len(orgs) == 36
+    assert len(lines) < 800
+
+
+def test_format_roundtrip_branch_into_a_hole():
+    """A target inside a hole needs its label line, so the formatter
+    splits the hole there."""
+    program = Program("p", [
+        StaticInst(0, Opcode.JUMP, target=50),
+        Hole(1, 100, "padding", "pad"),
+        StaticInst(100, Opcode.HALT),
+    ], {"pad": 1})
+    text = format_asm(program)
+    assert ".org 50\nL50:\n.org 100\n" in text
+    reparsed = parse_asm(text, "p")
+    assert reparsed.labels == {"pad": 1, "L50": 50}
+    assert len(reparsed) == len(program)
+    assert reparsed.basic_blocks == program.basic_blocks
+    for a, b in zip(program, reparsed):
+        assert (a.index, a.op, a.target, a.func) == (
+            b.index, b.op, b.target, b.func
+        )
+    assert reparsed[1].label == "pad"
+    assert format_asm(reparsed) == text
 
 
 def test_timing_simulation_of_parsed_program():

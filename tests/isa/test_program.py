@@ -7,7 +7,7 @@ import pytest
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import StaticInst
 from repro.isa.opcodes import CONTROL_OPS, Opcode
-from repro.isa.program import Program, ProgramError
+from repro.isa.program import Hole, Program, ProgramError
 from repro.workloads import WORKLOAD_NAMES, build
 
 
@@ -211,9 +211,9 @@ def test_static_inst_stays_frozen():
 # ----------------------------------------------------------------------
 def reference_basic_blocks(program: Program) -> tuple[int, ...]:
     """Leader of every position, found one position at a time."""
-    n = len(program.insts)
+    n = len(program)
     leaders = {0}
-    for inst in program.insts:
+    for inst in program:
         if inst.op in CONTROL_OPS:
             if inst.target >= 0:
                 leaders.add(inst.target)
@@ -267,3 +267,172 @@ def test_basic_blocks_match_reference_on_edge_cases(builder):
 def test_basic_blocks_match_reference_on_workloads(name, kwargs):
     program = build(name, scale=0.05, **kwargs).program
     assert program.basic_blocks == reference_basic_blocks(program)
+
+
+# ----------------------------------------------------------------------
+# Holes: ProgramBuilder.pad_to against the nop padding it stands for.
+# ----------------------------------------------------------------------
+def pad_with_nops(builder, index):
+    """What pad_to stands for: emit nops until here() is *index*."""
+    while builder.here() < index:
+        builder.nop()
+    return builder
+
+
+def build_hole_after_halt():
+    b = ProgramBuilder("after_halt")
+    b.li("x1", 3)  # 0
+    b.halt()  # 1
+    b.function("padding").pad_to(40)  # 2..39
+    b.function("f")
+    b.addi("x2", "x2", 1)  # 40
+    b.halt()  # 41
+    return b.build()
+
+
+def build_hole_at_end():
+    b = ProgramBuilder("at_end")
+    b.li("x1", 3)  # 0
+    b.halt()  # 1
+    b.pad_to(70)  # 2..69: the program ends in the hole
+    return b.build()
+
+
+def build_label_pending_at_hole():
+    b = ProgramBuilder("pending")
+    b.jump("pad")  # 0
+    b.function("padding")
+    b.label("pad")
+    b.pad_to(30)  # 1..29; 1 is labelled "pad"
+    b.function("main")
+    b.halt()  # 30
+    return b.build()
+
+
+def build_branch_into_hole():
+    b = ProgramBuilder("into")
+    b.li("x1", 2)  # 0
+    b.label("top")
+    b.addi("x1", "x1", -1)  # 1
+    b.beq("x1", "x0", "mid")  # 2
+    b.jump("top")  # 3
+    b.function("padding").pad_to(50)  # 4..49
+    b.label("mid")
+    b.pad_to(90)  # 50..89: "mid" lies inside the padding
+    b.function("main")
+    b.halt()  # 90
+    return b.build()
+
+
+def build_two_pads_in_a_row():
+    b = ProgramBuilder("twice")
+    b.addi("x1", "x1", 1)  # 0
+    b.function("padding").pad_to(20)  # 1..19
+    b.function("more").pad_to(35)  # 20..34
+    b.function("main")
+    b.halt()  # 35
+    return b.build()
+
+
+def build_pad_to_here():
+    b = ProgramBuilder("noop")
+    b.label("start")
+    b.pad_to(b.here())  # nothing: the label stays pending
+    b.addi("x1", "x1", 1)  # 0, labelled "start"
+    b.pad_to(b.here())
+    b.halt()  # 1
+    return b.build()
+
+
+def build_gcc():
+    return build("gcc", scale=0.05).program
+
+
+HOLE_CASES = (
+    build_gcc,
+    build_hole_after_halt,
+    build_hole_at_end,
+    build_label_pending_at_hole,
+    build_branch_into_hole,
+    build_two_pads_in_a_row,
+    build_pad_to_here,
+)
+
+
+def dense_twin(monkeypatch, builder):
+    """*builder*'s program with every pad_to emitted as nops."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ProgramBuilder, "pad_to", pad_with_nops)
+        return builder()
+
+
+@pytest.mark.parametrize("builder", HOLE_CASES, ids=lambda f: f.__name__)
+def test_hole_equals_its_padding(monkeypatch, builder):
+    holed = builder()
+    dense = dense_twin(monkeypatch, builder)
+    assert not any(type(s) is Hole for s in dense.segments)
+    assert len(holed) == len(dense)
+    # Read each hole's last slot first, so the bulk reads below meet
+    # holes that are partly filled.
+    for seg in holed.segments:
+        if type(seg) is Hole:
+            assert holed[seg.end - 1] == dense[seg.end - 1]
+    assert list(holed) == list(dense)
+    assert holed.labels == dense.labels
+    assert holed.functions == dense.functions
+    assert holed.basic_blocks == dense.basic_blocks
+    assert [holed.func_of(i) for i in range(len(holed))] == [
+        dense.func_of(i) for i in range(len(dense))
+    ]
+    assert holed.branch_indices == dense.branch_indices
+    assert holed.disasm() == dense.disasm()
+    assert holed.basic_blocks == reference_basic_blocks(holed)
+
+
+def test_hole_slots_are_made_once():
+    program = build_hole_after_halt()
+    inst = program[10]
+    assert inst is program[10] is program[-32]
+    assert program[5:15][5] is inst
+    assert list(program)[10] is inst
+    assert inst == StaticInst(10, Opcode.NOP, func="padding")
+
+
+def test_slices_fill_holes():
+    program = build_label_pending_at_hole()
+    assert program[::-1][-2] == StaticInst(
+        1, Opcode.NOP, func="padding", label="pad"
+    )
+    assert [i.index for i in program[28:40]] == [28, 29, 30]
+    assert program[40:50] == ()
+
+
+def test_pad_to_below_here_is_rejected():
+    b = ProgramBuilder("p")
+    b.nop()
+    b.nop()
+    with pytest.raises(ProgramError, match="below"):
+        b.pad_to(1)
+
+
+def test_branch_into_the_middle_of_a_hole_splits_its_block():
+    holed = Program("p", [
+        StaticInst(0, Opcode.JUMP, target=50),
+        Hole(1, 100, "padding"),
+        StaticInst(100, Opcode.HALT),
+    ])
+    dense = Program("p", [
+        StaticInst(0, Opcode.JUMP, target=50),
+        *(StaticInst(i, Opcode.NOP, func="padding") for i in range(1, 100)),
+        StaticInst(100, Opcode.HALT),
+    ])
+    assert holed.basic_blocks == dense.basic_blocks
+    assert holed.bb_of(49) == 1 and holed.bb_of(50) == 50
+    assert list(holed) == list(dense)
+
+
+@pytest.mark.parametrize("hole", [Hole(2, 9), Hole(1, 1)])
+def test_misplaced_or_empty_hole_rejected(hole):
+    with pytest.raises(ProgramError, match="hole"):
+        Program("p", [StaticInst(0, Opcode.NOP), hole,
+                      StaticInst(hole.end, Opcode.HALT)])

@@ -73,7 +73,7 @@ class TestPortModel:
     def test_queue_pressure_reports_pseudo_queues(self):
         model = PortModel()
         program = build_loop()
-        costs = model.block_costs(program.insts[1:5])
+        costs = model.block_costs(program[1:5])
         pressure = model.queue_pressure(costs)
         assert pressure[COMMIT] == 4 / model.config.commit_width
         assert pressure[FRONTEND] == 4 / model.config.decode_width
@@ -96,7 +96,7 @@ class TestDepGraph:
         b.halt()  # 3
         program = b.build()
         model = PortModel()
-        insts = program.insts[0:3]
+        insts = program[0:3]
         graph = BlockDepGraph.build(
             insts, model.block_costs(insts), loop=False
         )
@@ -115,7 +115,7 @@ class TestDepGraph:
         b.halt()
         program = b.build()
         model = PortModel()
-        insts = program.insts[0:2]
+        insts = program[0:2]
         graph = BlockDepGraph.build(
             insts, model.block_costs(insts), loop=True
         )
@@ -124,7 +124,7 @@ class TestDepGraph:
     def test_loop_carried_recurrence(self):
         program = build_loop()
         model = PortModel()
-        insts = program.insts[1:5]
+        insts = program[1:5]
         graph = BlockDepGraph.build(
             insts, model.block_costs(insts), loop=True
         )

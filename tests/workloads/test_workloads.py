@@ -4,6 +4,7 @@ microarchitectural signature."""
 import pytest
 
 from repro.core.events import Event
+from repro.isa.instructions import StaticInst
 from repro.isa.interpreter import Interpreter
 from repro.uarch.core import simulate
 from repro.workloads import BUILDERS, WORKLOAD_NAMES, build, suite
@@ -101,6 +102,25 @@ def test_gcc_is_frontend_bound(results):
     _, result = results["gcc"]
     assert golden_share(result, Event.DR_L1) > 0.3
     assert golden_share(result, Event.DR_TLB) > 0.2
+
+
+def test_gcc_build_cost_is_proportional_to_its_code(monkeypatch):
+    """gcc spans 73,744 slots, but only its 581 emitted instructions
+    become StaticInst objects: the padding is left as holes. CI's
+    wall-time gate is too loose to notice a return to building every
+    slot, so this counts constructor calls."""
+    calls = 0
+    real = StaticInst.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StaticInst, "__init__", counting)
+    program = build("gcc").program
+    assert calls <= 581
+    assert len(program) == 73_744
 
 
 def test_lbm_misses_llc_and_pressures_stores(results):
