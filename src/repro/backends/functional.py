@@ -6,10 +6,12 @@ speculation and no memory timing -- just the shared functional
 interpreter advancing architectural state, plus per-instruction commit
 counting so the result still renders as a (timeless) profile.
 
-Because the interpreter is the *same* one the detailed core replays,
-the final architectural state here is bit-identical to a detailed run
-by construction; the differential gate in ``tests/backends`` and CI's
-``backend-diff`` job verify exactly that on all 15 workloads.
+Because the interpreter is the *same* one the detailed core replays --
+:meth:`~repro.isa.semantics.InstStream.skip` runs its compiled closures
+without making a record per instruction -- the final architectural
+state here is bit-identical to a detailed run by construction; the
+differential gate in ``tests/backends`` and CI's ``backend-diff`` job
+verify exactly that on all 15 workloads.
 
 This module must stay free of ``repro.uarch`` imports (tea-lint TL007);
 it returns the tier-neutral :class:`~repro.core.result.CoreResult`
@@ -34,7 +36,6 @@ def simulate_functional(
     config=None,
     arch_state: ArchState | None = None,
     max_insts: int = 50_000_000,
-    stream: InstStream | None = None,
 ) -> CoreResult:
     """Execute *program* atomically and return its result.
 
@@ -45,37 +46,22 @@ def simulate_functional(
     Args:
         config: Accepted for signature uniformity across backends;
             the functional tier has no timing to configure.
-        stream: An existing stream to drain (the sampled backend's
-            fast-forward); a fresh one is built otherwise.
     """
     del config  # no timing model, nothing to configure
-    if stream is None:
-        stream = InstStream(program, arch_state, max_insts)
+    stream = InstStream(program, arch_state, max_insts)
     counts = [0] * len(program)
-    take = stream.take
+    # One chunk runs to HALT (or past max_insts, which raises). With obs
+    # on, a progress beat follows every full chunk of
+    # PROGRESS_EVERY_INSTS committed instructions (counts only -- no
+    # clock reads here, TL003).
+    chunk = obs.PROGRESS_EVERY_INSTS if obs.enabled() else max_insts + 1
     committed = 0
-    if obs.enabled():
-        # Instrumented twin of the loop below: same take/count order,
-        # plus a progress beat every PROGRESS_EVERY_INSTS committed
-        # instructions (counts only -- no clock reads here, TL003).
-        beat_mask = obs.PROGRESS_EVERY_INSTS - 1
-        while True:
-            dyn = take()
-            if dyn is None:
-                break
-            counts[dyn.static.index] += 1
-            committed += 1
-            if not committed & beat_mask:
-                obs.report_progress(
-                    program.name, "functional", committed, committed
-                )
-    else:
-        while True:
-            dyn = take()
-            if dyn is None:
-                break
-            counts[dyn.static.index] += 1
-            committed += 1
+    while True:
+        ran = stream.skip(chunk, counts)
+        committed += ran
+        if ran < chunk:
+            break
+        obs.report_progress(program.name, "functional", committed, committed)
     # compress() skips never-executed indices in C, in ascending order.
     exec_counts = {i: counts[i] for i in compress(range(len(counts)), counts)}
     golden_raw = {(i, 0): float(c) for i, c in exec_counts.items()}

@@ -291,20 +291,19 @@ class SampledBackend(ExecutionBackend):
         n: int,
         max_cycles: int,
     ) -> int:
-        """Advance the stream by *n* committed instructions."""
+        """Advance the stream by *n* committed instructions.
+
+        Only the last ``warmup`` become records: the next window's
+        warm-up replays exactly those, and a fast-forward leaves no
+        squashed µops behind for the history margin to cover.
+        """
+        if not self.reference_ff:
+            return stream.skip(n, keep=self.plan.warmup)
         if n <= 0 or stream.empty():
             return 0
-        if self.reference_ff:
-            return self._fast_forward_detailed(
-                program, config, stream, n, max_cycles,
-            )
-        take = stream.take
-        consumed = 0
-        while consumed < n:
-            if take() is None:
-                break
-            consumed += 1
-        return consumed
+        return self._fast_forward_detailed(
+            program, config, stream, n, max_cycles,
+        )
 
     def _fast_forward_detailed(
         self,

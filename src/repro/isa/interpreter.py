@@ -4,6 +4,10 @@ The timing model in :mod:`repro.uarch` is trace-driven: this interpreter
 executes a program architecturally (register file + memory) and yields one
 :class:`~repro.isa.instructions.DynInst` per committed instruction, carrying
 the branch outcome and memory effective address the timing model needs.
+Consumers that only need the architectural state to move on (the
+functional tier, the sampled tier's fast-forward) call
+:meth:`Interpreter.advance` instead, which runs the same closures and
+makes no records.
 
 Wrong-path execution is *not* produced here; the timing model models the
 wrong-path penalty as a front-end stall (see DESIGN.md, "Known deviations").
@@ -91,66 +95,97 @@ class Interpreter:
         self.state = state or ArchState()
         self.max_insts = max_insts
         self.halted = False
+        # The resume position every drive shares: the pc of the next
+        # instruction and the count committed before it. A drive stores
+        # it before it hands an instruction out, never after, so a
+        # generator closed at its yield leaves it as it was.
+        self.pc = 0
         self.inst_count = 0
         # Per-instruction closure specialization (see _compile_inst).
         # False forces the interpreted path; the equivalence tests compare
-        # the two streams instruction by instruction.
+        # the two streams instruction by instruction. The first run() or
+        # advance() also sets it False when seeded registers break the
+        # type invariant the specializer relies on.
         self.compiled = compiled
+        # The compiled drive's per-pc closures and static instructions,
+        # both filled on a pc's first execution: reading the program
+        # costs a Python-level __getitem__, which the hot path must not
+        # pay per instruction. Allocated by _use_compiled().
+        self._handlers: list | None = None
+        self._insts: list[StaticInst | None] | None = None
 
     def run(self) -> Iterator[DynInst]:
         """Yield one :class:`DynInst` per committed instruction until HALT.
+
+        Starts at the resume position, so a generator made after
+        :meth:`advance` continues where it stopped.
 
         Raises:
             InterpreterError: If ``max_insts`` is exceeded, a RET jumps out
                 of range, or execution falls off the end of the program.
         """
-        if self.compiled:
-            return self._run_compiled()
+        if self._use_compiled():
+            return self._drive_compiled()
         return self._run_interpreted()
 
-    def _run_compiled(self) -> Iterator[DynInst]:
-        """Drive execution through per-instruction compiled closures.
+    def _use_compiled(self) -> bool:
+        """Whether the compiled drive runs; decided on the first call.
 
-        Produces exactly the stream of :meth:`_run_interpreted`. Each pc's
-        closure is compiled by :func:`_compile_inst` the first time that
-        pc executes, so set-up cost scales with the instructions that run,
-        not with the program's static size. Anything the specializer
-        cannot prove exact falls back to :meth:`_execute` per instruction.
+        The compiled drive produces exactly the stream of
+        :meth:`_run_interpreted`. Each pc's closure is compiled by
+        :func:`_compile_inst` the first time that pc executes, so set-up
+        cost scales with the instructions that run, not with the
+        program's static size. Anything the specializer cannot prove
+        exact falls back to :meth:`_execute` per instruction.
         """
-        state = self.state
-        int_regs = state.int_regs
-        fp_regs = state.fp_regs
-        if not (
-            all(type(v) is int for v in int_regs)
-            and all(type(v) is float for v in fp_regs)
-        ):
-            # Seeded register state breaks the type invariant the
-            # specializer relies on; run fully interpreted.
-            return self._run_interpreted()
-        return self._drive_compiled(int_regs, fp_regs, state.memory)
+        if self._handlers is None and self.compiled:
+            state = self.state
+            if (
+                all(type(v) is int for v in state.int_regs)
+                and all(type(v) is float for v in state.fp_regs)
+            ):
+                n_insts = len(self.program)
+                self._handlers = [None] * n_insts
+                self._insts = [None] * n_insts
+            else:
+                # Seeded register state breaks the type invariant the
+                # specializer relies on; run fully interpreted.
+                self.compiled = False
+        return self.compiled
 
-    def _drive_compiled(self, int_regs, fp_regs, memory) -> Iterator[DynInst]:
-        program = self.program
-        n_insts = len(program)
-        # Per-pc closures and static instructions, both filled on a pc's
-        # first execution: reading the program costs a Python-level
-        # __getitem__, which the hot path must not pay per instruction.
-        handlers = [None] * n_insts
-        insts = [None] * n_insts
-        fallback = self._execute
+    def _compile_at(self, pc: int):
+        """Fill pc's table slots on its first execution; return its closure."""
+        state = self.state
+        inst = self._insts[pc] = self.program[pc]
+        handler = self._handlers[pc] = _compile_inst(
+            inst, pc, state.int_regs, state.fp_regs, state.memory,
+            self._execute,
+        )
+        return handler
+
+    def _pc_error(self, pc: int) -> InterpreterError:
+        return InterpreterError(f"{self.program.name}: pc {pc} outside program")
+
+    def _limit_error(self) -> InterpreterError:
+        return InterpreterError(
+            f"{self.program.name}: exceeded {self.max_insts} committed "
+            "instructions without HALT"
+        )
+
+    def _drive_compiled(self) -> Iterator[DynInst]:
+        if self.halted:
+            return
+        n_insts = len(self.program)
+        handlers = self._handlers
+        insts = self._insts
         max_insts = self.max_insts
-        pc = 0
-        seq = 0
+        pc = self.pc
+        seq = self.inst_count
         while True:
             if pc >= n_insts or pc < 0:
-                raise InterpreterError(
-                    f"{program.name}: pc {pc} outside program"
-                )
+                raise self._pc_error(pc)
             if seq >= max_insts:
-                raise InterpreterError(
-                    f"{program.name}: exceeded {max_insts} committed "
-                    "instructions without HALT"
-                )
+                raise self._limit_error()
             inst = insts[pc]
             try:
                 next_pc, eff_addr, taken = handlers[pc]()
@@ -160,37 +195,85 @@ class Interpreter:
                 # pays nothing, unlike an `is None` test per instruction.
                 if handlers[pc] is not None:
                     raise
-                inst = insts[pc] = program[pc]
-                handler = handlers[pc] = _compile_inst(
-                    inst, pc, int_regs, fp_regs, memory, fallback
-                )
-                next_pc, eff_addr, taken = handler()
-            yield DynInst(inst, seq, eff_addr, taken, next_pc)
+                next_pc, eff_addr, taken = self._compile_at(pc)()
+                inst = insts[pc]
+            dyn = DynInst(inst, seq, eff_addr, taken, next_pc)
             seq += 1
             self.inst_count = seq
             # HALT always returns next_pc == pc, so the opcode is read
             # only on the rare self-loop.
             if next_pc == pc and inst.op is Opcode.HALT:
                 self.halted = True
+                yield dyn
                 return
-            pc = next_pc
+            self.pc = pc = next_pc
+            yield dyn
+
+    def advance(self, n: int, counts: list[int] | None = None) -> int:
+        """Run up to *n* instructions from the resume position, making
+        no :class:`DynInst`; return how many ran.
+
+        Fewer than *n* run only when HALT ends the program. The closures,
+        tables and checks are those of :meth:`run`'s compiled drive, so
+        the two may be interleaved and produce the one stream.
+
+        Args:
+            counts: When given, ``counts[index]`` is incremented once per
+                executed instruction.
+
+        Raises:
+            InterpreterError: As :meth:`run`, or if the compiled drive
+                cannot run (see :attr:`compiled`).
+        """
+        if not self._use_compiled():
+            raise InterpreterError(
+                f"{self.program.name}: advance() needs the compiled drive"
+            )
+        if self.halted:
+            return 0
+        n_insts = len(self.program)
+        handlers = self._handlers
+        insts = self._insts
+        pc = self.pc
+        seq = start = self.inst_count
+        stop = seq + n
+        max_insts = self.max_insts
+        try:
+            while seq < stop:
+                if pc >= n_insts or pc < 0:
+                    raise self._pc_error(pc)
+                if seq >= max_insts:
+                    raise self._limit_error()
+                try:
+                    next_pc = handlers[pc]()[0]
+                except TypeError:
+                    if handlers[pc] is not None:
+                        raise
+                    next_pc = self._compile_at(pc)()[0]
+                if counts is not None:
+                    counts[pc] += 1
+                seq += 1
+                if next_pc == pc and insts[pc].op is Opcode.HALT:
+                    self.halted = True
+                    break
+                pc = next_pc
+        finally:
+            self.pc = pc
+            self.inst_count = seq
+        return seq - start
 
     def _run_interpreted(self) -> Iterator[DynInst]:
-        state = self.state
+        if self.halted:
+            return
         program = self.program
-        pc = 0
-        seq = 0
         n_insts = len(program)
+        pc = self.pc
+        seq = self.inst_count
         while True:
             if pc >= n_insts or pc < 0:
-                raise InterpreterError(
-                    f"{program.name}: pc {pc} outside program"
-                )
+                raise self._pc_error(pc)
             if seq >= self.max_insts:
-                raise InterpreterError(
-                    f"{program.name}: exceeded {self.max_insts} committed "
-                    "instructions without HALT"
-                )
+                raise self._limit_error()
             inst = program[pc]
             next_pc, eff_addr, taken = self._execute(inst, pc)
             dyn = DynInst(
@@ -200,13 +283,14 @@ class Interpreter:
                 taken=taken,
                 next_index=next_pc,
             )
-            yield dyn
             seq += 1
             self.inst_count = seq
             if inst.op == Opcode.HALT:
                 self.halted = True
+                yield dyn
                 return
-            pc = next_pc
+            self.pc = pc = next_pc
+            yield dyn
 
     def _execute(
         self, inst: StaticInst, pc: int
@@ -390,15 +474,16 @@ class Interpreter:
 # conversion only where the register type invariant proves the value
 # bit-identical -- int_regs hold ints and fp_regs hold floats.
 # write_reg() preserves the invariant (it converts on store), every
-# specialized store does too, and Interpreter._run_compiled() verifies it
-# for the workload-seeded initial state when run() is called, running
-# fully interpreted otherwise. A closure is compiled the first time its
-# pc executes; which closure is built depends only on the static
-# instruction, never on register values, so when it is compiled cannot
-# change what it does. Any opcode or operand-class combination not
-# provably exact falls back to a closure around _execute() itself. The
-# interpreted path is kept intact (Interpreter(compiled=False)) and the
-# equivalence tests compare the two streams instruction by instruction.
+# specialized store does too, and Interpreter._use_compiled() verifies
+# it for the workload-seeded initial state on the first run() or
+# advance(), running fully interpreted otherwise. A closure is compiled
+# the first time its pc executes; which closure is built depends only
+# on the static instruction, never on register values, so when it is
+# compiled cannot change what it does. Any opcode or operand-class
+# combination not provably exact falls back to a closure around
+# _execute() itself. The interpreted path is kept intact
+# (Interpreter(compiled=False)) and the equivalence tests compare the
+# two streams instruction by instruction.
 # ----------------------------------------------------------------------
 def _compile_inst(inst, pc, int_regs, fp_regs, memory, fallback):
     """Build the execution closure for one static instruction."""

@@ -18,6 +18,11 @@ commit-boundary (sampled-simulation window edges) and the stream hands
 the un-committed tail to whatever executes next -- the stream position
 is restored to the boundary exactly.
 
+Consumers that only need the stream to move on -- the functional tier
+and the sampled tier's fast-forward -- call :meth:`InstStream.skip`. It
+runs the interpreter without making a record per instruction, except
+for a tail the caller asks to keep.
+
 This module must stay free of ``repro.uarch`` imports (tea-lint TL007):
 it is the layer *below* the timing model.
 """
@@ -49,7 +54,9 @@ class InstStream:
 
     The detailed core's fetch hot loop bypasses :meth:`peek`/:meth:`take`
     and works on ``replay``/``source``/``done`` directly; those three
-    attributes are public API for exactly that reason.
+    attributes are public API for exactly that reason. ``replay`` never
+    rebinds. ``source`` does, after every :meth:`skip` that advances
+    without records, so read it afresh rather than keep a copy.
     """
 
     __slots__ = ("program", "interp", "source", "replay", "history", "done")
@@ -65,12 +72,16 @@ class InstStream:
         self.interp = Interpreter(program, arch_state, max_insts)
         self.replay: deque[DynInst] = deque()
         self.done = False
-        if history > 0:
-            self.history: deque[DynInst] | None = deque(maxlen=history)
-            self.source: Iterator[DynInst] = self._tee(self.interp.run())
-        else:
-            self.history = None
-            self.source = self.interp.run()
+        self.history: deque[DynInst] | None = (
+            deque(maxlen=history) if history > 0 else None
+        )
+        self.source: Iterator[DynInst] = self._records()
+
+    def _records(self) -> Iterator[DynInst]:
+        """A record generator from the interpreter's resume position."""
+        if self.history is None:
+            return self.interp.run()
+        return self._tee(self.interp.run())
 
     def _tee(self, gen: Iterator[DynInst]) -> Iterator[DynInst]:
         append = self.history.append
@@ -120,6 +131,49 @@ class InstStream:
         except StopIteration:
             self.done = True
             return None
+
+    def skip(
+        self, n: int, counts: list[int] | None = None, keep: int = 0
+    ) -> int:
+        """Consume up to *n* instructions; return how many were consumed.
+
+        The same as *n* calls to :meth:`take` that stop at the end of the
+        stream, but only the last *keep* instructions become
+        :class:`DynInst` records (and so enter the history); the rest run
+        through :meth:`Interpreter.advance`. Instructions waiting in the
+        replay deque are consumed first. When the compiled drive is not
+        running, every instruction goes through :meth:`take`.
+
+        Args:
+            counts: When given, ``counts[index]`` is incremented once per
+                consumed instruction.
+            keep: How many of the last consumed instructions
+                :meth:`recent_before` must be able to return. When the
+                stream ends before *n*, nothing can follow, and fewer
+                may be kept.
+        """
+        consumed = self._take_n(min(n, len(self.replay)), counts)
+        interp = self.interp
+        if n - consumed > keep and not self.done and interp.compiled:
+            try:
+                consumed += interp.advance(n - consumed - keep, counts)
+            finally:
+                # The old generator's position is stale: never resume it.
+                self.source = self._records()
+        return consumed + self._take_n(n - consumed, counts)
+
+    def _take_n(self, n: int, counts: list[int] | None) -> int:
+        """Up to *n* calls to :meth:`take`, counting as :meth:`skip`."""
+        take = self.take
+        got = 0
+        while got < n:
+            dyn = take()
+            if dyn is None:
+                break
+            if counts is not None:
+                counts[dyn.static.index] += 1
+            got += 1
+        return got
 
     def empty(self) -> bool:
         """True when no instructions remain."""

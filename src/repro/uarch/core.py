@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import compress
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from repro import obs
 from repro.branch.predictor import BranchPredictor
@@ -169,13 +169,13 @@ class Core:
         self._control_by_index: list[bool | None] = [None] * n_insts
         # The dynamic-instruction stream may be shared with other
         # backends (sampled windows): architectural state and stream
-        # position live on the stream, not the core. ``source`` and
-        # ``replay`` never rebind, so the hot-path aliases stay valid.
+        # position live on the stream, not the core. ``replay`` never
+        # rebinds, so the hot-path alias stays valid; ``source`` rebinds
+        # after every InstStream.skip(), so _fetch reads it per call.
         self._stream = (
             stream if stream is not None
             else InstStream(program, arch_state, max_insts)
         )
-        self._source: Iterator[DynInst] = self._stream.source
         self._replay: deque[DynInst] = self._stream.replay
         self._commit_limit = commit_limit
 
@@ -1088,7 +1088,7 @@ class Core:
         tag_waiters = self._fetch_tag_waiters
         fetched: list[Uop] | None = [] if tag_waiters else None
         stream = self._stream
-        source = self._source
+        source = stream.source
         queue_by_index = self._queue_by_index
         class_by_index = self._class_by_index
         control_by_index = self._control_by_index

@@ -72,9 +72,9 @@ PINNED_MODEL_VERSION = 3
 #: sha256 of each registered file's bytes at pin time.
 SEMANTIC_HASHES = {
     "src/repro/backends/functional.py":
-        "604b5e604f21e2824a1cd88a8bd54ccbe49d9a85c95a5d37e2d97f4d70543ec0",
+        "fdf588ade4282db51ddc9ef649507b68b2d8d5657784c5f4c115fc29eb39fbc6",
     "src/repro/backends/sampled.py":
-        "dd7aa5581d6cd5ef1861c2dca2f6694b3d81ee14ce4e0c8b3c99c45e8c15c4cc",
+        "d497a017c725fa54fc25f53c7a8fdb9250de857a6f8bbcfe9f8e0dff8157d451",
     "src/repro/backends/warmup.py":
         "59c35f0d5c63e7fbdcc8d3add5d894033139c46c0b735bf520d4006e08fdbdc3",
     "src/repro/branch/predictor.py":
@@ -84,9 +84,9 @@ SEMANTIC_HASHES = {
     "src/repro/core/samplers.py":
         "a8ff11cc77d071770c55205a147d8257b115fa66a6bb6546db0f33647cf125b2",
     "src/repro/isa/interpreter.py":
-        "bfdb719b313cbf65478ae0d0a788b44fff072d156b7fdfa2d7d8b00a4961bad2",
+        "857edc46f754dec44f1039d20afd61ac64c6343f5e854d3dc0005ee21052e94c",
     "src/repro/isa/semantics.py":
-        "550caae32ecb0bcb606e678f97e0c431cc044d3c459d5c21c7af9b889ec57f10",
+        "ae010f3dc51469f555002280607d8f1254ace202862057df734910f35e3b9543",
     "src/repro/memory/cache.py":
         "b18c125e06a7384de209d77600f50fabf5b45a92b1ddbb00763cb6a311d128da",
     "src/repro/memory/dram.py":
@@ -96,7 +96,7 @@ SEMANTIC_HASHES = {
     "src/repro/memory/tlb.py":
         "6e799416dcd20a2c0efd72914ac75ae599d63a83984b0afc4256bf348662e338",
     "src/repro/uarch/core.py":
-        "5a25ee6ec5bc9203ff55c33ad5c16bf6c18b88f7965e6a67be5495a84610f056",
+        "765ed46265f2f29c6142d4a2c1cef2af351bfb118320434626dd6b863f87dbe4",
     "src/repro/uarch/uop.py":
         "b9f8e405d1b673cc594b23b967b988527218143e6636d802c5717fc9a0d27a63",
 }

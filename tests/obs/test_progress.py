@@ -144,9 +144,11 @@ def test_functional_backend_emits_progress_beats(monkeypatch):
 
 
 def test_functional_result_identical_with_monitoring_on(monkeypatch):
-    """The instrumented loop twin must be observe-only: same committed
-    count and architectural state with beats on or off."""
+    """Beats must be observe-only: the same committed count, counts and
+    architectural state with beats on or off, whether or not the beat
+    cadence is a power of two."""
     from repro.backends.functional import simulate_functional
+    from repro.isa.semantics import arch_digest
     from repro.workloads import build
 
     def run():
@@ -158,15 +160,20 @@ def test_functional_result_identical_with_monitoring_on(monkeypatch):
             result.committed,
             dict(result.exec_counts),
             dict(result.golden_raw),
+            arch_digest(result.arch_state),
         )
 
     baseline = run()
-    monkeypatch.setattr(
-        "repro.backends.functional.obs.PROGRESS_EVERY_INSTS", 2
-    )
     obs.enable()
-    progress.set_sink(CollectingSink())
-    assert run() == baseline
+    for every in (2, 3, 1000):
+        monkeypatch.setattr(
+            "repro.backends.functional.obs.PROGRESS_EVERY_INSTS", every
+        )
+        sink = CollectingSink()
+        progress.set_sink(sink)
+        assert run() == baseline
+        beats = [e.committed for e in sink.events if e.phase == "progress"]
+        assert beats == list(range(every, baseline[0] + 1, every))
 
 
 def test_detailed_profile_identical_with_monitoring_on(monkeypatch):
