@@ -4,9 +4,10 @@
 Shows the full user-facing workflow on a custom program:
 
 * assemble a kernel with :class:`ProgramBuilder` (functions included),
-* simulate with a TEA sampler that streams its captures to a binary
-  sample log (the paper's perf-buffer path),
-* rebuild the profile offline from the log,
+* simulate with a TEA sampler that streams its captures into the
+  columnar trace store, saved as a ``.teacol`` file (the paper's
+  perf-buffer path),
+* rebuild the profile offline from the loaded file,
 * aggregate PICS at function granularity and render both views.
 
 Run:  python examples/custom_workload_profile.py
@@ -17,12 +18,13 @@ from pathlib import Path
 
 from repro import (
     Granularity,
+    PicsProfile,
     ProgramBuilder,
     make_sampler,
     render_top,
     simulate,
 )
-from repro.trace import SampleWriter, read_profile
+from repro.trace import TraceStore
 
 
 def build_program():
@@ -57,14 +59,16 @@ def main():
     program = build_program()
     tea = make_sampler("TEA", period=97)
 
+    store = TraceStore()
+    tea.sink = store.sampler_sink("TEA")  # stream captures to the store
+    result = simulate(program, samplers=[tea])
+    tea.sink = None
+
     with tempfile.TemporaryDirectory() as tmp:
-        log_path = Path(tmp) / "tea_samples.bin"
-        with SampleWriter(log_path, "TEA") as writer:
-            tea.sink = writer  # stream captures to the log
-            result = simulate(program, samplers=[tea])
-            tea.sink = None
+        log_path = store.save(Path(tmp) / "tea_samples.teacol")
         size = log_path.stat().st_size
-        offline = read_profile(log_path)
+        with TraceStore.load(log_path) as loaded:
+            offline = PicsProfile.from_raw("TEA", loaded.raw_profile("TEA"))
 
     print(f"simulated {result.cycles:,} cycles "
           f"({result.committed:,} instructions)")

@@ -46,6 +46,7 @@ from repro.engine import (
     DEFAULT_RUN_LOG_NAME,
     Engine,
     RunLog,
+    RunSpec,
     RunStore,
     SuiteExecutionError,
     read_run_log,
@@ -159,7 +160,8 @@ EXPERIMENTS = {
     "ablation-events": _ablation_events,
 }
 
-#: Which benchmark-suite flavours each command needs simulated. Used to
+#: Which run sets each command needs simulated: a suite flavour (all
+#: 15 kernels) or a case study's binaries (``lbm``, ``nab``). Used to
 #: prewarm the engine in one parallel fan-out before the (serial)
 #: experiment code runs and hits the memo.
 _PREWARM = {
@@ -168,14 +170,14 @@ _PREWARM = {
     "fig7": ("default",),
     "fig8": ("sweep",),
     "fig9": ("default",),
-    "fig10": ("default",),
-    "fig11": ("default",),
-    "fig12": ("default",),
+    "fig10": ("lbm",),
+    "fig11": ("lbm",),
+    "fig12": ("nab",),
     "overheads": ("default",),
     "ablation-dispatch": ("dispatch",),
     "ablation-events": ("default",),
-    "figures": ("default", "sweep", "dispatch"),
-    "report": ("default", "sweep", "dispatch", "tip"),
+    "figures": ("default", "sweep", "dispatch", "lbm", "nab"),
+    "report": ("default", "sweep", "dispatch", "tip", "lbm", "nab"),
 }
 
 
@@ -210,6 +212,25 @@ def make_engine(args) -> Engine:
     return args.engine
 
 
+def _prewarm_specs(runner, kind: str) -> dict[str, RunSpec]:
+    """The labelled specs one :data:`_PREWARM` kind stands for."""
+    if kind == "lbm":  # Figs 10-11: the prefetch-distance binaries
+        specs = {"lbm": runner.spec("lbm")}
+        for distance in case_lbm.DISTANCES:
+            if distance:
+                specs[f"lbm:prefetch_distance={distance}"] = runner.spec(
+                    "lbm", prefetch_distance=distance
+                )
+        return specs
+    if kind == "nab":  # Fig 12: the plain and fast-math binaries
+        return {
+            "nab": runner.spec("nab"),
+            "nab:fast_math": runner.spec("nab", fast_math=True),
+        }
+    suite = _suite_runner(runner, kind)
+    return {name: suite.spec(name) for name in WORKLOAD_NAMES}
+
+
 def _suite_runner(runner, kind: str):
     """The runner variant (sharing the engine) for one suite flavour."""
     if kind == "sweep":
@@ -234,11 +255,13 @@ def prewarm(runner, commands, resume: bool = False) -> None:
     kinds: list[str] = []
     for command in commands:
         kinds.extend(_PREWARM.get(command, ()))
-    specs = {}
+    # Kinds overlap (``default`` and ``lbm`` both hold plain lbm), so
+    # keep one label per spec: the resume count is of distinct runs.
+    by_key: dict[str, tuple[str, RunSpec]] = {}
     for kind in dict.fromkeys(kinds):
-        suite = _suite_runner(runner, kind)
-        for name in WORKLOAD_NAMES:
-            specs[f"{kind}:{name}"] = suite.spec(name)
+        for name, spec in _prewarm_specs(runner, kind).items():
+            by_key.setdefault(spec.key, (f"{kind}:{name}", spec))
+    specs = dict(by_key.values())
     if not specs:
         return
     if resume:
@@ -634,7 +657,6 @@ def cmd_predict(args) -> int:
 
     # Escalation tier: diff the prediction against the cycle model
     # through the engine (a warm store makes this free).
-    from repro.engine.spec import RunSpec
     from repro.predict.refine import refine_spec
 
     if args.workload.endswith(".asm"):
@@ -693,8 +715,6 @@ def cmd_diff(args) -> int:
 
 def _query_spec(spec_str: str, args):
     """The RunSpec a ``query`` workload argument describes."""
-    from repro.engine.spec import RunSpec
-
     if spec_str.endswith(".asm"):
         raise SystemExit(
             "query works on registered workloads (the trace sidecar "

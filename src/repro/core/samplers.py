@@ -85,7 +85,8 @@ class Sampler:
         self.raw: RawProfile = {}
         self.samples_taken = 0
         self.samples_dropped = 0
-        #: Optional capture sink (e.g. :class:`repro.trace.SampleWriter`).
+        #: Optional capture sink: anything with ``write(index, psv,
+        #: weight)``, e.g. :meth:`repro.trace.TraceStore.sampler_sink`.
         self.sink = None
 
     # ------------------------------------------------------------------
@@ -110,20 +111,6 @@ class Sampler:
     def sample(self, core: "Core") -> None:
         """Take one sample of the current commit-stage state."""
         raise NotImplementedError
-
-    def finish(self, core: "Core") -> None:
-        """Called when the run completes; flushes a batched sink.
-
-        Sinks that buffer captures (e.g. :class:`repro.trace.store.
-        ColumnSampleSink`'s SoA batch path) expose ``flush()``; plain
-        per-event sinks (:class:`repro.trace.SampleWriter` delegates to
-        the file object's own buffering) simply have nothing to drain.
-        """
-        sink = self.sink
-        if sink is not None:
-            flush = getattr(sink, "flush", None)
-            if flush is not None:
-                flush()
 
     # ------------------------------------------------------------------
     # Capture.

@@ -159,7 +159,7 @@ class RunStore:
             raise
         return path
 
-    def load_trace(self, spec: RunSpec, use_mmap: bool = True):
+    def load_trace(self, spec: RunSpec):
         """The stored trace for *spec*, or ``None`` on a miss.
 
         Corrupt or stale sidecars (schema / model version / spec key
@@ -169,7 +169,7 @@ class RunStore:
 
         path = self.trace_path_for(spec)
         try:
-            store = TraceStore.load(path, use_mmap=use_mmap)
+            store = TraceStore.load(path)
         except (OSError, ValueError, RuntimeError):
             self.misses += 1
             return None

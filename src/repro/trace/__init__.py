@@ -1,34 +1,28 @@
-"""Trace plane: sample logs, cycle traces, and the columnar query tier.
+"""Trace plane: one columnar store for samples and cycle traces.
 
 In the paper, the sampling interrupt handler writes each TEA sample
 (timestamp, flags, instruction address(es), PSV(s) -- 88 bytes) to a
 memory buffer that is flushed to a file; a post-processing tool turns the
-file into PICS. This package is that path, three layers deep:
+file into PICS. TraceDoctor cycle traces are likewise processed
+out-of-band. Both streams land in one place here:
 
-* :mod:`repro.trace.samples` -- binary per-sample logs
-  (:class:`SampleWriter` as a sampler ``sink``) and offline PICS
-  rebuild (:func:`read_profile`);
-* :mod:`repro.trace.cycletrace` -- TraceDoctor-style cycle traces and
-  the offline golden-attribution replay (:func:`replay_golden`);
-* :mod:`repro.trace.store` / :mod:`repro.trace.query` /
-  :mod:`repro.trace.capture` -- the columnar (structure-of-arrays)
-  trace database: mmap-able :class:`TraceStore` files keyed by
-  :class:`~repro.engine.spec.RunSpec` hash, queried by
+* :mod:`repro.trace.store` -- :class:`TraceStore`, the structure-of-
+  arrays ``TEACOL1`` database: a core's ``cycle_trace=`` sink and, via
+  :meth:`TraceStore.sampler_sink`, every sampler's capture sink;
+  saved to and mmap-loaded from one file;
+* :mod:`repro.trace.cycletrace` -- the records the store hands back
+  (:meth:`TraceStore.cycle_records`) and :func:`replay_golden`, the
+  independent offline golden-attribution oracle;
+* :mod:`repro.trace.capture` / :mod:`repro.trace.query` -- capture a
+  :class:`~repro.engine.spec.RunSpec` into a store persisted as a
+  ``.teacol`` sidecar keyed by the spec hash, and query it with
   :class:`TraceQuery` (golden attribution, group-by, top-k, flush
-  histograms, cross-run diff) and surfaced as ``tea-repro query``.
+  histograms, cross-run diff), surfaced as ``tea-repro query``.
 """
 
-from repro.trace.samples import (
-    SampleReader,
-    SampleRecord,
-    SampleWriter,
-    read_profile,
-)
 from repro.trace.cycletrace import (
     CommitRecord,
-    CycleTrace,
     CyclesRecord,
-    read_trace,
     replay_golden,
 )
 from repro.trace.store import (
@@ -53,14 +47,8 @@ from repro.trace.capture import (
 )
 
 __all__ = [
-    "SampleReader",
-    "SampleRecord",
-    "SampleWriter",
-    "read_profile",
     "CommitRecord",
-    "CycleTrace",
     "CyclesRecord",
-    "read_trace",
     "replay_golden",
     "ColumnSampleSink",
     "ColumnTable",

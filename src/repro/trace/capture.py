@@ -3,13 +3,12 @@
 The capture plane mirrors :func:`repro.engine.runs.simulate_spec`
 exactly -- same workload build, same sampler plan, same seeds -- but
 attaches a :class:`~repro.trace.store.TraceStore` as the core's
-``cycle_trace`` and a batched :class:`~repro.trace.store.
-ColumnSampleSink` to every sampler, so one detailed simulation yields
-both the normal :class:`BenchmarkRun` and the queryable trace. The
-store is persisted as a ``.teacol`` sidecar next to the
-:class:`~repro.engine.store.RunStore` payload (same shard, same spec
-key) and revalidated on load, so ``tea-repro query`` capture-once /
-query-many works across processes.
+``cycle_trace`` and gives every sampler a ``sink`` into the same
+store, so one detailed simulation yields both the normal
+:class:`BenchmarkRun` and the queryable trace. The store is persisted as a ``.teacol`` sidecar next
+to the :class:`~repro.engine.store.RunStore` payload (same shard, same
+spec key) and revalidated on load, so ``tea-repro query``
+capture-once / query-many works across processes.
 """
 
 from __future__ import annotations
@@ -28,19 +27,12 @@ from repro.engine.store import RunStore
 from repro.trace.store import TraceStore
 from repro.uarch.core import simulate
 
-#: Default sampler-sink batch size (captures per array.extend flush).
-DEFAULT_BATCH = 1024
-
 
 class TraceBackendError(ValueError):
     """Raised when a spec's backend cannot produce a cycle trace."""
 
 
-def capture_run(
-    spec: RunSpec,
-    batch: int = DEFAULT_BATCH,
-    span_events: list[dict[str, Any]] | None = None,
-) -> tuple[BenchmarkRun, TraceStore]:
+def capture_run(spec: RunSpec) -> tuple[BenchmarkRun, TraceStore]:
     """Simulate *spec* on the detailed core with trace capture on.
 
     Identical simulation to :func:`~repro.engine.runs.simulate_spec`
@@ -52,8 +44,6 @@ def capture_run(
             functional tier has no cycles and the sampled tier's
             fast-forward gaps would leave holes the golden replay
             cannot cross.
-        batch: Sampler-sink batch size (1 = the per-event path).
-        span_events: Optional obs events to ingest alongside.
 
     Raises:
         TraceBackendError: For a non-detailed backend.
@@ -70,7 +60,7 @@ def capture_run(
         sampler = make_sampler(
             technique, period, jitter=spec.jitter, seed=seed
         )
-        sampler.sink = store.sampler_sink(key, batch=batch)
+        sampler.sink = store.sampler_sink(key)
         samplers[key] = sampler
     result = simulate(
         workload.program,
@@ -85,11 +75,8 @@ def capture_run(
             "label": spec.label(),
             "cycles": result.cycles,
             "committed": result.committed,
-            "rows": store.row_counts(),
         }
     )
-    if span_events:
-        store.ingest_span_events(span_events)
     run = BenchmarkRun(
         workload=workload, result=result, samplers=samplers
     )
@@ -101,7 +88,6 @@ def ensure_trace(
     run_store: RunStore | None = None,
     refresh: bool = False,
     run_log: Any = None,
-    batch: int = DEFAULT_BATCH,
 ) -> TraceStore:
     """The columnar trace for *spec*: load the sidecar or capture it.
 
@@ -115,7 +101,6 @@ def ensure_trace(
         refresh: Recapture even if a valid sidecar exists.
         run_log: Optional :class:`~repro.engine.telemetry.RunLog`;
             receives a trace record per capture/load.
-        batch: Sampler-sink batch size used when capturing.
     """
     # Not `run_store or RunStore()`: an *empty* RunStore is falsy
     # (it defines __len__), which must not silently reroute writes
@@ -131,7 +116,7 @@ def ensure_trace(
                 )
             return cached
     start = perf_counter()
-    run, store = capture_run(spec, batch=batch)
+    run, store = capture_run(spec)
     wall_s = perf_counter() - start
     run_store.save(spec, run_to_payload(spec, run, wall_s=wall_s))
     run_store.save_trace(spec, store)

@@ -1,38 +1,29 @@
-"""TraceDoctor-style cycle traces with offline attribution replay.
+"""TraceDoctor-style cycle records and the offline attribution replay.
 
 The paper captures cycle-by-cycle commit-stage traces with TraceDoctor
-and models every analysis approach out-of-band on the host. This module
-is that plane: attach a :class:`CycleTrace` to a core and it records
+and models every analysis approach out-of-band on the host. The
+columnar :class:`~repro.trace.store.TraceStore` records that stream
+from a core (its ``on_cycles``/``on_commit`` hooks) and hands it back
+as a list of
 
-* one record per (run of identical) commit-state cycle(s), carrying the
-  ROB-head sequence number for Stalled cycles, and
-* one record per commit group, carrying each µop's sequence number,
-  static index, and *final* PSV,
+* :class:`CyclesRecord` -- one per (run of identical) commit-state
+  cycle(s), carrying the ROB-head sequence number for Stalled cycles,
+  and
+* :class:`CommitRecord` -- one per commit group, carrying each µop's
+  sequence number, static index, and *final* PSV,
 
 which is sufficient to re-derive the complete golden-reference PICS
 *offline* with :func:`replay_golden` -- an implementation of the
 attribution policy that shares no code with the core's built-in
-accounting. The test suite replays traces and checks bit-exact
+accounting. The test suite replays stored traces and checks bit-exact
 agreement, cross-validating both implementations.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import BinaryIO
+from dataclasses import dataclass
 
 from repro.core.states import CommitState
-
-#: Record kinds.
-KIND_CYCLES = 0
-KIND_COMMIT = 1
-
-_CYCLES_REC = struct.Struct("<BBIq")  # kind, state, count, head_seq
-_COMMIT_HDR = struct.Struct("<BB")  # kind, group size
-_COMMIT_ENTRY = struct.Struct("<qIH")  # seq, index, psv
-_MAGIC = b"TEACYC1\n"
 
 
 @dataclass
@@ -49,111 +40,6 @@ class CommitRecord:
     """One commit group: (seq, static index, final PSV) per µop."""
 
     uops: list[tuple[int, int, int]]
-
-
-class CycleTrace:
-    """Collects cycle/commit records from a core (and optionally streams
-    them to a binary file).
-
-    Usable as a context manager, which guarantees the backing file is
-    closed (and its buffers flushed) even when the simulation raises::
-
-        with CycleTrace("run.cyc") as trace:
-            simulate(program, cycle_trace=trace)
-    """
-
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.records: list[CyclesRecord | CommitRecord] = []
-        self._file: BinaryIO | None = None
-        if path is not None:
-            self._file = open(path, "wb")
-            self._file.write(_MAGIC)
-
-    def __enter__(self) -> "CycleTrace":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-    # Hooks called by the core -----------------------------------------
-    def on_cycles(
-        self, state: CommitState, count: int, head_seq: int
-    ) -> None:
-        """Record *count* cycles spent in *state*."""
-        record = CyclesRecord(state, count, head_seq)
-        self.records.append(record)
-        if self._file is not None:
-            self._file.write(
-                _CYCLES_REC.pack(
-                    KIND_CYCLES, int(state), count, head_seq
-                )
-            )
-
-    def on_commit(self, uops: list[tuple[int, int, int]]) -> None:
-        """Record one commit group of (seq, index, final psv)."""
-        record = CommitRecord(list(uops))
-        self.records.append(record)
-        if self._file is not None:
-            self._file.write(_COMMIT_HDR.pack(KIND_COMMIT, len(uops)))
-            for seq, index, psv in uops:
-                self._file.write(_COMMIT_ENTRY.pack(seq, index, psv))
-
-    @property
-    def closed(self) -> bool:
-        """True when no backing file is open (in-memory or closed)."""
-        return self._file is None
-
-    def flush(self) -> None:
-        """Flush the backing file's buffers, if one is open."""
-        if self._file is not None:
-            self._file.flush()
-
-    def close(self) -> None:
-        """Close the backing file, if any; safe to call repeatedly."""
-        handle, self._file = self._file, None
-        if handle is not None:
-            handle.close()
-
-
-def read_trace(path: str | Path) -> list[CyclesRecord | CommitRecord]:
-    """Load a binary cycle trace written by :class:`CycleTrace`.
-
-    Raises:
-        ValueError: On a bad magic or a truncated file.
-    """
-    records: list[CyclesRecord | CommitRecord] = []
-    with open(path, "rb") as handle:
-        if handle.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError("not a TEA cycle trace")
-        while True:
-            kind_byte = handle.read(1)
-            if not kind_byte:
-                return records
-            kind = kind_byte[0]
-            if kind == KIND_CYCLES:
-                rest = handle.read(_CYCLES_REC.size - 1)
-                if len(rest) < _CYCLES_REC.size - 1:
-                    raise ValueError("truncated cycle trace")
-                _, state, count, head_seq = _CYCLES_REC.unpack(
-                    kind_byte + rest
-                )
-                records.append(
-                    CyclesRecord(CommitState(state), count, head_seq)
-                )
-            elif kind == KIND_COMMIT:
-                size_byte = handle.read(1)
-                if not size_byte:
-                    raise ValueError("truncated cycle trace")
-                uops = []
-                for _ in range(size_byte[0]):
-                    blob = handle.read(_COMMIT_ENTRY.size)
-                    if len(blob) < _COMMIT_ENTRY.size:
-                        raise ValueError("truncated cycle trace")
-                    uops.append(_COMMIT_ENTRY.unpack(blob))
-                records.append(CommitRecord(uops))
-            else:
-                raise ValueError(f"unknown record kind {kind}")
 
 
 def replay_golden(

@@ -333,50 +333,6 @@ class TraceQuery:
                 last_committed = (index_col[last], psv_col[last])
         return out
 
-    def filter_samples(
-        self,
-        sampler: str | None = None,
-        min_weight: float | None = None,
-        index_range: tuple[int, int] | None = None,
-        psv_any: int | None = None,
-    ) -> dict[tuple[int, int], float]:
-        """Predicate-filtered aggregation over the samples table.
-
-        Args:
-            sampler: Only this sampler's captures.
-            min_weight: Only captures of at least this weight.
-            index_range: Only instruction indices in ``[lo, hi)``.
-            psv_any: Only captures whose PSV intersects this mask.
-        """
-        samples = self.store.samples
-        sampler_col = samples.column("sampler")
-        index_col = samples.column("index")
-        psv_col = samples.column("psv")
-        weight_col = samples.column("weight")
-        wanted = (
-            None
-            if sampler is None
-            else self.store.strings.intern(sampler)
-        )
-        out: dict[tuple[int, int], float] = {}
-        for i in range(len(samples)):
-            if wanted is not None and sampler_col[i] != wanted:
-                continue
-            weight = weight_col[i]
-            if min_weight is not None and weight < min_weight:
-                continue
-            index = index_col[i]
-            if index_range is not None and not (
-                index_range[0] <= index < index_range[1]
-            ):
-                continue
-            psv = psv_col[i]
-            if psv_any is not None and not (psv & psv_any):
-                continue
-            key = (index, psv)
-            out[key] = out.get(key, 0.0) + weight
-        return out
-
     # -- labels --------------------------------------------------------
     def label(self, key: Any, by: str) -> str:
         """Human-readable label for a group key."""

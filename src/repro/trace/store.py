@@ -1,28 +1,26 @@
-"""Columnar (structure-of-arrays) trace store: the queryable tier.
+"""Columnar (structure-of-arrays) trace store: the one trace format.
 
 The WAL paper's lesson is that traces should be a *database*, not a
-file to eyeball. This module is the storage layer of that database for
-the TEA reproduction's three trace planes:
+file to eyeball. This module is the storage layer of that database,
+and the only sink for both of the paper's out-of-band streams:
 
 * ``ctrace``   -- per-cycle commit-state slices and commit groups, in
-  execution order (what :class:`repro.trace.CycleTrace` records, plus a
-  materialised start-cycle column so window queries never re-scan);
+  execution order (the TraceDoctor stream, plus a materialised
+  start-cycle column so window queries never re-scan);
 * ``commit_uops`` -- the flattened (seq, static index, final PSV)
   entries of every commit group, referenced by ``ctrace`` row ranges;
 * ``samples``  -- per-sample PICS captures (sampler, instruction, PSV,
-  weight), fed by the batched :class:`ColumnSampleSink` sampler sink;
-* ``spans``    -- :mod:`repro.obs` span/counter/instant events with
-  interned names and JSON side-data.
+  weight), one row per capture through :class:`ColumnSampleSink`.
 
 Every table is a structure of arrays built on stdlib :mod:`array`
-(zero dependencies), serialised to a single mmap-able file: an 8-byte
-magic, a JSON table-of-contents, and 8-byte-aligned raw column payloads
-that :meth:`TraceStore.load` maps straight into ``memoryview.cast``
-views without copying. :class:`TraceStore` quacks like a
-:class:`~repro.trace.cycletrace.CycleTrace` (``on_cycles``/
-``on_commit``), so it can be attached to a core as ``cycle_trace=``
-directly; :mod:`repro.trace.query` runs the attribution and grouping
-queries on top.
+(zero dependencies), serialised to a single mmap-able ``TEACOL1``
+file: an 8-byte magic, a JSON table-of-contents, and 8-byte-aligned
+raw column payloads that :meth:`TraceStore.load` maps straight into
+``memoryview.cast`` views without copying. :class:`TraceStore` is a
+core's ``cycle_trace=`` sink (``on_cycles``/``on_commit``), hands the
+stream back to the :func:`~repro.trace.cycletrace.replay_golden`
+oracle as records, and :mod:`repro.trace.query` runs the attribution
+and grouping queries on top.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ MAGIC = b"TEACOL1\n"
 #: On-disk format revision (bump on schema/layout changes).
 STORE_FORMAT = 1
 
-#: ``ctrace.kind`` values (mirrors :mod:`repro.trace.cycletrace`).
+#: ``ctrace.kind`` values.
 KIND_CYCLES = 0
 KIND_COMMIT = 1
 
@@ -77,22 +75,10 @@ SAMPLE_COLUMNS = (
     ("psv", "H"),
     ("weight", "d"),
 )
-SPAN_COLUMNS = (
-    ("name", "I"),       # string id
-    ("cat", "I"),        # string id (0 = absent)
-    ("ph", "B"),         # ord() of the Chrome phase character
-    ("ts", "q"),
-    ("dur", "q"),        # -1 = absent (non-"X" events)
-    ("pid", "q"),
-    ("tid", "q"),
-    ("extra", "I"),      # string id of JSON side-data (0 = none)
-)
-
 _SCHEMAS = {
     "ctrace": CTRACE_COLUMNS,
     "commit_uops": COMMIT_UOP_COLUMNS,
     "samples": SAMPLE_COLUMNS,
-    "spans": SPAN_COLUMNS,
 }
 
 
@@ -119,9 +105,8 @@ def _align8(n: int) -> int:
 class StringPool:
     """Interned strings referenced by integer id (id 0 is ``""``).
 
-    Column values that are strings (sampler names, span names, JSON
-    side-data) are stored once here and referenced by id, keeping the
-    columns fixed-width.
+    Column values that are strings (sampler names) are stored once here
+    and referenced by id, keeping the columns fixed-width.
     """
 
     def __init__(self, strings: list[str] | None = None) -> None:
@@ -154,11 +139,9 @@ class StringPool:
 class ColumnTable:
     """A named table of parallel equal-length columns.
 
-    Mutable tables hold :class:`array.array` columns and support
-    row-wise :meth:`append` plus the batched :meth:`extend` (one
-    ``array.extend`` per column -- the SoA fast path). Tables loaded
-    from an mmap hold read-only ``memoryview`` casts instead; both
-    shapes answer the same read API.
+    Mutable tables hold :class:`array.array` columns and grow by
+    row-wise :meth:`append`. Tables loaded from an mmap hold read-only
+    ``memoryview`` casts instead; both shapes answer the same read API.
     """
 
     __slots__ = ("name", "schema", "columns")
@@ -189,22 +172,6 @@ class ColumnTable:
         for (cname, _code), value in zip(self.schema, values):
             self.columns[cname].append(value)
 
-    def extend(self, **columns: Any) -> None:
-        """Batch-append column slices (every column, equal lengths)."""
-        names = {cname for cname, _ in self.schema}
-        if set(columns) != names:
-            raise ValueError(
-                f"{self.name}: extend needs exactly columns "
-                f"{sorted(names)}"
-            )
-        lengths = {len(v) for v in columns.values()}
-        if len(lengths) > 1:
-            raise ValueError(
-                f"{self.name}: ragged extend (lengths {sorted(lengths)})"
-            )
-        for cname, values in columns.items():
-            self.columns[cname].extend(values)
-
     def column(self, name: str) -> Any:
         """One column as a sequence (array or memoryview)."""
         return self.columns[name]
@@ -220,86 +187,31 @@ class ColumnTable:
         cols = [self.columns[cname] for cname, _code in self.schema]
         return zip(*cols) if cols else iter(())
 
-    def to_arrays(self) -> dict[str, array]:
-        """Materialise every column as a fresh ``array`` (copies)."""
-        out: dict[str, array] = {}
-        for cname, code in self.schema:
-            arr = array(code)
-            col = self.columns[cname]
-            if isinstance(col, array):
-                arr.extend(col)
-            else:
-                arr.frombytes(bytes(col))
-            out[cname] = arr
-        return out
-
 
 class ColumnSampleSink:
-    """Batched sampler ``sink``: captures land in the samples table.
+    """Sampler ``sink``: each capture is one row of the samples table.
 
-    Drop-in for :class:`repro.trace.SampleWriter`: samplers call
-    ``write(index, psv, weight)`` per capture. Rows are buffered in
-    plain lists and flushed into the store's column arrays in one
-    ``array.extend`` per column every *batch* writes -- the SoA batch
-    path. ``batch=1`` degenerates to the per-event path; both produce
-    identical tables (row order per sampler is capture order either
-    way), which the test suite pins byte-for-byte.
+    Samplers call ``write(index, psv, weight)`` per capture (see
+    :class:`repro.core.samplers.Sampler`); rows land in capture order,
+    so per-sampler row order is the order the live sampler summed in.
     """
 
-    __slots__ = (
-        "_store", "_sampler_id", "batch", "records_written",
-        "_indices", "_psvs", "_weights",
-    )
+    __slots__ = ("_samples", "_sampler_id")
 
-    def __init__(
-        self, store: "TraceStore", name: str, batch: int = 1024
-    ) -> None:
-        if batch <= 0:
-            raise ValueError("batch must be positive")
-        self._store = store
+    def __init__(self, store: "TraceStore", name: str) -> None:
+        self._samples = store.samples
         self._sampler_id = store.strings.intern(name)
-        self.batch = batch
-        self.records_written = 0
-        self._indices: list[int] = []
-        self._psvs: list[int] = []
-        self._weights: list[float] = []
 
     def write(self, index: int, psv: int, weight: float) -> None:
-        """Buffer one capture; flushes when the batch fills."""
-        self._indices.append(index)
-        self._psvs.append(psv)
-        self._weights.append(weight)
-        self.records_written += 1
-        if len(self._indices) >= self.batch:
-            self.flush()
-
-    def flush(self) -> None:
-        """Drain the buffer into the store's sample columns."""
-        n = len(self._indices)
-        if not n:
-            return
-        self._store.samples.extend(
-            sampler=[self._sampler_id] * n,
-            index=self._indices,
-            psv=self._psvs,
-            weight=self._weights,
-        )
-        self._indices = []
-        self._psvs = []
-        self._weights = []
-
-    def close(self) -> None:
-        """Flush any tail; the store owns the data."""
-        self.flush()
+        """Append one capture to the samples table."""
+        self._samples.append(self._sampler_id, index, psv, weight)
 
 
 class TraceStore:
     """The structure-of-arrays trace database for one run.
 
-    Quacks like :class:`~repro.trace.cycletrace.CycleTrace` for the
-    core (``on_cycles``/``on_commit``), so it can be attached directly
-    as ``cycle_trace=``; sampler captures arrive through
-    :meth:`sampler_sink`; obs events through :meth:`ingest_span_events`.
+    A core's ``cycle_trace=`` sink (``on_cycles``/``on_commit``);
+    sampler captures arrive through :meth:`sampler_sink`.
 
     Attributes:
         meta: JSON-able run metadata (workload, spec key, cycles, ...).
@@ -314,12 +226,11 @@ class TraceStore:
             "commit_uops", COMMIT_UOP_COLUMNS
         )
         self.samples = ColumnTable("samples", SAMPLE_COLUMNS)
-        self.spans = ColumnTable("spans", SPAN_COLUMNS)
         self._next_cycle = 0
         self._mmap: mmap.mmap | None = None
         self._mmap_view: memoryview | None = None
 
-    # -- CycleTrace-compatible ingestion hooks -------------------------
+    # -- core ingestion hooks ------------------------------------------
     def on_cycles(
         self, state: CommitState, count: int, head_seq: int
     ) -> None:
@@ -341,20 +252,12 @@ class TraceStore:
         )
         self._next_cycle += 1
 
-    def ingest_cycle_records(
-        self, records: list[CyclesRecord | CommitRecord]
-    ) -> None:
-        """Ingest an in-memory :class:`CycleTrace` record list."""
-        for record in records:
-            if isinstance(record, CyclesRecord):
-                self.on_cycles(
-                    record.state, record.count, record.head_seq
-                )
-            else:
-                self.on_commit(record.uops)
-
     def cycle_records(self) -> list[CyclesRecord | CommitRecord]:
-        """Reconstruct the record list (lossless round trip)."""
+        """The hooked stream as records, for :func:`replay_golden`.
+
+        Lossless: the records are exactly the ``on_cycles``/
+        ``on_commit`` calls the store received, in order.
+        """
         out: list[CyclesRecord | CommitRecord] = []
         uop_rows = self.commit_uops
         for kind, state, count, head_seq, _cycle, start, size in (
@@ -373,11 +276,9 @@ class TraceStore:
         return out
 
     # -- sampler ingestion ---------------------------------------------
-    def sampler_sink(
-        self, name: str, batch: int = 1024
-    ) -> ColumnSampleSink:
-        """A batched capture sink for the sampler called *name*."""
-        return ColumnSampleSink(self, name, batch=batch)
+    def sampler_sink(self, name: str) -> ColumnSampleSink:
+        """A capture sink for the sampler called *name*."""
+        return ColumnSampleSink(self, name)
 
     def sampler_names(self) -> list[str]:
         """Distinct sampler names present in the samples table."""
@@ -405,63 +306,6 @@ class TraceStore:
             raw[key] = raw.get(key, 0.0) + weight_col[i]
         return raw
 
-    # -- obs span ingestion --------------------------------------------
-    #: Span-event keys with dedicated columns; the rest ride in "extra".
-    _SPAN_FIELDS = ("name", "cat", "ph", "ts", "dur", "pid", "tid")
-
-    def ingest_span_events(
-        self, events: list[dict[str, Any]]
-    ) -> int:
-        """Ingest Chrome-shaped obs events; returns rows added.
-
-        ``name``/``cat``/``ph``/``ts``/``dur``/``pid``/``tid`` get
-        columns; every other key (``args``, instant scope ``s``, ...)
-        is serialised to a canonical JSON string in the ``extra``
-        column, so :meth:`span_events` reconstructs the original dicts
-        exactly.
-        """
-        intern = self.strings.intern
-        added = 0
-        for event in events:
-            extras = {
-                k: v for k, v in event.items()
-                if k not in self._SPAN_FIELDS
-            }
-            self.spans.append(
-                intern(event["name"]),
-                intern(event["cat"]) if "cat" in event else 0,
-                ord(event.get("ph", "X")),
-                int(event.get("ts", 0)),
-                int(event["dur"]) if "dur" in event else -1,
-                int(event.get("pid", -1)),
-                int(event.get("tid", -1)),
-                intern(json.dumps(extras, sort_keys=True))
-                if extras else 0,
-            )
-            added += 1
-        return added
-
-    def span_events(self) -> list[dict[str, Any]]:
-        """Reconstruct the ingested obs events (lossless round trip)."""
-        strings = self.strings
-        out: list[dict[str, Any]] = []
-        for name, cat, ph, ts, dur, pid, tid, extra in self.spans.rows():
-            event: dict[str, Any] = {
-                "name": strings[name],
-                "ph": chr(ph),
-                "ts": ts,
-                "pid": pid,
-                "tid": tid,
-            }
-            if cat:
-                event["cat"] = strings[cat]
-            if dur >= 0:
-                event["dur"] = dur
-            if extra:
-                event.update(json.loads(strings[extra]))
-            out.append(event)
-        return out
-
     # -- serialisation -------------------------------------------------
     @property
     def tables(self) -> dict[str, ColumnTable]:
@@ -469,7 +313,6 @@ class TraceStore:
             "ctrace": self.ctrace,
             "commit_uops": self.commit_uops,
             "samples": self.samples,
-            "spans": self.spans,
         }
 
     def row_counts(self) -> dict[str, int]:
@@ -643,6 +486,8 @@ class TraceStore:
         store.meta = dict(doc.get("meta", {}))
         store.strings = StringPool(strings)
         store._next_cycle = int(doc.get("next_cycle", 0))
+        # Tables outside the schema are skipped: older files also carry
+        # a ``spans`` table, and must keep loading.
         for tname, schema in _SCHEMAS.items():
             tdoc = doc["tables"].get(tname)
             if tdoc is None:
@@ -679,16 +524,13 @@ class TraceStore:
         return cls._from_buffer(memoryview(data), copy=True)
 
     @classmethod
-    def load(cls, path: str | Path, use_mmap: bool = True) -> "TraceStore":
-        """Load a TEACOL file.
+    def load(cls, path: str | Path) -> "TraceStore":
+        """Map a TEACOL file.
 
-        With *use_mmap* (the default) column data stays on disk and is
-        exposed through zero-copy ``memoryview.cast`` views; the store
-        is then read-only. Without it the whole file is read and the
-        columns are mutable arrays.
+        Column data stays on disk and is exposed through zero-copy
+        ``memoryview.cast`` views, so the store is read-only; for
+        mutable columns use :meth:`from_bytes` on the file's bytes.
         """
-        if not use_mmap:
-            return cls.from_bytes(Path(path).read_bytes())
         with open(path, "rb") as handle:
             mapped = mmap.mmap(
                 handle.fileno(), 0, access=mmap.ACCESS_READ

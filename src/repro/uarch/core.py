@@ -140,7 +140,7 @@ class Core:
         self.program = program
         self.fast_forward = fast_forward
         self.reference_loop = reference_loop
-        #: Optional TraceDoctor-style sink (repro.trace.CycleTrace).
+        #: Optional TraceDoctor-style sink (repro.trace.TraceStore).
         self.cycle_trace = cycle_trace
         self.config = config or CoreConfig()
         self.samplers = list(samplers)
@@ -468,8 +468,8 @@ class Core:
             workload = self.program.name
             beat_every = obs.PROGRESS_EVERY_CYCLES
             next_beat = beat_every
-            sampler = obs.StageSampler(workload, type(self))
-            with obs.span(f"core.run:{workload}"), sampler:
+            stageprof = obs.StageSampler(workload, type(self))
+            with obs.span(f"core.run:{workload}"), stageprof:
                 while active():
                     if self.cycle >= max_cycles:
                         raise SimulationError(
@@ -484,9 +484,9 @@ class Core:
                             workload, "detailed",
                             self.cycle, self.committed_total,
                         )
-                    sampler.maybe_flush(self.cycle)
+                    stageprof.maybe_flush(self.cycle)
                 self._finish()
-            sampler.finish(self.cycle)
+            stageprof.finish(self.cycle)
             self._report_obs()
             return self.result()
         while active():
@@ -560,7 +560,7 @@ class Core:
             raw[(index, 0)] = base[index]
 
     def _finish(self) -> None:
-        """Resolve leftover deferred samples and notify samplers."""
+        """Resolve leftover deferred samples; fold the golden profile."""
         if self._drain_waiters and self._last_committed is not None:
             index, psv = self._last_committed
             for sampler, weight in self._drain_waiters:
@@ -573,8 +573,6 @@ class Core:
         self._dispatch_tag_waiters.clear()
         self._fetch_tag_waiters.clear()
         self._fold_golden()
-        for sampler in self.samplers:
-            sampler.finish(self)
 
     def _fast_forward(
         self, state: CommitState, cap: int | None = None

@@ -82,7 +82,7 @@ SEMANTIC_HASHES = {
     "src/repro/core/events.py":
         "555e8d6b791c196523bf110921478b1cf34e8b8737cff926f5a7a324135d0255",
     "src/repro/core/samplers.py":
-        "a8ff11cc77d071770c55205a147d8257b115fa66a6bb6546db0f33647cf125b2",
+        "3d81d6b7c69efe9dfb0c501c61c41986c92208ffafdfe51bf125e9aabb0b3433",
     "src/repro/isa/interpreter.py":
         "857edc46f754dec44f1039d20afd61ac64c6343f5e854d3dc0005ee21052e94c",
     "src/repro/isa/semantics.py":
@@ -96,7 +96,7 @@ SEMANTIC_HASHES = {
     "src/repro/memory/tlb.py":
         "6e799416dcd20a2c0efd72914ac75ae599d63a83984b0afc4256bf348662e338",
     "src/repro/uarch/core.py":
-        "765ed46265f2f29c6142d4a2c1cef2af351bfb118320434626dd6b863f87dbe4",
+        "8eaf43f2323f9f24585739decab61acc57c37747b8d22ec73b49afb7011d5a64",
     "src/repro/uarch/uop.py":
         "b9f8e405d1b673cc594b23b967b988527218143e6636d802c5717fc9a0d27a63",
 }

@@ -68,6 +68,25 @@ def test_cli_figures(tmp_path, capsys):
         assert path.read_text().startswith("<svg")
 
 
+def test_parallel_fig12_prewarms_only_the_nab_binaries(tmp_path, capsys):
+    """``--jobs 2 fig12`` simulates exactly the two nab binaries Fig 12
+    reads, both in the worker pool, and none of the other kernels."""
+    from repro.engine import DEFAULT_RUN_LOG_NAME, read_run_log
+
+    store = tmp_path / "store"
+    assert main(
+        ["--scale", "0.05", "--period", "67", "--store", str(store),
+         "--jobs", "2", "fig12"]
+    ) == 0
+    assert "nab" in capsys.readouterr().out
+    simulated = [
+        rec for rec in read_run_log(store / DEFAULT_RUN_LOG_NAME)
+        if rec.get("kind") == "run" and rec.get("source") == "simulated"
+    ]
+    assert len(simulated) == 2
+    assert [rec["jobs"] for rec in simulated] == [2, 2]
+
+
 def test_cli_experiment_command(capsys):
     assert main(["table2"]) == 0
     assert "Table 2" in capsys.readouterr().out

@@ -1,15 +1,17 @@
 """End-to-end integration: the full public API on one workload.
 
 One simulation exercises every major subsystem together -- all six
-sampling techniques, phase binning, the sample-log sink, the cycle-trace
-plane, golden attribution -- and the analysis stack consumes the outputs
-(errors, granularities, advisor, diff, JSON round trip, validation).
+sampling techniques, phase binning, the columnar trace store as both
+sample sink and cycle trace, golden attribution -- and the analysis
+stack consumes the outputs (errors, granularities, advisor, diff, JSON
+round trip, validation).
 """
 
 import pytest
 
 from repro import (
     Granularity,
+    PicsProfile,
     error_at_granularity,
     event_mask,
     make_sampler,
@@ -21,8 +23,8 @@ from repro.core.advisor import advise
 from repro.core.diff import diff_profiles
 from repro.core.io import load_profile, save_profile
 from repro.core.phases import PhasedTeaSampler
-from repro.trace.cycletrace import CycleTrace, replay_golden
-from repro.trace.samples import SampleWriter, read_profile
+from repro.trace.cycletrace import replay_golden
+from repro.trace.store import TraceStore
 from repro.uarch.core import Core
 from repro.uarch.validation import validate_result
 from repro.workloads import build
@@ -45,20 +47,18 @@ def full_run(tmp_path_factory):
         for i, technique in enumerate(TECHNIQUES)
     }
     phased = PhasedTeaSampler(period=151, window=20_000, seed=321)
-    log_path = tmp / "tea.bin"
-    sink = SampleWriter(log_path, "TEA")
-    samplers["TEA"].sink = sink
-    with CycleTrace() as trace:
-        core = Core(
-            workload.program,
-            samplers=list(samplers.values()) + [phased],
-            arch_state=workload.fresh_state(),
-            cycle_trace=trace,
-        )
-        result = core.run()
-    sink.close()
+    store = TraceStore()
+    samplers["TEA"].sink = store.sampler_sink("TEA")
+    core = Core(
+        workload.program,
+        samplers=list(samplers.values()) + [phased],
+        arch_state=workload.fresh_state(),
+        cycle_trace=store,
+    )
+    result = core.run()
     samplers["TEA"].sink = None
-    return workload, result, samplers, phased, trace, log_path
+    trace_path = store.save(tmp / "lbm.teacol")
+    return workload, result, samplers, phased, trace_path
 
 
 def test_every_invariant_holds(full_run):
@@ -92,14 +92,16 @@ def test_granularity_ladder(full_run):
 
 
 def test_offline_sample_log_matches(full_run):
-    _, _, samplers, _, _, log_path = full_run
-    offline = read_profile(log_path)
+    _, _, samplers, _, trace_path = full_run
+    with TraceStore.load(trace_path) as store:
+        offline = PicsProfile.from_raw("TEA", store.raw_profile("TEA"))
     assert offline.stacks == samplers["TEA"].profile().stacks
 
 
 def test_trace_replay_matches_golden(full_run):
-    _, result, _, _, trace, _ = full_run
-    replayed = replay_golden(trace.records)
+    _, result, _, _, trace_path = full_run
+    with TraceStore.load(trace_path) as store:
+        replayed = replay_golden(store.cycle_records())
     assert set(replayed) == set(result.golden_raw)
     for key, cycles in result.golden_raw.items():
         assert replayed[key] == pytest.approx(cycles)

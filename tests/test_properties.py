@@ -3,8 +3,6 @@ invariants."""
 
 from __future__ import annotations
 
-import io
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,7 +21,7 @@ from repro.core.psv import (
 from repro.isa.builder import ProgramBuilder
 from repro.isa.interpreter import Interpreter
 from repro.memory.cache import SetAssocCache
-from repro.trace.samples import SampleReader, SampleWriter
+from repro.trace.store import TraceStore
 from repro.uarch.core import simulate
 
 # ----------------------------------------------------------------------
@@ -179,7 +177,7 @@ def test_cache_occupancy_bounded(addresses):
 
 
 # ----------------------------------------------------------------------
-# Sample-log properties.
+# Sample-log properties (the trace store's samples table).
 # ----------------------------------------------------------------------
 @given(
     st.lists(
@@ -193,15 +191,17 @@ def test_cache_occupancy_bounded(addresses):
 )
 @settings(max_examples=50)
 def test_sample_log_roundtrip(records):
-    buffer = io.BytesIO()
-    writer = SampleWriter(buffer, "prop")
+    store = TraceStore()
+    sink = store.sampler_sink("prop")
     for index, psv, weight in records:
-        writer.write(index, psv, weight)
-    buffer.seek(0)
+        sink.write(index, psv, weight)
+    loaded = TraceStore.from_bytes(store.to_bytes())
     read_back = [
-        (r.index, r.psv, r.weight) for r in SampleReader(buffer)
+        (index, psv, weight)
+        for _sampler, index, psv, weight in loaded.samples.rows()
     ]
     assert read_back == records
+    assert loaded.raw_profile("prop") == store.raw_profile("prop")
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ Writes, under ``tests/trace/data/``:
 * ``x264_x0.05.teacol.gz`` -- a gzip-compressed TEACOL sidecar of one
   deterministic ``x264`` run (scale 0.05, full sampler plan);
 * ``query_golden.json`` -- the canned query answers the fixture must
-  keep producing (summary, top-k, flush histogram, sample filters).
+  keep producing (summary, top-k, flush histogram, sample weight).
 
 ``tests/trace/test_query.py::TestGoldenFixture`` loads both and fails
 on any drift, so attribution/query regressions are caught even when
@@ -67,7 +67,7 @@ def main() -> None:
             ).items()
         ),
         "tea_sample_weight": round(
-            sum(query.filter_samples(sampler="TEA").values()), 6
+            sum(store.raw_profile("TEA").values()), 6
         ),
     }
 

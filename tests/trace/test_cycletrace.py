@@ -1,8 +1,9 @@
-"""Cycle-trace plane: offline replay must re-derive golden attribution.
+"""Golden-attribution replay: the offline oracle over cycle records.
 
 This is the strongest cross-validation in the suite: the replay
-implements the paper's attribution policy from scratch against a neutral
-per-cycle trace, sharing no code with the core's built-in accounting.
+implements the paper's attribution policy from scratch against the
+neutral per-cycle records a :class:`~repro.trace.store.TraceStore`
+hands back, sharing no code with the core's built-in accounting.
 """
 
 import pytest
@@ -10,20 +11,18 @@ import pytest
 from repro.core.states import CommitState
 from repro.trace.cycletrace import (
     CommitRecord,
-    CycleTrace,
     CyclesRecord,
-    read_trace,
     replay_golden,
 )
-from repro.uarch.core import Core, simulate
+from repro.trace.store import TraceStore
+from repro.uarch.core import Core
 from repro.workloads import build
 
 
-def run_with_trace(program, arch_state=None, path=None):
-    with CycleTrace(path) as trace:
-        core = Core(program, arch_state=arch_state, cycle_trace=trace)
-        result = core.run()
-    return result, trace
+def run_with_store(program, arch_state=None):
+    store = TraceStore()
+    result = Core(program, arch_state=arch_state, cycle_trace=store).run()
+    return result, store
 
 
 def assert_profiles_equal(replayed, golden):
@@ -33,8 +32,8 @@ def assert_profiles_equal(replayed, golden):
 
 
 def test_replay_matches_core_on_mixed(mixed_program):
-    result, trace = run_with_trace(mixed_program)
-    replayed = replay_golden(trace.records)
+    result, store = run_with_store(mixed_program)
+    replayed = replay_golden(store.cycle_records())
     assert_profiles_equal(replayed, result.golden_raw)
 
 
@@ -44,104 +43,12 @@ def test_replay_matches_core_on_mixed(mixed_program):
 def test_replay_matches_core_on_workloads(name):
     """Covers flushes (FL-EX, FL-MB, FL-MO), drains, and stalls."""
     wl = build(name, scale=0.08)
-    result, trace = run_with_trace(
+    result, store = run_with_store(
         wl.program, arch_state=wl.fresh_state()
     )
-    replayed = replay_golden(trace.records)
+    replayed = replay_golden(store.cycle_records())
     assert_profiles_equal(replayed, result.golden_raw)
     assert sum(replayed.values()) == pytest.approx(result.cycles)
-
-
-def test_binary_roundtrip(mixed_program, tmp_path):
-    path = tmp_path / "trace.bin"
-    result, trace = run_with_trace(mixed_program, path=path)
-    loaded = read_trace(path)
-    assert len(loaded) == len(trace.records)
-    replayed = replay_golden(loaded)
-    assert_profiles_equal(replayed, result.golden_raw)
-
-
-def test_bad_magic_rejected(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"GARBAGE!")
-    with pytest.raises(ValueError, match="not a TEA cycle trace"):
-        read_trace(path)
-
-
-def test_truncated_trace_rejected(tmp_path, mixed_program):
-    path = tmp_path / "trace.bin"
-    run_with_trace(mixed_program, path=path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-2])
-    with pytest.raises(ValueError, match="truncated"):
-        read_trace(path)
-
-
-def test_context_manager_closes_file(tmp_path):
-    path = tmp_path / "trace.bin"
-    with CycleTrace(path) as trace:
-        trace.on_cycles(CommitState.COMPUTE, 1, -1)
-        assert trace._file is not None
-    assert trace._file is None
-    assert path.read_bytes().startswith(b"TEACYC1\n")
-
-
-def test_context_manager_closes_on_error(tmp_path):
-    path = tmp_path / "trace.bin"
-    with pytest.raises(RuntimeError, match="boom"):
-        with CycleTrace(path) as trace:
-            trace.on_cycles(CommitState.COMPUTE, 1, -1)
-            raise RuntimeError("boom")
-    assert trace._file is None
-    # The records written before the error survived the close.
-    assert len(read_trace(path)) == 1
-
-
-def test_double_close_is_idempotent(tmp_path):
-    """close() twice must not raise or disturb the written bytes."""
-    path = tmp_path / "trace.bin"
-    trace = CycleTrace(path)
-    trace.on_cycles(CommitState.COMPUTE, 2, -1)
-    trace.close()
-    written = path.read_bytes()
-    trace.close()  # second close: no error, no truncation
-    assert trace.closed
-    assert path.read_bytes() == written
-    assert len(read_trace(path)) == 1
-
-
-def test_context_manager_reentry_after_close(tmp_path):
-    """Re-entering a closed trace is a harmless no-op pair."""
-    path = tmp_path / "trace.bin"
-    trace = CycleTrace(path)
-    with trace:
-        trace.on_cycles(CommitState.COMPUTE, 1, -1)
-    assert trace.closed
-    with trace:  # re-entry: exit closes again, which must be a no-op
-        pass
-    assert trace.closed
-    assert len(read_trace(path)) == 1
-    # Collected in-memory records stay available after close.
-    assert len(trace.records) == 1
-
-
-def test_flush_and_closed_without_backing_file():
-    trace = CycleTrace()
-    assert trace.closed  # no file was ever opened
-    trace.flush()  # no-op, must not raise
-    trace.close()
-    trace.on_cycles(CommitState.COMPUTE, 1, -1)  # in-memory still works
-    assert len(trace.records) == 1
-
-
-def test_flush_makes_records_durable_before_close(tmp_path):
-    path = tmp_path / "trace.bin"
-    trace = CycleTrace(path)
-    trace.on_cycles(CommitState.COMPUTE, 3, -1)
-    trace.flush()
-    assert not trace.closed
-    assert len(read_trace(path)) == 1  # visible pre-close
-    trace.close()
 
 
 def test_replay_flushed_before_first_commit():

@@ -174,29 +174,6 @@ def test_flush_histogram_partitions_flushed(x264):
         TraceQuery(query.store).flush_histogram(per="bb")
 
 
-def test_filter_samples_predicates(x264):
-    _run, query = x264
-    store = query.store
-    everything = query.filter_samples()
-    per_sampler = [
-        query.filter_samples(sampler=name)
-        for name in store.sampler_names()
-    ]
-    assert sum(sum(r.values()) for r in per_sampler) == pytest.approx(
-        sum(everything.values())
-    )
-    tea = query.filter_samples(sampler="TEA")
-    assert tea == store.raw_profile("TEA")
-    heavy = query.filter_samples(sampler="TEA", min_weight=100.0)
-    assert set(heavy) <= set(tea)
-    assert all(w >= 100.0 for w in heavy.values())
-    lo, hi = 5, 20
-    ranged = query.filter_samples(index_range=(lo, hi))
-    assert all(lo <= index < hi for index, _psv in ranged)
-    flushy = query.filter_samples(psv_any=1 << Event.FL_MB)
-    assert all(psv & (1 << Event.FL_MB) for _index, psv in flushy)
-
-
 def test_labels(x264):
     run, query = x264
     assert query.label(None, "bb") == "(startup)"
@@ -257,7 +234,7 @@ def test_ensure_trace_stale_sidecar_recaptures(tmp_path):
     # Corrupt the sidecar's identity: a schema/spec mismatch must be
     # treated as a miss, never served.
     path = run_store.trace_path_for(spec)
-    stale = TraceStore.load(path, use_mmap=False)
+    stale = TraceStore.from_bytes(path.read_bytes())
     stale.meta["spec_key"] = "0" * 64
     stale.save(path)
     misses_before = run_store.misses
@@ -322,7 +299,11 @@ def test_diff_falls_back_to_function_grouping():
 
 class TestGoldenFixture:
     """Queries over the committed trace must match the committed
-    answers (regenerate both with ``tests/trace/make_golden.py``)."""
+    answers (regenerate both with ``tests/trace/make_golden.py``).
+
+    The committed trace also carries a ``spans`` table that today's
+    store no longer has, so loading it checks that sidecars written
+    before that table was dropped still load."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -369,7 +350,7 @@ class TestGoldenFixture:
         assert hist == golden["flush_hist_bb"]
 
     def test_sample_filter(self, query, golden):
-        weight = sum(query.filter_samples(sampler="TEA").values())
+        weight = sum(query.store.raw_profile("TEA").values())
         assert round(weight, 6) == golden["tea_sample_weight"]
 
     def test_live_capture_matches_fixture(self, query, golden):

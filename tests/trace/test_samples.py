@@ -1,84 +1,20 @@
-"""Tests for the binary sample-log plane."""
+"""Sampler captures through the store's ``samples`` table."""
 
-import io
-
-import pytest
-
+from repro.core.pics import PicsProfile
 from repro.core.samplers import make_sampler
-from repro.trace.samples import (
-    SampleReader,
-    SampleRecord,
-    SampleWriter,
-    read_profile,
-)
-
-
-def test_roundtrip_in_memory():
-    buffer = io.BytesIO()
-    writer = SampleWriter(buffer, "TEA")
-    writer.write(3, 5, 101.0)
-    writer.write(3, 5, 101.0)
-    writer.write(7, 0, 50.5)
-    writer.close()
-    buffer.seek(0)
-    reader = SampleReader(buffer)
-    assert reader.name == "TEA"
-    records = list(reader)
-    assert records == [
-        SampleRecord(3, 5, 101.0),
-        SampleRecord(3, 5, 101.0),
-        SampleRecord(7, 0, 50.5),
-    ]
-
-
-def test_roundtrip_file(tmp_path):
-    path = tmp_path / "samples.bin"
-    with SampleWriter(path, "IBS") as writer:
-        writer.write(1, 2, 3.0)
-    assert writer.records_written == 1
-    with SampleReader(path) as reader:
-        assert reader.name == "IBS"
-        assert len(list(reader)) == 1
-
-
-def test_bad_magic_rejected():
-    buffer = io.BytesIO(b"NOTAMAGIC paddings")
-    with pytest.raises(ValueError, match="magic"):
-        SampleReader(buffer)
-
-
-def test_truncated_log_rejected():
-    buffer = io.BytesIO()
-    writer = SampleWriter(buffer, "T")
-    writer.write(1, 2, 3.0)
-    data = buffer.getvalue()[:-3]
-    with pytest.raises(ValueError, match="truncated"):
-        list(SampleReader(io.BytesIO(data)))
-
-
-def test_read_profile_aggregates():
-    buffer = io.BytesIO()
-    writer = SampleWriter(buffer, "TEA")
-    writer.write(3, 5, 100.0)
-    writer.write(3, 5, 100.0)
-    writer.write(4, 0, 100.0)
-    buffer.seek(0)
-    profile = read_profile(buffer)
-    assert profile.name == "TEA"
-    assert profile.component(3, 5) == pytest.approx(200.0)
-    assert profile.total() == pytest.approx(300.0)
+from repro.trace.store import TraceStore
+from repro.uarch.core import simulate
 
 
 def test_sampler_sink_integration(mixed_program, tmp_path):
     """The offline path reproduces the in-memory profile exactly."""
-    from repro.uarch.core import simulate
-
-    path = tmp_path / "tea.bin"
     sampler = make_sampler("TEA", 151)
-    with SampleWriter(path, "TEA") as writer:
-        sampler.sink = writer
-        simulate(mixed_program, samplers=[sampler])
-        sampler.sink = None
-    offline = read_profile(path)
+    store = TraceStore()
+    sampler.sink = store.sampler_sink("TEA")
+    simulate(mixed_program, samplers=[sampler])
+    sampler.sink = None
+    path = store.save(tmp_path / "tea.teacol")
+    with TraceStore.load(path) as loaded:
+        offline = PicsProfile.from_raw("TEA", loaded.raw_profile("TEA"))
     online = sampler.profile()
     assert offline.stacks == online.stacks

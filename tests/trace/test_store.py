@@ -1,9 +1,9 @@
-"""Columnar store: SoA round trips, ingestion parity, format guards.
+"""Columnar store: SoA round trips, replay parity, format guards.
 
-The store must be a lossless, bit-faithful database over the three
-trace planes -- the cycle/commit stream, sampler captures, and obs
-span events -- across every shape it can take: live in-memory tables,
-serialised bytes, and zero-copy mmap views.
+The store must be a lossless, bit-faithful database over both trace
+streams -- the cycle/commit stream and sampler captures -- across
+every shape it can take: live in-memory tables, serialised bytes, and
+zero-copy mmap views.
 """
 
 import json
@@ -18,7 +18,6 @@ from repro.core.states import CommitState
 from repro.trace.cycletrace import (
     CommitRecord,
     CyclesRecord,
-    CycleTrace,
     replay_golden,
 )
 from repro.trace.store import (
@@ -26,13 +25,12 @@ from repro.trace.store import (
     KIND_CYCLES,
     MAGIC,
     SAMPLE_COLUMNS,
-    ColumnSampleSink,
     ColumnTable,
     StringPool,
     TraceStore,
 )
 from repro.uarch.core import simulate
-from repro.workloads import WORKLOAD_NAMES, build
+from repro.workloads import build
 
 
 def run_with_store(program, arch_state=None, samplers=()):
@@ -47,39 +45,16 @@ def run_with_store(program, arch_state=None, samplers=()):
 
 
 def populated_store(mixed_program):
-    """A store exercising all four tables plus meta and strings."""
+    """A store exercising all three tables plus meta and strings."""
     sampler = make_sampler("TEA", 13, seed=7)
     store = TraceStore()
-    sampler.sink = store.sampler_sink("TEA", batch=5)
+    sampler.sink = store.sampler_sink("TEA")
     simulate(mixed_program, samplers=[sampler], cycle_trace=store)
-    store.ingest_span_events(
-        [
-            {
-                "name": "run", "ph": "X", "cat": "span", "ts": 10,
-                "dur": 4, "pid": 1, "tid": 2, "args": {"k": "v"},
-            },
-            {"name": "tick", "ph": "i", "ts": 11, "pid": 1, "tid": 2,
-             "s": "p"},
-        ]
-    )
     store.meta.update({"workload": "mixed", "cycles": 123})
     return store
 
 
 # -- core hook ingestion -----------------------------------------------
-
-
-def test_store_records_match_cycletrace(mixed_program):
-    result_a, trace = run_cycletrace(mixed_program)
-    result_b, store = run_with_store(mixed_program)
-    assert result_b.cycles == result_a.cycles
-    assert store.cycle_records() == trace.records
-
-
-def run_cycletrace(program):
-    trace = CycleTrace()
-    result = simulate(program, cycle_trace=trace)
-    return result, trace
 
 
 @pytest.mark.parametrize("name", ["mcf", "x264", "gcc"])
@@ -91,13 +66,6 @@ def test_replay_over_store_matches_golden(name):
     replayed = replay_golden(store.cycle_records())
     assert replayed == result.golden_raw
     assert sum(replayed.values()) == pytest.approx(result.cycles)
-
-
-def test_ingest_cycle_records_round_trip(mixed_program):
-    _result, trace = run_cycletrace(mixed_program)
-    store = TraceStore()
-    store.ingest_cycle_records(trace.records)
-    assert store.cycle_records() == trace.records
 
 
 def test_cycle_column_is_prefix_sum(mixed_program):
@@ -167,12 +135,10 @@ def test_save_load_mmap_round_trip(mixed_program, tmp_path):
     loaded.close()  # idempotent
 
 
-def test_load_without_mmap_gives_mutable_arrays(
-    mixed_program, tmp_path
-):
+def test_from_bytes_gives_mutable_arrays(mixed_program, tmp_path):
     store = populated_store(mixed_program)
     path = store.save(tmp_path / "trace.teacol")
-    loaded = TraceStore.load(path, use_mmap=False)
+    loaded = TraceStore.from_bytes(path.read_bytes())
     assert isinstance(loaded.ctrace.column("cycle"), array)
     loaded.on_cycles(CommitState.STALLED, 3, 9)  # still writable
     assert len(loaded.ctrace) == len(store.ctrace) + 1
@@ -200,7 +166,11 @@ def test_random_records_round_trip():
                 uops.append((seq, rng.randrange(64), rng.randrange(256)))
                 seq += 1
             records.append(CommitRecord(uops))
-    store.ingest_cycle_records(records)
+    for record in records:  # through the core's hooks, in order
+        if isinstance(record, CyclesRecord):
+            store.on_cycles(record.state, record.count, record.head_seq)
+        else:
+            store.on_commit(record.uops)
     assert store.cycle_records() == records
     reloaded = TraceStore.from_bytes(store.to_bytes())
     assert reloaded.cycle_records() == records
@@ -246,12 +216,13 @@ def test_unsupported_format_rejected(mixed_program):
 
 
 def test_missing_table_rejected():
-    # A store with empty meta: the only '"spans"' in the file is the
+    # A store with empty meta: the only '"samples"' in the file is the
     # table key in the header, so a same-length rename removes the
     # table without shifting any offset.
     data = TraceStore().to_bytes()
-    patched = data.replace(b'"spans"', b'"spanz"', 1)
-    with pytest.raises(ValueError, match="missing table 'spans'"):
+    assert data.count(b'"samples"') == 1
+    patched = data.replace(b'"samples"', b'"samplez"', 1)
+    with pytest.raises(ValueError, match="missing table 'samples'"):
         TraceStore.from_bytes(patched)
 
 
@@ -274,17 +245,7 @@ def test_column_table_append_arity():
     table = ColumnTable("samples", SAMPLE_COLUMNS)
     with pytest.raises(ValueError, match="expected 4 values"):
         table.append(1, 2, 3)
-
-
-def test_column_table_extend_validation():
-    table = ColumnTable("samples", SAMPLE_COLUMNS)
-    with pytest.raises(ValueError, match="exactly columns"):
-        table.extend(sampler=[1], index=[2])
-    with pytest.raises(ValueError, match="ragged"):
-        table.extend(
-            sampler=[1], index=[2, 3], psv=[4], weight=[1.0]
-        )
-    table.extend(sampler=[1], index=[2], psv=[4], weight=[1.0])
+    table.append(1, 2, 4, 1.0)
     assert table.row(0) == (1, 2, 4, 1.0)
     assert list(table.rows()) == [(1, 2, 4, 1.0)]
 
@@ -292,85 +253,20 @@ def test_column_table_extend_validation():
 # -- sampler sink -------------------------------------------------------
 
 
-def test_sink_rejects_nonpositive_batch():
-    with pytest.raises(ValueError, match="batch must be positive"):
-        ColumnSampleSink(TraceStore(), "TEA", batch=0)
-
-
-def test_sink_flushes_tail_on_close():
+def test_sink_appends_each_capture():
     store = TraceStore()
-    sink = store.sampler_sink("TEA", batch=100)
+    sink = store.sampler_sink("TEA")
     sink.write(3, 1, 0.5)
-    sink.write(4, 2, 1.5)
-    assert len(store.samples) == 0  # still buffered
-    sink.close()
-    assert len(store.samples) == 2
-    assert sink.records_written == 2
-    sink.close()  # idempotent, no double rows
-    assert len(store.samples) == 2
-
-
-def samples_bytes(store):
-    return b"".join(
-        bytes(store.samples.column(cname))
-        for cname, _code in SAMPLE_COLUMNS
-    )
-
-
-def capture_with_batch(name, scale, batch):
-    wl = build(name, scale=scale)
-    sampler = make_sampler("TEA", 29, seed=3)
-    store = TraceStore()
-    sampler.sink = store.sampler_sink("TEA", batch=batch)
-    simulate(
-        wl.program,
-        samplers=[sampler],
-        arch_state=wl.fresh_state(),
-    )
-    return sampler, store
-
-
-@pytest.mark.parametrize("name", WORKLOAD_NAMES)
-def test_batch_path_bit_identical_to_per_event(name):
-    """batch=1 (per-event) and a non-divisor batch yield the same
-    samples table byte-for-byte, and the rebuilt profile matches the
-    live sampler's accumulation bit-for-bit, on all 15 workloads."""
-    sampler_a, per_event = capture_with_batch(name, 0.03, batch=1)
-    sampler_b, batched = capture_with_batch(name, 0.03, batch=7)
-    assert samples_bytes(batched) == samples_bytes(per_event)
-    assert sampler_b.raw == sampler_a.raw
-    rebuilt = batched.raw_profile("TEA")
-    assert rebuilt == sampler_b.raw
-    assert list(rebuilt.items()) == list(sampler_b.raw.items())
-
-
-# -- span ingestion -----------------------------------------------------
-
-
-def test_span_events_round_trip():
-    events = [
-        {
-            "name": "simulate", "ph": "X", "cat": "span", "ts": 1000,
-            "dur": 250, "pid": 7, "tid": 8,
-            "args": {"workload": "mcf", "n": 3},
-        },
-        {"name": "tick", "ph": "i", "s": "p", "cat": "span",
-         "ts": 1100, "pid": 7, "tid": 8},
-        {"name": "rates", "ph": "C", "cat": "counter", "ts": 1200,
-         "pid": 7, "tid": 0, "args": {"l1d": 0.875}},
-        {"name": "thread_name", "ph": "M", "ts": 0, "pid": 7,
-         "tid": 8, "args": {"name": "stage:commit"}},
-    ]
-    store = TraceStore()
-    assert store.ingest_span_events(events) == 4
-    assert store.span_events() == events
-    reloaded = TraceStore.from_bytes(store.to_bytes())
-    assert reloaded.span_events() == events
+    assert len(store.samples) == 1  # no buffer: the row is there
+    sink.write(3, 1, 1.5)
+    store.sampler_sink("IBS").write(4, 2, 2.0)
+    assert store.sampler_names() == ["TEA", "IBS"]
+    assert store.raw_profile("TEA") == {(3, 1): 2.0}
+    assert store.raw_profile("IBS") == {(4, 2): 2.0}
 
 
 def test_row_counts_cover_all_tables(mixed_program):
     store = populated_store(mixed_program)
     counts = store.row_counts()
-    assert set(counts) == {"ctrace", "commit_uops", "samples", "spans"}
-    assert counts["spans"] == 2
-    assert counts["samples"] > 0
+    assert set(counts) == {"ctrace", "commit_uops", "samples"}
+    assert all(counts.values())
