@@ -16,8 +16,9 @@ the span collector:
 * one ``"X"`` span per stage that got ticks, on a dedicated, named
   thread track (``stage:commit``, ``stage:fetch``, ...), lasting the
   window's wall time times the stage's share of the window's ticks;
-* ``"C"`` counter samples for window throughput (simulated cycles per
-  wall second) and per-stage wall milliseconds.
+* ``"C"`` counter samples for window throughput (committed
+  instructions per wall second, the unit every tier counts alike) and
+  per-stage wall milliseconds.
 
 End-of-run totals land in the counter registry (``core.stage_s.<stage>``
 plus ``core.stage_ticks``, the sample size behind them), so the
@@ -91,7 +92,8 @@ class StageSampler:
     ``ITIMER_PROF`` (on the main thread only: elsewhere it records no
     ticks); the previous handler and timer are restored on exit. The
     run loop calls :meth:`maybe_flush` as simulated cycles advance and
-    :meth:`finish` once at the end.
+    :meth:`finish` once at the end, each with the cycle and the
+    committed-instruction count reached so far.
 
     Args:
         name: Label of the sampled run (usually the program name).
@@ -111,6 +113,7 @@ class StageSampler:
         self._totals = [0.0] * len(STAGES)
         self._total_ticks = 0
         self._window_start_cycle = 0
+        self._window_start_committed = 0
         self._window_start_us = now_us()
         self._saved = None
         for index, stage in enumerate(STAGES):
@@ -151,18 +154,19 @@ class StageSampler:
         )
 
     # -- window flushing -----------------------------------------------
-    def maybe_flush(self, cycle: int) -> None:
+    def maybe_flush(self, cycle: int, committed: int) -> None:
         """Flush the window if *cycle* crossed its boundary."""
         if cycle - self._window_start_cycle >= WINDOW_CYCLES:
-            self.flush(cycle)
+            self.flush(cycle, committed)
 
-    def flush(self, cycle: int) -> None:
+    def flush(self, cycle: int, committed: int) -> None:
         """Emit this window's spans and counter samples; reset."""
         # A tick landing mid-swap appends to the list taken here.
         ticks, self.ticks = self.ticks, []
         now = now_us()
         start = self._window_start_us
         cycles = cycle - self._window_start_cycle
+        insts = committed - self._window_start_committed
         wall_s = max((now - start) / 1e6, 1e-9)
         counts = Counter(ticks)
         stage_ms: dict[str, float] = {}
@@ -184,7 +188,7 @@ class StageSampler:
             )
         COUNTERS.sample(
             f"core.{self.name}.throughput",
-            {"cycles_per_sec": round(cycles / wall_s, 1)},
+            {"insts_per_sec": round(insts / wall_s, 1)},
             ts_us=start,
         )
         if stage_ms:
@@ -193,11 +197,12 @@ class StageSampler:
             )
         self._total_ticks += len(ticks)
         self._window_start_cycle = cycle
+        self._window_start_committed = committed
         self._window_start_us = now
 
-    def finish(self, cycle: int) -> None:
+    def finish(self, cycle: int, committed: int) -> None:
         """Flush the trailing partial window and report run totals."""
-        self.flush(cycle)
+        self.flush(cycle, committed)
         for index, stage in enumerate(STAGES):
             COUNTERS.inc(f"core.stage_s.{stage}", self._totals[index])
         COUNTERS.inc("core.stage_ticks", self._total_ticks)

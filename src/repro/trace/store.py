@@ -126,6 +126,10 @@ class StringPool:
             self._ids[value] = ident
         return ident
 
+    def find(self, value: str) -> int | None:
+        """The id of *value*, or None if the pool does not hold it."""
+        return self._ids.get(value)
+
     def __getitem__(self, ident: int) -> str:
         return self._strings[ident]
 
@@ -290,10 +294,13 @@ class TraceStore:
 
         Accumulation follows row order, which is capture order per
         sampler, so the sums are bit-identical to the profile the live
-        sampler accumulated.
+        sampler accumulated. A sampler the store does not hold has an
+        empty profile; the read leaves the string pool as it was.
         """
-        wanted = self.strings.intern(sampler)
         raw: dict[tuple[int, int], float] = {}
+        wanted = self.strings.find(sampler)
+        if wanted is None:
+            return raw
         samples = self.samples
         sampler_col = samples.column("sampler")
         index_col = samples.column("index")

@@ -32,6 +32,12 @@ it is written for speed under CPython:
 * Config scalars (which include per-call dict-building properties like
   ``issue_width``) and instance attributes used per cycle are hoisted
   into locals or precomputed in ``__init__``.
+* µop lifetime: nothing outside the in-flight window holds a µop. The
+  rename map keeps each register's last writer, but a µop drops its
+  ``prev_writer`` link when it commits, and a squashed µop drops that
+  link and its ``dependents`` once the rename map is restored.
+  Reference counting then frees each µop as the pipeline lets go of
+  it, and the cyclic collector never has to walk a run's history.
 
 ``reference_loop=True`` selects the frozen pre-optimisation loop
 (linear sampler polling, direct dict accumulation). It exists for the
@@ -484,9 +490,9 @@ class Core:
                             workload, "detailed",
                             self.cycle, self.committed_total,
                         )
-                    stageprof.maybe_flush(self.cycle)
+                    stageprof.maybe_flush(self.cycle, self.committed_total)
                 self._finish()
-            stageprof.finish(self.cycle)
+            stageprof.finish(self.cycle, self.committed_total)
             self._report_obs()
             return self.result()
         while active():
@@ -714,6 +720,9 @@ class Core:
                 break
             rob.popleft()
             head.committed = True
+            # Never squashed now, so nothing reads this link again;
+            # dropping it ends the chain back to the run's first writer.
+            head.prev_writer = None
             if committed is None:
                 committed = [head]
             else:
@@ -1260,6 +1269,11 @@ class Core:
                             self._last_writer[rd] = uop.prev_writer
                         else:
                             del self._last_writer[rd]
+            # Unlink only after the rename map is restored. Dependents
+            # are all younger and squashed by this call, so the two
+            # links form no cycle the collector would have to break.
+            uop.prev_writer = None
+            uop.dependents = None
             pend = uop.pending_samples
             if pend:
                 for sampler, _weight in pend:

@@ -96,7 +96,7 @@ SEMANTIC_HASHES = {
     "src/repro/memory/tlb.py":
         "6e799416dcd20a2c0efd72914ac75ae599d63a83984b0afc4256bf348662e338",
     "src/repro/uarch/core.py":
-        "8eaf43f2323f9f24585739decab61acc57c37747b8d22ec73b49afb7011d5a64",
+        "72b7f31eae8cc38f57f35de2cad22bbe64e8590a4bf4fd24bf6e0bfdb2cd5f68",
     "src/repro/uarch/uop.py":
         "b9f8e405d1b673cc594b23b967b988527218143e6636d802c5717fc9a0d27a63",
 }

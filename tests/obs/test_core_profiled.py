@@ -8,6 +8,7 @@ import pytest
 
 from repro import obs
 from repro.core.samplers import make_sampler
+from repro.obs import stageprof
 from repro.obs.stageprof import STAGE_OF, STAGES, WINDOW_CYCLES, StageSampler
 from repro.uarch.core import Core, simulate
 from repro.workloads import build
@@ -124,15 +125,20 @@ def test_ticks_charge_the_innermost_stage_entry():
     assert sampler.ticks == [STAGES.index("sample")]
 
 
-def test_window_flushing_produces_multiple_windows():
+def test_window_flushing_produces_multiple_windows(monkeypatch):
     obs.enable()
+    # Every window lasts half a wall second on this clock.
+    clock = iter(range(0, 10**9, 500_000))
+    monkeypatch.setattr(stageprof, "now_us", lambda: next(clock))
     commit, fetch = STAGES.index("commit"), STAGES.index("fetch")
     sampler = StageSampler("unit", Core)
     for window in range(1, 6):
         sampler.ticks += [commit, commit, commit, fetch]
-        sampler.maybe_flush(window * WINDOW_CYCLES - 1)  # not yet
-        sampler.maybe_flush(window * WINDOW_CYCLES)
-    sampler.finish(5 * WINDOW_CYCLES + 10)  # a tick-free tail
+        cycle, committed = window * WINDOW_CYCLES, window * 1000
+        sampler.maybe_flush(cycle - 1, committed - 1)  # not yet
+        sampler.maybe_flush(cycle, committed)
+    # A tick-free tail of 10 cycles that commits 7 instructions.
+    sampler.finish(5 * WINDOW_CYCLES + 10, 5 * 1000 + 7)
 
     events = obs.COLLECTOR.snapshot()
     spans = stage_spans(events)
@@ -143,6 +149,10 @@ def test_window_flushing_produces_multiple_windows():
     counter_events = [e["name"] for e in events if e["ph"] == "C"]
     assert counter_events.count("core.unit.throughput") == 6
     assert counter_events.count("core.unit.stage_ms") == 5
+    # Throughput is committed instructions per wall second.
+    assert [
+        e["args"] for e in events if e["name"] == "core.unit.throughput"
+    ] == [{"insts_per_sec": 2000.0}] * 5 + [{"insts_per_sec": 14.0}]
 
     counters = obs.COUNTERS.snapshot()["counters"]
     assert counters["core.stage_ticks"] == 20

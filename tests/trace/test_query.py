@@ -309,15 +309,19 @@ class TestGoldenFixture:
     def golden(self):
         return json.loads((DATA / "query_golden.json").read_text())
 
-    @pytest.fixture(scope="class")
-    def query(self, golden):
+    @staticmethod
+    def load_store(golden) -> TraceStore:
         name = f"{golden['workload']}_x{golden['scale']}.teacol.gz"
-        store = TraceStore.from_bytes(
+        return TraceStore.from_bytes(
             gzip.decompress((DATA / name).read_bytes())
         )
+
+    @pytest.fixture(scope="class")
+    def query(self, golden):
         spec = RunSpec.make(golden["workload"], scale=golden["scale"])
         assert spec.key == golden["spec_key"]
-        return TraceQuery(store, build_workload(spec).program)
+        program = build_workload(spec).program
+        return TraceQuery(self.load_store(golden), program)
 
     def test_summary(self, query, golden):
         assert query.total_cycles() == golden["total_cycles"]
@@ -352,6 +356,13 @@ class TestGoldenFixture:
     def test_sample_filter(self, query, golden):
         weight = sum(query.store.raw_profile("TEA").values())
         assert round(weight, 6) == golden["tea_sample_weight"]
+
+    def test_absent_sampler_read_leaves_store_unchanged(self, golden):
+        store = self.load_store(golden)
+        strings, saved = len(store.strings), store.to_bytes()
+        assert store.raw_profile("NOPE") == {}
+        assert len(store.strings) == strings
+        assert store.to_bytes() == saved
 
     def test_live_capture_matches_fixture(self, query, golden):
         """The committed trace is what today's simulator produces."""

@@ -236,6 +236,7 @@ def test_string_pool_semantics():
     assert pool.intern("alpha") == a  # idempotent
     b = pool.intern("beta")
     assert a != b and pool[b] == "beta"
+    assert pool.find("beta") == b and pool.find("gamma") is None
     assert pool.to_list() == ["", "alpha", "beta"]
     with pytest.raises(ValueError, match="id 0"):
         StringPool(["alpha"])
