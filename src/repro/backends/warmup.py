@@ -36,6 +36,17 @@ from repro.isa.instructions import INST_BYTES, DynInst
 from repro.isa.opcodes import Opcode, OpClass, op_class
 from repro.memory.hierarchy import MemoryHierarchy
 
+# Enum members bound to module level: reading one through its class is
+# a slow attribute lookup on Python 3.11, and the replay reads them per
+# instruction.
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_PREFETCH = OpClass.PREFETCH
+_BRANCH = OpClass.BRANCH
+_JUMP = OpClass.JUMP
+_CALL = Opcode.CALL
+_RET = Opcode.RET
+
 
 def warm_window_state(
     dyns: Sequence[DynInst],
@@ -44,6 +55,11 @@ def warm_window_state(
     line_bytes: int,
 ) -> None:
     """Replay *dyns* (commit order) into fresh warm structures."""
+    # The all-hit fast paths go first, as in the core: when they succeed
+    # their side effects are those of the full access, and when they
+    # return None they have touched nothing.
+    inst_fast = hierarchy.inst_fast
+    load_fast = hierarchy.load_fast
     current_line = -1
     for cycle, dyn in enumerate(dyns):
         static = dyn.static
@@ -51,26 +67,28 @@ def warm_window_state(
         addr = index * INST_BYTES
         line = addr // line_bytes
         if line != current_line:
-            hierarchy.access_inst(addr, cycle)
+            if inst_fast(addr, cycle) is None:
+                hierarchy.access_inst(addr, cycle)
             current_line = line
         cls = op_class(static.op)
-        if cls is OpClass.LOAD:
-            hierarchy.access_load(dyn.eff_addr, cycle)
-        elif cls is OpClass.STORE:
+        if cls is _LOAD:
+            if load_fast(dyn.eff_addr, cycle) is None:
+                hierarchy.access_load(dyn.eff_addr, cycle)
+        elif cls is _STORE:
             hierarchy.access_store(dyn.eff_addr, cycle)
-        elif cls is OpClass.PREFETCH:
+        elif cls is _PREFETCH:
             hierarchy.prefetch(dyn.eff_addr, cycle)
-        elif cls is OpClass.BRANCH:
+        elif cls is _BRANCH:
             predictor.update(index, dyn.taken, dyn.next_index)
             if dyn.taken:
                 current_line = -1
-        elif cls is OpClass.JUMP:
+        elif cls is _JUMP:
             op = static.op
-            if op is Opcode.RET:
+            if op is _RET:
                 predictor.predict_return()
             else:
                 predictor.update(index, True, dyn.next_index)
-                if op is Opcode.CALL:
+                if op is _CALL:
                     predictor.push_return(index + 1)
             current_line = -1
     hierarchy.settle(0)

@@ -42,6 +42,12 @@ from repro.core.states import CommitState
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.uarch.core import Core
 
+# Commit states bound to module level: reading a member through its
+# enum class is a slow attribute lookup on Python 3.11.
+_COMPUTE = CommitState.COMPUTE
+_STALLED = CommitState.STALLED
+_DRAINED = CommitState.DRAINED
+
 
 class Sampler:
     """Base class: periodic sampling with event-set projection.
@@ -162,13 +168,13 @@ class TeaSampler(Sampler):
     def sample(self, core: "Core") -> None:
         state = core.commit_state
         weight = float(self.period)
-        if state == CommitState.COMPUTE:
+        if state is _COMPUTE:
             committing = core.committing_now
             share = weight / len(committing)
             for i, uop in enumerate(committing):
                 self.capture(uop.index, uop.psv, share,
                              cycle=core.cycle, tally=i == 0)
-        elif state == CommitState.STALLED:
+        elif state is _STALLED:
             # PSV is read when the µop commits (the hardware delays the
             # sample until then so the PSV is final).
             head = core.rob_head
@@ -176,7 +182,7 @@ class TeaSampler(Sampler):
                 head.pending_samples = [(self, weight)]
             else:
                 head.pending_samples.append((self, weight))
-        elif state == CommitState.DRAINED:
+        elif state is _DRAINED:
             core.add_drain_waiter(self, weight)
         else:  # FLUSHED: blame the last-committed (flushing) instruction.
             index, psv = core.flush_blame
@@ -211,13 +217,13 @@ class NciTeaSampler(Sampler):
     def sample(self, core: "Core") -> None:
         state = core.commit_state
         weight = float(self.period)
-        if state == CommitState.COMPUTE:
+        if state is _COMPUTE:
             committing = core.committing_now
             share = weight / len(committing)
             for i, uop in enumerate(committing):
                 self.capture(uop.index, uop.psv, share,
                              cycle=core.cycle, tally=i == 0)
-        elif state == CommitState.STALLED:
+        elif state is _STALLED:
             head = core.rob_head
             if head.pending_samples is None:
                 head.pending_samples = [(self, weight)]

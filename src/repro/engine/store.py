@@ -105,7 +105,9 @@ class RunStore:
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
+                # One dumps() call: json.dump() always runs the
+                # pure-Python encoder, dumps() the C one (same text).
+                handle.write(json.dumps(payload, separators=(",", ":")))
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -69,11 +69,9 @@ STAGE_OF = {
     "add_dispatch_tag": "sample",
     "add_fetch_tag": "sample",
     "_issue": "issue",
-    "_try_execute": "issue",
     "_execute_load": "issue",
     "_execute_store": "issue",
     "_dispatch": "dispatch",
-    "_rename": "dispatch",
     "_fetch": "fetch",
     "_handle_control": "fetch",
     "_start_drain": "drain",

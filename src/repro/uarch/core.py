@@ -38,6 +38,12 @@ it is written for speed under CPython:
   link and its ``dependents`` once the rename map is restored.
   Reference counting then frees each µop as the pipeline lets go of
   it, and the cyclic collector never has to walk a run's history.
+* No per-µop toll that models nothing: enum members are read through
+  module constants (``_SERIAL``, ``_COMPUTE``, ...), never through
+  their class; rename lives in :meth:`_dispatch` and execution in
+  :meth:`_issue`, not in one-caller helpers; and an event-heap entry is
+  ``(time, uid, uop)``, a committed µop's event being its store's
+  SQ-entry free. ``tests/uarch/test_hot_path.py`` pins the first rule.
 
 ``reference_loop=True`` selects the frozen pre-optimisation loop
 (linear sampler polling, direct dict accumulation). It exists for the
@@ -66,10 +72,6 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.uarch.config import CoreConfig
 from repro.uarch.uop import Uop
 
-# Event-heap record kinds.
-_EV_COMPLETE = 0
-_EV_SQ_FREE = 1
-
 # PSV bit masks used inline for speed.
 _BIT_DR_L1 = 1 << Event.DR_L1
 _BIT_DR_TLB = 1 << Event.DR_TLB
@@ -81,12 +83,21 @@ _BIT_ST_L1 = 1 << Event.ST_L1
 _BIT_ST_TLB = 1 << Event.ST_TLB
 _BIT_ST_LLC = 1 << Event.ST_LLC
 
-# Commit states bound to module level (dodges enum attribute lookups in
-# the per-cycle loop).
+# Enum members the per-cycle and per-µop paths read, bound to module
+# level: Python 3.11's EnumType defines __getattr__, which keeps CPython
+# from specialising a ``CommitState.COMPUTE``-style load (~110 ns, where
+# a module global costs ~10 ns).
 _COMPUTE = CommitState.COMPUTE
 _STALLED = CommitState.STALLED
 _DRAINED = CommitState.DRAINED
 _FLUSHED = CommitState.FLUSHED
+_SERIAL = OpClass.SERIAL
+_PREFETCH = OpClass.PREFETCH
+_BRANCH = OpClass.BRANCH
+_STORE = OpClass.STORE
+_JUMP = Opcode.JUMP
+_CALL = Opcode.CALL
+_RET = Opcode.RET
 
 #: Shared empty commit group for no-commit cycles (never mutated).
 _NO_UOPS: list = []
@@ -112,8 +123,9 @@ class Core:
             that equivalence.
         reference_loop: Run the frozen pre-optimisation per-cycle loop
             (linear sampler polling, dict-of-tuples golden accumulation).
-            Slower; used by the A/B harness and equivalence tests to pin
-            the optimised hot loop to bit-identical results.
+            Slower; used by the equivalence tests
+            (``tests/uarch/test_hotloop_ab.py``) to pin the optimised
+            hot loop to bit-identical results.
         stream: An existing :class:`InstStream` to consume (sampled
             windows share one stream across cores so architectural
             state and stream position transfer exactly). When given,
@@ -189,7 +201,9 @@ class Core:
         self.cycle = 0
         self.rob: deque[Uop] = deque()
         self.fetch_buffer: deque[Uop] = deque()
-        self._events: list[tuple[int, int, int, Uop]] = []
+        #: (time, uid, µop): a completion, or for a committed store its
+        #: SQ-entry free (the only event a µop has after commit).
+        self._events: list[tuple[int, int, Uop]] = []
         self._ready: dict[str, list[tuple[int, int, Uop]]] = {
             "int": [],
             "mem": [],
@@ -735,7 +749,7 @@ class Core:
                 self._drain_queue.append(head)
             if head.causes_flush:
                 # Serializing op: flush everything younger at commit.
-                if head.op_class == OpClass.SERIAL:
+                if head.op_class is _SERIAL:
                     self.flushes.serial += 1
                     self._squash_younger_than(head.seq)
                     self._fetch_stall_until = max(
@@ -847,9 +861,9 @@ class Core:
         ready = self._ready
         progressed = False
         while events and events[0][0] <= cycle:
-            time, _uid, kind, uop = heappop(events)
+            time, _uid, uop = heappop(events)
             progressed = True
-            if kind == _EV_SQ_FREE:
+            if uop.committed:  # a store's SQ-entry free
                 self._sq_occ -= 1
                 self._unregister_store(uop)
                 continue
@@ -882,6 +896,12 @@ class Core:
     # ==================================================================
     def _issue(self) -> bool:
         cycle = self.cycle
+        rob = self.rob
+        events = self._events
+        iq_occ = self._iq_occ
+        unit_free = self._unit_free
+        unpipelined_classes = self._unpipelined
+        latencies = self._latencies
         issued_any = False
         for _name, queue, width in self._issue_plan:
             if not queue or queue[0][0] > cycle:
@@ -892,51 +912,38 @@ class Core:
                 _rt, uid, uop = heappop(queue)
                 if uop.squashed:
                     continue
-                retry = self._try_execute(uop)
-                if retry is not None:
-                    deferred.append((retry, uid, uop))
+                # Execute now, or defer to the cycle it can issue in.
+                op_cls = uop.op_class
+                if op_cls is _SERIAL and (not rob or rob[0] is not uop):
+                    # Serializing ops execute non-speculatively at the
+                    # ROB head.
+                    deferred.append((cycle + 1, uid, uop))
                     continue
+                unpipelined = op_cls in unpipelined_classes
+                if unpipelined:
+                    free = unit_free[op_cls]
+                    if free > cycle:
+                        deferred.append((free, uid, uop))
+                        continue
+                uop.in_iq = False
+                iq_occ[uop.queue] -= 1
+                if uop.is_load:
+                    completion = self._execute_load(uop)
+                elif uop.is_store:
+                    completion = self._execute_store(uop)
+                elif op_cls is _PREFETCH:
+                    self.hierarchy.prefetch(uop.eff_addr, cycle)
+                    completion = cycle + latencies[_PREFETCH]
+                else:
+                    completion = cycle + latencies[op_cls]
+                    if unpipelined:
+                        unit_free[op_cls] = completion
+                heappush(events, (completion, uid, uop))
                 budget -= 1
                 issued_any = True
             for entry in deferred:
                 heappush(queue, entry)
         return issued_any
-
-    def _try_execute(self, uop: Uop) -> int | None:
-        """Execute *uop* now; return a retry time if it cannot issue yet."""
-        cycle = self.cycle
-        op_cls = uop.op_class
-
-        if op_cls == OpClass.SERIAL and (
-            not self.rob or self.rob[0] is not uop
-        ):
-            # Serializing ops execute non-speculatively at the ROB head.
-            return cycle + 1
-
-        unpipelined = op_cls in self._unpipelined
-        if unpipelined:
-            free = self._unit_free[op_cls]
-            if free > cycle:
-                return free
-
-        uop.in_iq = False
-        self._iq_occ[uop.queue] -= 1
-
-        if uop.is_load:
-            completion = self._execute_load(uop)
-        elif uop.is_store:
-            completion = self._execute_store(uop)
-        elif op_cls == OpClass.PREFETCH:
-            self.hierarchy.prefetch(uop.eff_addr, cycle)
-            completion = cycle + self._latencies[OpClass.PREFETCH]
-        else:
-            completion = cycle + self._latencies[op_cls]
-            if unpipelined:
-                self._unit_free[op_cls] = completion
-        heappush(
-            self._events, (completion, uop.uid, _EV_COMPLETE, uop)
-        )
-        return None
 
     def _execute_load(self, uop: Uop) -> int:
         cycle = self.cycle
@@ -951,7 +958,6 @@ class Core:
                 best = store
         self._executed_loads.setdefault(word, []).append(uop)
         if best is not None:
-            uop.forwarded = True
             return cycle + 1
         ready = self.hierarchy.load_fast(addr, cycle)
         if ready is not None:
@@ -989,7 +995,7 @@ class Core:
                 self._fetch_stall_until,
                 cycle + self._redirect_penalty,
             )
-        return cycle + tlb.latency + self._latencies[OpClass.STORE]
+        return cycle + tlb.latency + self._latencies[_STORE]
 
     # ==================================================================
     # Dispatch.
@@ -1002,6 +1008,9 @@ class Core:
         iq_cap = self._iq_cap
         rob_entries = self._rob_entries
         frontend_depth = self._frontend_depth
+        last_writer = self._last_writer
+        sources_by_index = self._sources_by_index
+        ready = self._ready
         budget = self._decode_width
         progressed = False
         tag_waiters = self._dispatch_tag_waiters
@@ -1030,7 +1039,30 @@ class Core:
             rob.append(uop)
             iq_occ[uop.queue] += 1
             uop.in_iq = True
-            self._rename(uop)
+            # Rename: wait on in-flight producers, become rd's writer.
+            deps = 0
+            for reg in sources_by_index[uop.index]:
+                if reg == 0:
+                    continue  # x0 is hard-wired to zero
+                producer = last_writer.get(reg)
+                if (
+                    producer is not None
+                    and not producer.complete
+                    and not producer.squashed
+                ):
+                    deps_list = producer.dependents
+                    if deps_list is None:
+                        producer.dependents = [uop]
+                    else:
+                        deps_list.append(uop)
+                    deps += 1
+            rd = uop.static.rd
+            if rd != NO_REG and rd != 0:
+                uop.prev_writer = last_writer.get(rd)
+                last_writer[rd] = uop
+            uop.deps_remaining = deps
+            if deps == 0:
+                heappush(ready[uop.queue], (cycle + 1, uop.uid, uop))
             if dispatched is not None:
                 dispatched.append(uop)
             budget -= 1
@@ -1047,34 +1079,6 @@ class Core:
                     pend.append((sampler, weight))
             tag_waiters.clear()
         return progressed
-
-    def _rename(self, uop: Uop) -> None:
-        last_writer = self._last_writer
-        deps = 0
-        for reg in self._sources_by_index[uop.index]:
-            if reg == 0:
-                continue  # x0 is hard-wired to zero
-            producer = last_writer.get(reg)
-            if (
-                producer is not None
-                and not producer.complete
-                and not producer.squashed
-            ):
-                deps_list = producer.dependents
-                if deps_list is None:
-                    producer.dependents = [uop]
-                else:
-                    deps_list.append(uop)
-                deps += 1
-        rd = uop.static.rd
-        if rd != NO_REG and rd != 0:
-            uop.prev_writer = last_writer.get(rd)
-            last_writer[rd] = uop
-        uop.deps_remaining = deps
-        if deps == 0:
-            heappush(
-                self._ready[uop.queue], (self.cycle + 1, uop.uid, uop)
-            )
 
     # ==================================================================
     # Fetch.
@@ -1148,7 +1152,7 @@ class Core:
             if mo_seqs and dyn.seq in mo_seqs:
                 mo_seqs.discard(dyn.seq)
                 uop.psv |= _BIT_FL_MO
-            if op_cls is OpClass.SERIAL:
+            if op_cls is _SERIAL:
                 # fsflags/frflags-style ops always flush; statically known.
                 uop.psv |= _BIT_FL_EX
                 uop.causes_flush = True
@@ -1179,8 +1183,7 @@ class Core:
         self._queue_by_index[index] = self._queue_by_op[op]
         self._class_by_index[index] = op_cls
         self._control_by_index[index] = (
-            op_cls is OpClass.BRANCH
-            or op in (Opcode.JUMP, Opcode.CALL, Opcode.RET)
+            op_cls is _BRANCH or op in (_JUMP, _CALL, _RET)
         )
         return op_cls
 
@@ -1190,7 +1193,7 @@ class Core:
         op_cls = uop.op_class
         cycle = self.cycle
         predictor = self.predictor
-        if op_cls == OpClass.BRANCH:
+        if op_cls is _BRANCH:
             pc = uop.index
             predicted = predictor.predict_direction(pc)
             actual = uop.dyn.taken
@@ -1211,11 +1214,11 @@ class Core:
                     )
                 return False
             return True
-        if op == Opcode.JUMP or op == Opcode.CALL:
+        if op is _JUMP or op is _CALL:
             pc = uop.index
             target_known = predictor.predict_target(pc) is not None
             predictor.update(pc, True, uop.dyn.next_index)
-            if op == Opcode.CALL:
+            if op is _CALL:
                 predictor.push_return(uop.index + 1)
             self._current_fetch_line = -1
             if not target_known:
@@ -1223,7 +1226,7 @@ class Core:
                     cycle + self._btb_miss_penalty
                 )
             return False
-        if op == Opcode.RET:
+        if op is _RET:
             predicted = predictor.predict_return()
             actual = uop.dyn.next_index
             if predicted != actual:
@@ -1325,20 +1328,22 @@ class Core:
         self._drain_port_free = cycle + 1
         heappush(
             self._events,
-            (ready if ready > cycle else cycle + 1,
-             store.uid, _EV_SQ_FREE, store),
+            (ready if ready > cycle else cycle + 1, store.uid, store),
         )
         return True
 
     # ==================================================================
-    # Frozen pre-optimisation loop (the A/B reference).
+    # Frozen pre-optimisation loop (the equivalence oracle).
     #
     # These methods preserve the seed per-cycle loop verbatim: linear
     # sampler polling over self.samplers and direct dict-of-tuples
     # golden accumulation. They are dispatched when reference_loop=True
-    # and exist so the A/B harness can verify the optimised loop above
-    # produces bit-identical golden and sampler profiles. Do not
-    # optimise them.
+    # and exist so tests/uarch/test_hotloop_ab.py can verify the
+    # optimised loop above produces bit-identical golden and sampler
+    # profiles. Do not optimise them. The stages _process_events,
+    # _issue, _dispatch, _fetch and _start_drain are shared with the
+    # optimised loop, so that test does not pin them; the benchmark's
+    # bench/reference.json digests do.
     # ==================================================================
     def _step_reference(self, horizon: int | None = None) -> None:
         """One cycle of the pre-optimisation loop (see class docstring)."""

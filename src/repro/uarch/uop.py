@@ -12,6 +12,11 @@ from repro.isa.opcodes import OpClass, op_class
 #: shared counter is fine across cores.
 _uid_source = count()
 
+# Bound to module level: reading a member through its enum class is a
+# slow attribute lookup on Python 3.11.
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.samplers import Sampler
 
@@ -51,7 +56,6 @@ class Uop:
         "prev_writer",
         "exposed_stall",
         "pending_samples",
-        "forwarded",
     )
 
     def __init__(
@@ -84,8 +88,8 @@ class Uop:
         self.committed = False
         self.squashed = False
         self.in_iq = False
-        self.is_load = self.op_class is OpClass.LOAD
-        self.is_store = self.op_class is OpClass.STORE
+        self.is_load = self.op_class is _LOAD
+        self.is_store = self.op_class is _STORE
         self.mispredicted = False
         self.causes_flush = False
         self.deps_remaining = 0
@@ -98,7 +102,6 @@ class Uop:
         self.exposed_stall = 0
         # Deferred sampler captures: (sampler, weight).
         self.pending_samples: list[tuple["Sampler", float]] | None = None
-        self.forwarded = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

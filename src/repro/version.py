@@ -76,13 +76,13 @@ SEMANTIC_HASHES = {
     "src/repro/backends/sampled.py":
         "d497a017c725fa54fc25f53c7a8fdb9250de857a6f8bbcfe9f8e0dff8157d451",
     "src/repro/backends/warmup.py":
-        "59c35f0d5c63e7fbdcc8d3add5d894033139c46c0b735bf520d4006e08fdbdc3",
+        "dc1d6734a99bbab6f126dc8444e1215ef281f66b680296081428409ece9dab0c",
     "src/repro/branch/predictor.py":
         "6c8345ac40c885720a09f6ff0a72a18eef53b39d93ac6ac846ce290e2125436b",
     "src/repro/core/events.py":
         "555e8d6b791c196523bf110921478b1cf34e8b8737cff926f5a7a324135d0255",
     "src/repro/core/samplers.py":
-        "3d81d6b7c69efe9dfb0c501c61c41986c92208ffafdfe51bf125e9aabb0b3433",
+        "b46e99c3c94dd62d03d2f1a655c96e6216486fdf5262a0830babc1e2532d9b92",
     "src/repro/isa/interpreter.py":
         "857edc46f754dec44f1039d20afd61ac64c6343f5e854d3dc0005ee21052e94c",
     "src/repro/isa/semantics.py":
@@ -96,9 +96,9 @@ SEMANTIC_HASHES = {
     "src/repro/memory/tlb.py":
         "6e799416dcd20a2c0efd72914ac75ae599d63a83984b0afc4256bf348662e338",
     "src/repro/uarch/core.py":
-        "72b7f31eae8cc38f57f35de2cad22bbe64e8590a4bf4fd24bf6e0bfdb2cd5f68",
+        "bb3936377520dcedc09bc8a40b40d3decd4b29b41444bc051835570bcd14777f",
     "src/repro/uarch/uop.py":
-        "b9f8e405d1b673cc594b23b967b988527218143e6636d802c5717fc9a0d27a63",
+        "a8be01dbee119a12567425c9397b40aaf6c0d8a2bd85336bbe109f7f429d5184",
 }
 # --- end pinned hashes ---
 

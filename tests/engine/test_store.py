@@ -1,5 +1,6 @@
 """On-disk run store: round trips, invalidation, and counters."""
 
+import io
 import json
 
 import pytest
@@ -123,6 +124,20 @@ def test_stale_payload_is_a_miss(tmp_path, warm_store, field, value):
     copy.save(spec, payload)
     assert copy.load(spec) is None
     assert (copy.hits, copy.misses) == (0, 1)
+
+
+def test_saved_text_is_the_compact_encoding(tmp_path, warm_store):
+    """``save`` writes ``json.dumps``'s compact text, which is also what
+    ``json.dump`` (the pure-Python encoder) writes for the payload."""
+    store, _ = warm_store
+    spec = small_spec()
+    payload = json.loads(store.path_for(spec).read_text())
+    copy = RunStore(tmp_path / "text")
+    text = copy.save(spec, payload).read_text()
+    assert text == json.dumps(payload, separators=(",", ":"))
+    streamed = io.StringIO()
+    json.dump(payload, streamed, separators=(",", ":"))
+    assert text == streamed.getvalue()
 
 
 def test_store_inventory_and_clear(tmp_path, warm_store):
