@@ -1,9 +1,11 @@
-"""JSON persistence for PICS profiles.
+"""JSON profile files: one PICS profile per ``tea-pics-v1`` file.
 
-Profiles survive round trips through a stable, human-inspectable JSON
-schema (signatures are stored by their paper-style names, e.g.
-``"ST-L1+ST-TLB"``), so profiles can be archived, diffed across tool
-versions, or consumed by external plotting code.
+A profile file survives round trips through a stable,
+human-inspectable JSON schema (signatures are stored by their
+paper-style names, e.g. ``"ST-L1+ST-TLB"``), so profiles can be
+archived, diffed across tool versions, or consumed by external plotting
+code. Stored runs use their own columnar payload, defined in
+:mod:`repro.engine.runs`.
 """
 
 from __future__ import annotations
@@ -12,37 +14,11 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.core.pics import Granularity, PicsProfile, RawProfile
+from repro.core.pics import Granularity, PicsProfile
 from repro.core.psv import parse_signature, signature_name
 
 #: Schema identifier written into every file.
 SCHEMA = "tea-pics-v1"
-
-
-def raw_to_list(raw: RawProfile) -> list[list[Any]]:
-    """A JSON-ready entry list for a raw ``(index, psv) -> cycles`` map.
-
-    Signatures are stored by their paper-style names (as in profile
-    files); entry order follows the accumulator's insertion order so a
-    round trip rebuilds a dict with identical iteration order (and thus
-    bit-identical float summation downstream).
-    """
-    return [
-        [index, signature_name(psv), cycles]
-        for (index, psv), cycles in raw.items()
-    ]
-
-
-def raw_from_list(entries: list[list[Any]]) -> RawProfile:
-    """Inverse of :func:`raw_to_list`.
-
-    Raises:
-        ValueError: On malformed signature names.
-    """
-    return {
-        (int(index), parse_signature(name)): float(cycles)
-        for index, name, cycles in entries
-    }
 
 
 def profile_to_dict(profile: PicsProfile) -> dict[str, Any]:

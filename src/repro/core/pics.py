@@ -33,6 +33,10 @@ class Granularity(enum.Enum):
 class PicsProfile:
     """A set of per-unit cycle stacks.
 
+    The constructor copies *stacks*, so the profile never shares a dict
+    with its caller. The methods that derive a profile build fresh
+    stacks and hand them over through :meth:`_adopt` instead.
+
     Args:
         name: Technique name that produced the profile ("TEA", "golden"...).
         stacks: unit -> (signature -> cycles).
@@ -55,6 +59,24 @@ class PicsProfile:
     # Construction.
     # ------------------------------------------------------------------
     @classmethod
+    def _adopt(
+        cls,
+        name: str,
+        stacks: dict[Hashable, CycleStack],
+        granularity: Granularity = Granularity.INSTRUCTION,
+    ) -> "PicsProfile":
+        """A profile that keeps *stacks* itself, without the copy.
+
+        Only for stacks the caller has just built and shares with no
+        one.
+        """
+        profile = cls.__new__(cls)
+        profile.name = name
+        profile.stacks = stacks
+        profile.granularity = granularity
+        return profile
+
+    @classmethod
     def from_raw(
         cls, name: str, raw: RawProfile | Mapping[tuple[int, int], float]
     ) -> "PicsProfile":
@@ -63,7 +85,7 @@ class PicsProfile:
         for (index, psv), cycles in raw.items():
             stack = stacks.setdefault(index, {})
             stack[psv] = stack.get(psv, 0.0) + cycles
-        return cls(name, stacks)
+        return cls._adopt(name, stacks)
 
     # ------------------------------------------------------------------
     # Basic queries.
@@ -111,7 +133,7 @@ class PicsProfile:
                 key = project_psv(psv, mask)
                 new_stack[key] = new_stack.get(key, 0.0) + cycles
             stacks[unit] = new_stack
-        return PicsProfile(self.name, stacks, self.granularity)
+        return PicsProfile._adopt(self.name, stacks, self.granularity)
 
     def scaled(self, target_total: float) -> "PicsProfile":
         """Scale all components so the profile total equals *target_total*.
@@ -122,13 +144,13 @@ class PicsProfile:
         """
         current = self.total()
         if current <= 0:
-            return PicsProfile(self.name, {}, self.granularity)
+            return PicsProfile._adopt(self.name, {}, self.granularity)
         factor = target_total / current
         stacks = {
             unit: {psv: cycles * factor for psv, cycles in stack.items()}
             for unit, stack in self.stacks.items()
         }
-        return PicsProfile(self.name, stacks, self.granularity)
+        return PicsProfile._adopt(self.name, stacks, self.granularity)
 
     def aggregate(
         self, program: Program, granularity: Granularity
@@ -144,6 +166,7 @@ class PicsProfile:
                 f"got {self.granularity}"
             )
         if granularity == Granularity.INSTRUCTION:
+            # A copy: the new profile must not share this one's stacks.
             return PicsProfile(self.name, self.stacks, granularity)
 
         def key_of(index: int) -> Hashable:
@@ -159,7 +182,7 @@ class PicsProfile:
             target = stacks.setdefault(unit, {})
             for psv, cycles in stack.items():
                 target[psv] = target.get(psv, 0.0) + cycles
-        return PicsProfile(self.name, stacks, granularity)
+        return PicsProfile._adopt(self.name, stacks, granularity)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

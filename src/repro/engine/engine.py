@@ -7,7 +7,8 @@ command, and benchmark script funnels through. For each
 1. the in-process memo (same object back, as experiments rely on),
 2. the on-disk :class:`~repro.engine.store.RunStore` (cross-process
    cache hits, reconstructed bit-identically from the stored payload
-   onto the engine's built workload),
+   onto the engine's built workload; a payload that does not decode is
+   a miss),
 3. a fresh simulation via the fault-tolerant
    :class:`~repro.engine.executor.SuiteExecutor` -- serial in-process
    for ``jobs=1``, fanned out over a worker pool otherwise, with
@@ -134,16 +135,12 @@ class Engine:
             return run
         start = time.perf_counter()
         with obs.span(f"engine.run:{spec.workload}", key=spec.key):
-            workload = self._workload(spec)
-            payload = (
-                self.store.load(spec) if self.store is not None else None
-            )
-            if payload is not None:
-                run = run_from_payload(payload, workload)
+            run = self._load_stored(spec)
+            if run is not None:
                 source = "store"
                 obs.COUNTERS.inc("engine.store_hits")
             else:
-                run = simulate_spec(spec, workload)
+                run = simulate_spec(spec, self._workload(spec))
                 self.simulations += 1
                 source = "simulated"
                 obs.COUNTERS.inc("engine.simulations")
@@ -221,13 +218,8 @@ class Engine:
                 if spec.key in seen_keys or spec.key in self._memo:
                     continue  # duplicate spec; resolved below
                 start = time.perf_counter()
-                payload = (
-                    self.store.load(spec)
-                    if self.store is not None
-                    else None
-                )
-                if payload is not None:
-                    run = run_from_payload(payload, self._workload(spec))
+                run = self._load_stored(spec)
+                if run is not None:
                     self._memo[spec.key] = run
                     obs.COUNTERS.inc("engine.store_hits")
                     self._record(
@@ -259,6 +251,28 @@ class Engine:
             label: runs[label] for label in specs if label in runs
         }
 
+    def _load_stored(self, spec: RunSpec) -> BenchmarkRun | None:
+        """The stored run for *spec*, or ``None`` on a store miss.
+
+        A payload that passes the store's header checks but does not
+        decode (a missing field, columns of unequal length, a repeated
+        key) is a miss too: the store counts it as one, the caller
+        simulates, and the save overwrites the file.
+        """
+        if self.store is None:
+            return None
+        payload = self.store.load(spec)
+        if payload is None:
+            return None
+        workload = self._workload(spec)
+        try:
+            return run_from_payload(payload, workload)
+        except (KeyError, TypeError, ValueError):
+            # load() counted a hit before the payload was decoded.
+            self.store.hits -= 1
+            self.store.misses += 1
+            return None
+
     def _execute_missing(
         self, missing: dict[str, RunSpec], jobs: int
     ) -> SuiteReport:
@@ -267,7 +281,8 @@ class Engine:
         def flush(label: str, payload: dict[str, Any]) -> None:
             # Called as each payload lands: persist before anything
             # else can fail, so completed work survives an interrupted
-            # or partially failed suite.
+            # or partially failed suite. A worker's payload that does
+            # not decode is a bug, so it raises (unlike a stored one).
             spec = missing[label]
             if self.store is not None:
                 self.store.save(spec, payload)

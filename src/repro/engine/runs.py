@@ -4,21 +4,26 @@
 live :class:`BenchmarkRun`; :func:`run_to_payload` /
 :func:`run_from_payload` convert completed runs to and from the
 JSON-able payload the :class:`~repro.engine.store.RunStore` persists.
-Payloads keep every raw profile in accumulator insertion order, so a
-run reloaded from the store reproduces *bit-identical* profiles and
-error metrics (float summation order included) -- the property the
-store round-trip tests pin down.
+
+A payload stores each per-entry table as parallel columns, in
+accumulator insertion order: a raw profile ``(index, psv) -> cycles``
+is ``[indices, psvs, cycles]`` with the PSV as its integer bitmask, and
+an ``int -> int`` table is ``[keys, values]``. Decoding zips the columns
+back into a dict with the same iteration order, so a run reloaded from
+the store reproduces *bit-identical* profiles and error metrics (float
+summation order included) -- the property the store round-trip tests
+pin down.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.error import pics_error
 from repro.core.events import Event, event_mask
-from repro.core.io import raw_from_list, raw_to_list
 from repro.core.pics import PicsProfile, RawProfile
 from repro.core.result import CoreResult, FlushStats
 from repro.core.samplers import Sampler, make_sampler
@@ -29,7 +34,13 @@ from repro.uarch.core import simulate
 from repro.workloads import Workload, build
 
 #: Schema identifier written into every stored-run payload.
-PAYLOAD_SCHEMA = "tea-run-v1"
+PAYLOAD_SCHEMA = "tea-run-v2"
+
+#: Name -> member tables for the enum names a payload stores.
+_EVENT_OF: dict[str, Event] = {event.name: event for event in Event}
+_STATE_OF: dict[str, CommitState] = {
+    state.name: state for state in CommitState
+}
 
 
 @dataclass
@@ -156,6 +167,55 @@ def simulate_spec(
                         samplers=samplers)
 
 
+def _pair_columns(table: Mapping[tuple[int, int], Any]) -> list[list]:
+    """``[firsts, seconds, values]``: a pair-keyed table's columns, in
+    its iteration order."""
+    return [[a for a, _ in table], [b for _, b in table],
+            list(table.values())]
+
+
+def _columns(table: Mapping[Any, Any]) -> list[list]:
+    """``[keys, values]``: a table's columns, in its iteration order."""
+    return [list(table), list(table.values())]
+
+
+def _zip_table(keys: Iterable, values: Iterable, *columns: list) -> dict:
+    """``dict(zip(keys, values))``, checked against the stored columns
+    they are read from.
+
+    Raises:
+        ValueError: When the columns differ in length or a key repeats;
+            a bare ``zip`` would silently drop or merge entries.
+    """
+    n = len(columns[0])
+    if any(len(column) != n for column in columns):
+        raise ValueError("stored columns differ in length")
+    table = dict(zip(keys, values))
+    if len(table) != n:
+        raise ValueError("a stored table repeats a key")
+    return table
+
+
+def _pair_table(
+    columns: list[list], value: Callable[[Any], Any] = int
+) -> dict[tuple[int, int], Any]:
+    """Inverse of :func:`_pair_columns`; *value* converts each value."""
+    firsts, seconds, values = columns
+    return _zip_table(
+        zip(map(int, firsts), map(int, seconds)), map(value, values),
+        firsts, seconds, values,
+    )
+
+
+def _table(
+    columns: list[list], key: Callable[[Any], Any] = int
+) -> dict[Any, int]:
+    """Inverse of :func:`_columns` for int values; *key* converts each
+    key."""
+    keys, values = columns
+    return _zip_table(map(key, keys), map(int, values), keys, values)
+
+
 def run_to_payload(
     spec: RunSpec, run: BenchmarkRun, wall_s: float | None = None
 ) -> dict[str, Any]:
@@ -170,19 +230,10 @@ def run_to_payload(
         "wall_s": wall_s,
         "cycles": result.cycles,
         "committed": result.committed,
-        "golden_raw": raw_to_list(result.golden_raw),
-        "event_counts": [
-            [index, psv, count]
-            for (index, psv), count in result.event_counts.items()
-        ],
-        "exec_counts": [
-            [index, count]
-            for index, count in result.exec_counts.items()
-        ],
-        "stall_histogram": [
-            [int(length), int(count)]
-            for length, count in result.stall_histogram.items()
-        ],
+        "golden_raw": _pair_columns(result.golden_raw),
+        "event_counts": _pair_columns(result.event_counts),
+        "exec_counts": _columns(result.exec_counts),
+        "stall_histogram": _columns(result.stall_histogram),
         "evented_execs": result.evented_execs,
         "combined_execs": result.combined_execs,
         "flushes": {
@@ -191,8 +242,8 @@ def run_to_payload(
             "ordering": result.flushes.ordering,
         },
         "state_cycles": [
-            [state.name, count]
-            for state, count in result.state_cycles.items()
+            [state.name for state in result.state_cycles],
+            list(result.state_cycles.values()),
         ],
         "samplers": [
             {
@@ -202,7 +253,7 @@ def run_to_payload(
                 "events": [e.name for e in sorted(sampler.events)],
                 "samples_taken": sampler.samples_taken,
                 "samples_dropped": sampler.samples_dropped,
-                "raw": raw_to_list(sampler.raw),
+                "raw": _pair_columns(sampler.raw),
             }
             for key, sampler in run.samplers.items()
         ],
@@ -220,7 +271,10 @@ def run_from_payload(
     persisted and come back as ``None``.
 
     Raises:
-        ValueError: On an unknown payload schema.
+        ValueError: On an unknown payload schema, or a stored table
+            whose columns differ in length or repeat a key.
+        KeyError: On a missing field or an unknown event or state name.
+        TypeError: On a field of the wrong shape.
     """
     if payload.get("schema") != PAYLOAD_SCHEMA:
         raise ValueError(
@@ -231,8 +285,9 @@ def run_from_payload(
         samplers[entry["key"]] = LoadedSampler(
             name=entry["name"],
             period=int(entry["period"]),
-            events=frozenset(Event[name] for name in entry["events"]),
-            raw=raw_from_list(entry["raw"]),
+            events=frozenset(map(_EVENT_OF.__getitem__, entry["events"])),
+            # float(): live samplers accumulate int weights.
+            raw=_pair_table(entry["raw"], float),
             samples_taken=int(entry["samples_taken"]),
             samples_dropped=int(entry["samples_dropped"]),
         )
@@ -240,29 +295,17 @@ def run_from_payload(
         program=workload.program,
         cycles=int(payload["cycles"]),
         committed=int(payload["committed"]),
-        golden_raw=raw_from_list(payload["golden_raw"]),
-        event_counts={
-            (int(index), int(psv)): int(count)
-            for index, psv, count in payload["event_counts"]
-        },
-        exec_counts={
-            int(index): int(count)
-            for index, count in payload["exec_counts"]
-        },
-        stall_histogram=Counter(
-            {
-                int(length): int(count)
-                for length, count in payload["stall_histogram"]
-            }
-        ),
+        golden_raw=_pair_table(payload["golden_raw"], float),
+        event_counts=_pair_table(payload["event_counts"]),
+        exec_counts=_table(payload["exec_counts"]),
+        stall_histogram=Counter(_table(payload["stall_histogram"])),
         evented_execs=int(payload["evented_execs"]),
         combined_execs=int(payload["combined_execs"]),
         flushes=FlushStats(**payload["flushes"]),
         samplers=list(samplers.values()),
-        state_cycles={
-            CommitState[name]: int(count)
-            for name, count in payload["state_cycles"]
-        },
+        state_cycles=_table(
+            payload["state_cycles"], key=_STATE_OF.__getitem__
+        ),
     )
     return BenchmarkRun(workload=workload, result=result,
                         samplers=samplers)

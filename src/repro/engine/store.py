@@ -52,8 +52,10 @@ class RunStore:
             :func:`default_store_root`.
 
     Attributes:
-        hits: Number of successful :meth:`load` calls.
-        misses: Number of :meth:`load` calls that found nothing usable.
+        hits: Number of :meth:`load` calls that returned a usable
+            payload.
+        misses: Number of :meth:`load` calls that found nothing usable,
+            including payloads the engine could not decode.
     """
 
     def __init__(self, root: str | Path | None = None) -> None:
@@ -78,7 +80,9 @@ class RunStore:
         """The stored payload for *spec*, or ``None`` on a miss.
 
         Corrupt, truncated, or version-mismatched files count as misses
-        (they will be overwritten by the next :meth:`save`).
+        (they will be overwritten by the next :meth:`save`). So does a
+        payload that passes these checks but does not decode: the
+        engine moves its count from :attr:`hits` to :attr:`misses`.
         """
         path = self.path_for(spec)
         try:

@@ -24,6 +24,14 @@ from repro.isa.opcodes import Opcode
 from repro.isa.program import Hole, Program, ProgramError
 
 
+#: The canonical register names and their encodings; other spellings
+#: (``"x05"``) go through the parser in :func:`parse_reg`.
+_REG_NUMBERS: dict[str, int] = {
+    **{f"x{num}": num for num in range(FP_BASE)},
+    **{f"f{num}": FP_BASE + num for num in range(FP_BASE)},
+}
+
+
 def parse_reg(reg: int | str) -> int:
     """Encode a register name (``"x5"``, ``"f2"``) or pass through an int.
 
@@ -34,6 +42,9 @@ def parse_reg(reg: int | str) -> int:
         if not 0 <= reg < 2 * FP_BASE:
             raise ProgramError(f"register number {reg} out of range")
         return reg
+    num = _REG_NUMBERS.get(reg)
+    if num is not None:
+        return num
     if len(reg) >= 2 and reg[0] in "xf" and reg[1:].isdigit():
         num = int(reg[1:])
         if 0 <= num < FP_BASE:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 from repro.isa.instructions import NO_REG, StaticInst
@@ -82,18 +83,12 @@ class Program:
         self.validate()
         # One entry per slot: a hole's slots hold None until first read.
         self._slots: list[StaticInst | None] = []
-        func_of: list[str] = []
         for seg in self.segments:
             if type(seg) is Hole:
-                size = seg.end - seg.start
-                self._slots.extend(repeat(None, size))
-                func_of.extend(repeat(seg.func, size))
+                self._slots.extend(repeat(None, seg.end - seg.start))
             else:
                 self._slots.append(seg)
-                func_of.append(seg.func)
-        self._func_of: tuple[str, ...] = tuple(func_of)
         self.functions: tuple[FunctionInfo, ...] = self._compute_functions()
-        self.basic_blocks: tuple[int, ...] = self._compute_basic_blocks()
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -206,7 +201,18 @@ class Program:
         funcs.append(FunctionInfo(current, start, pos))
         return tuple(funcs)
 
-    def _compute_basic_blocks(self) -> tuple[int, ...]:
+    # The per-slot tables are built on first read: most programs are
+    # only ever run, and a padded program has a slot per hole ``nop``.
+    @cached_property
+    def _func_of(self) -> tuple[str, ...]:
+        """The function name of every slot."""
+        table: list[str] = []
+        for info in self.functions:
+            table.extend(repeat(info.name, info.end - info.start))
+        return tuple(table)
+
+    @cached_property
+    def basic_blocks(self) -> tuple[int, ...]:
         """Map every instruction index to its basic-block leader index.
 
         Leaders are: instruction 0, every control-flow target, and every

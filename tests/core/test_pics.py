@@ -125,3 +125,61 @@ def test_aggregate_instruction_is_identity():
     p = PicsProfile("t", {0: {0: 1.0}})
     same = p.aggregate(program, Granularity.INSTRUCTION)
     assert same.stacks == p.stacks
+
+
+def _snapshot(stacks):
+    return {unit: dict(stack) for unit, stack in stacks.items()}
+
+
+def _scribble(profile):
+    """Mutate every stack of *profile*, and its unit map."""
+    for stack in profile.stacks.values():
+        stack[0] = -1.0
+        stack[FL_MB] = -2.0
+    profile.stacks["extra"] = {0: -3.0}
+
+
+def test_from_raw_result_never_aliases_the_raw_dict():
+    raw = {(0, 0): 1.5, (0, ST_L1): 2.5, (3, 0): 1.0}
+    before = dict(raw)
+    _scribble(PicsProfile.from_raw("r", raw))
+    assert raw == before
+
+
+@pytest.mark.parametrize(
+    "derive",
+    [
+        lambda p: p.project(FL_MB),
+        lambda p: p.project(ST_L1 | FL_MB),  # keeps every signature
+        lambda p: p.scaled(200.0),
+        lambda p: p.scaled(p.total()),
+        lambda p: p.aggregate(
+            program_for_aggregation(), Granularity.INSTRUCTION
+        ),
+    ],
+    ids=["project", "project-all", "scaled", "scaled-same",
+         "aggregate-instruction"],
+)
+def test_derived_profiles_never_alias_their_source(derive):
+    source = sample_profile()
+    before = _snapshot(source.stacks)
+    derived = derive(source)
+    derived_before = _snapshot(derived.stacks)
+    _scribble(derived)
+    assert source.stacks == before
+    # Nor the other way round.
+    derived = derive(source)
+    _scribble(source)
+    assert derived.stacks == derived_before
+
+
+def test_constructor_copies_the_stacks_it_is_given():
+    stacks = {0: {0: 1.0}, 1: {ST_L1: 2.0}}
+    before = _snapshot(stacks)
+    profile = PicsProfile("t", stacks)
+    _scribble(profile)
+    assert stacks == before
+    profile = PicsProfile("t", stacks)
+    stacks[0][0] = 9.0
+    stacks[2] = {0: 9.0}
+    assert profile.stacks == before

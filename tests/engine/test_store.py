@@ -109,6 +109,7 @@ def test_corrupt_file_is_a_miss(tmp_path, warm_store):
     "field,value",
     [
         ("schema", "tea-run-v0"),
+        ("schema", "tea-run-v1"),
         ("model_version", -1),
         ("spec_key", "0" * 64),
     ],
@@ -124,6 +125,73 @@ def test_stale_payload_is_a_miss(tmp_path, warm_store, field, value):
     copy.save(spec, payload)
     assert copy.load(spec) is None
     assert (copy.hits, copy.misses) == (0, 1)
+
+
+def test_payload_tables_are_columns(warm_store):
+    """Each per-entry table is stored as parallel columns in
+    accumulator order, with PSVs stored as integers."""
+    store, fresh = warm_store
+    payload = json.loads(store.path_for(small_spec()).read_text())
+    raw = fresh.result.golden_raw
+    assert payload["golden_raw"] == [
+        [index for index, _ in raw],
+        [psv for _, psv in raw],
+        list(raw.values()),
+    ]
+    for entry in payload["samplers"]:
+        indices, psvs, cycles = entry["raw"]
+        assert len(indices) == len(psvs) == len(cycles)
+        assert all(type(psv) is int for psv in psvs)
+    keys, counts = payload["exec_counts"]
+    assert dict(zip(keys, counts)) == fresh.result.exec_counts
+
+
+def _drop_samplers(payload):
+    del payload["samplers"]
+
+
+def _shorten_golden_column(payload):
+    payload["golden_raw"][2].pop()
+
+
+def _repeat_golden_key(payload):
+    for column in payload["golden_raw"]:
+        column.append(column[0])
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_drop_samplers, _shorten_golden_column, _repeat_golden_key],
+    ids=["dropped-key", "short-column", "repeated-key"],
+)
+@pytest.mark.parametrize("serve", ["run", "run_suite"])
+def test_undecodable_payload_is_a_miss(tmp_path, warm_store, corrupt, serve):
+    """A payload with a valid header that does not decode is re-simulated
+    and overwritten, not served (nor a crash, nor a truncated profile)."""
+    store, fresh = warm_store
+    spec = small_spec()
+    payload = json.loads(store.path_for(spec).read_text())
+    corrupt(payload)
+    copy = RunStore(tmp_path / "bad")
+    copy.save(spec, payload)
+    engine = Engine(store=copy)
+    if serve == "run":
+        run = engine.run(spec)
+    else:
+        run = engine.run_suite({"only": spec})["only"]
+    assert engine.simulations == 1
+    assert (copy.hits, copy.misses) == (0, 1)
+    assert run.result.cycles == fresh.result.cycles
+    assert list(run.result.golden_raw.items()) == list(
+        fresh.result.golden_raw.items()
+    )
+    assert run.samplers.keys() == fresh.samplers.keys()
+    for key, sampler in fresh.samplers.items():
+        assert run.samplers[key].raw == sampler.raw
+        assert run.error(key) == fresh.error(key)
+    # The save overwrote the bad file: it is served now.
+    again = Engine(store=RunStore(copy.root))
+    assert again.run(spec).result.golden_raw == fresh.result.golden_raw
+    assert again.simulations == 0
 
 
 def test_saved_text_is_the_compact_encoding(tmp_path, warm_store):

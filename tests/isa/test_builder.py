@@ -28,6 +28,17 @@ def test_parse_reg_rejects_bad_names():
             parse_reg(bad)
 
 
+def test_parse_reg_table_agrees_with_the_parser():
+    for num in range(FP_BASE):
+        assert parse_reg(f"x{num}") == num
+        assert parse_reg(f"f{num}") == FP_BASE + num
+    # Spellings outside the table still parse.
+    assert parse_reg("x05") == 5
+    assert parse_reg("f007") == FP_BASE + 7
+    with pytest.raises(ProgramError, match=r"bad register name 'x032'"):
+        parse_reg("x032")
+
+
 def test_parse_reg_rejects_out_of_range_int():
     with pytest.raises(ProgramError):
         parse_reg(64)
