@@ -10,6 +10,10 @@ keep-going mode, and asserts the invariants the executor guarantees:
 * a resumed engine over the same store re-simulates *only* the label
   that never checkpointed.
 
+The plan runs twice, each time with a fresh store and fault state:
+in process (``jobs=1``, the CLI default) and over a two-worker pool.
+Both go through the executor's one attempt loop.
+
 Exits non-zero on any violated invariant.
 """
 
@@ -29,8 +33,9 @@ from repro.engine import (
 SMALL = dict(scale=0.05, period=67)
 
 
-def main() -> int:
-    tmp = Path(tempfile.mkdtemp(prefix="tea-fault-smoke-"))
+def run_plan(jobs: int) -> None:
+    """Run the fault plan with *jobs* workers and check its invariants."""
+    tmp = Path(tempfile.mkdtemp(prefix=f"tea-fault-smoke-j{jobs}-"))
     store = RunStore(tmp / "store")
     specs = {
         name: RunSpec.make(name, **SMALL)
@@ -45,7 +50,7 @@ def main() -> int:
     )
     engine = Engine(
         store=store,
-        jobs=2,
+        jobs=jobs,
         retries=1,
         backoff=0.05,
         timeout=300.0,
@@ -70,8 +75,12 @@ def main() -> int:
     resumed_runs = resumed.run_suite(specs)
     assert set(resumed_runs) == set(specs), sorted(resumed_runs)
     assert resumed.simulations == 1, resumed.simulations
+    print(f"fault smoke OK (jobs={jobs})")
 
-    print("fault smoke OK")
+
+def main() -> int:
+    for jobs in (1, 2):
+        run_plan(jobs)
     return 0
 
 

@@ -26,9 +26,9 @@ from repro.analysis.registry import Rule, checker
 #: Dotted module prefixes that must stay free of repro.uarch imports.
 PURE_PACKAGES = ("repro.isa",)
 
-#: Exact backend modules held to the same rule (sampled/detailed are
-#: the cycle-level tier's own adapters, and the package ``__init__``
-#: is the dispatcher; all three are exempt).
+#: Exact backend modules held to the same rule (``sampled`` is the
+#: cycle-level tier's windowed driver, and the package ``__init__`` is
+#: the dispatcher; both are exempt).
 PURE_MODULES = (
     "repro.backends.base",
     "repro.backends.functional",
@@ -78,6 +78,6 @@ def check_backend_purity(
                 f"backend-neutral module {name} imports {offender}",
                 "keep architectural semantics and functional "
                 "execution independent of the timing model; move "
-                "uarch-coupled code into repro.backends.detailed / "
-                "repro.backends.sampled or repro.uarch itself",
+                "uarch-coupled code into repro.backends.sampled or "
+                "repro.uarch itself",
             )

@@ -33,14 +33,7 @@ from repro.analysis.registry import Rule, checker
 HOT_PACKAGES = ("repro.uarch", "repro.isa", "repro.memory")
 
 #: Names importable from repro.obs whose bare use counts as obs use.
-_OBS_API = {
-    "span",
-    "traced",
-    "COLLECTOR",
-    "COUNTERS",
-    "counters",
-    "collector",
-}
+_OBS_API = {"span", "COLLECTOR", "COUNTERS"}
 
 
 def _is_enabled_call(node: ast.AST) -> bool:

@@ -25,7 +25,7 @@ pin that down.
 from __future__ import annotations
 
 from repro.backends.base import BACKEND_NAMES
-from repro.backends.functional import FunctionalBackend, simulate_functional
+from repro.backends.functional import simulate_functional
 from repro.backends.sampled import (
     SampledBackend,
     SampledResult,
@@ -35,7 +35,6 @@ from repro.backends.sampled import (
 
 __all__ = [
     "BACKEND_NAMES",
-    "FunctionalBackend",
     "SampledBackend",
     "SampledResult",
     "WindowPlan",

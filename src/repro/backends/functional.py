@@ -23,7 +23,6 @@ from __future__ import annotations
 from itertools import compress
 
 from repro import obs
-from repro.backends.base import ExecutionBackend
 from repro.core.result import CoreResult
 from repro.core.states import CommitState
 from repro.isa.interpreter import ArchState
@@ -76,26 +75,3 @@ def simulate_functional(
         state_cycles=state_cycles,
         arch_state=stream.state,
     )
-
-
-class FunctionalBackend(ExecutionBackend):
-    """The functional tier as an :class:`ExecutionBackend`."""
-
-    name = "functional"
-
-    def simulate(
-        self,
-        program,
-        config=None,
-        samplers=(),
-        arch_state=None,
-        max_cycles: int = 500_000_000,
-    ) -> CoreResult:
-        """Run atomically; samplers are rejected (nothing to sample)."""
-        if list(samplers):
-            raise ValueError(
-                "the functional backend has no cycle-level behaviour "
-                "to sample"
-            )
-        del max_cycles  # cycles == instructions; max_insts bounds those
-        return simulate_functional(program, config, arch_state=arch_state)

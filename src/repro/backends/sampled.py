@@ -43,7 +43,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.backends.base import ExecutionBackend
 from repro.backends.warmup import warm_window_state
 from repro.branch.predictor import BranchPredictor
 from repro.core.result import CoreResult, FlushStats
@@ -150,7 +149,7 @@ class SampledResult(CoreResult):
     ff_committed: int = 0  # instructions fast-forwarded functionally
 
 
-class SampledBackend(ExecutionBackend):
+class SampledBackend:
     """Functional fast-forward between detailed measurement windows.
 
     Args:
@@ -161,8 +160,6 @@ class SampledBackend(ExecutionBackend):
             same state-transfer protocol -- the oracle the window
             bit-identity gate compares against.
     """
-
-    name = "sampled"
 
     def __init__(
         self,

@@ -549,41 +549,36 @@ def _profile_workload(workload, technique: str, period: int):
 
 def cmd_profile(args) -> int:
     """``tea-repro profile <workload> ...``: print a PICS profile."""
+    from repro.backends import WindowPlan, simulate_backend
+
     workload = parse_workload_spec(args.workload, args.scale)
     backend = getattr(args, "backend", "detailed")
-    if backend == "functional":
-        from repro.backends.functional import simulate_functional
-
-        result = simulate_functional(
-            workload.program, arch_state=workload.fresh_state()
+    samplers = []
+    if backend != "functional":
+        samplers.append(make_sampler(args.technique, args.period))
+    plan = None
+    if backend == "sampled" and args.window:
+        plan = WindowPlan(
+            window=args.window, stride=args.stride, warmup=args.warmup
         )
+    result = simulate_backend(
+        backend,
+        workload.program,
+        samplers=samplers,
+        arch_state=workload.fresh_state(),
+        plan=plan,
+    )
+    if samplers:
+        profile = samplers[0].profile()
+        sample_note = f"{samplers[0].samples_taken} samples"
+        if backend == "sampled":
+            sample_note += (
+                f" over {len(result.windows)} window(s), "
+                "cycles extrapolated"
+            )
+    else:
         profile = result.golden_profile()
         sample_note = "functional tier (exact counts, no timing)"
-    elif backend == "sampled":
-        from repro.backends.sampled import SampledBackend, WindowPlan
-
-        plan = WindowPlan()
-        if args.window:
-            plan = WindowPlan(
-                window=args.window, stride=args.stride, warmup=args.warmup
-            )
-        sampler = make_sampler(args.technique, args.period)
-        result = SampledBackend(plan=plan).simulate(
-            workload.program,
-            samplers=[sampler],
-            arch_state=workload.fresh_state(),
-        )
-        profile = sampler.profile()
-        sample_note = (
-            f"{sampler.samples_taken} samples over "
-            f"{len(result.windows)} window(s), cycles extrapolated"
-        )
-    else:
-        result, sampler = _profile_workload(
-            workload, args.technique, args.period
-        )
-        profile = sampler.profile()
-        sample_note = f"{sampler.samples_taken} samples"
     level = Granularity(args.granularity)
     if level != Granularity.INSTRUCTION:
         profile = profile.aggregate(workload.program, level)
@@ -1087,7 +1082,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--metrics-out", default=None, metavar="PATH",
         help="enable observability and write a Prometheus textfile "
-        "of the collected counters/gauges/histograms at exit "
+        "of the collected counters and gauges at exit "
         "(node-exporter textfile-collector format)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

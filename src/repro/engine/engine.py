@@ -10,10 +10,9 @@ command, and benchmark script funnels through. For each
    onto the engine's built workload; a payload that does not decode is
    a miss),
 3. a fresh simulation via the fault-tolerant
-   :class:`~repro.engine.executor.SuiteExecutor` -- serial in-process
-   for ``jobs=1``, fanned out over a worker pool otherwise, with
-   retries, backoff, per-attempt timeouts, and pool recovery either
-   way.
+   :class:`~repro.engine.executor.SuiteExecutor` -- in process for
+   ``jobs=1``, over a worker pool otherwise, through the same attempt
+   loop with its retries, backoff, timeouts and pool recovery.
 
 Suite runs checkpoint as they go: each completed payload is flushed to
 the store the moment it lands, so an interrupted or partially failed
@@ -60,9 +59,9 @@ class Engine:
     Args:
         store: On-disk run store (``None`` disables persistence).
         run_log: JSONL telemetry sink (``None`` disables logging).
-        jobs: Default worker count for :meth:`run_suite`.
+        jobs: Worker count for :meth:`run_suite`.
         retries: Per-run retry attempts for suite execution.
-        timeout: Per-attempt wall-clock bound in seconds for parallel
+        timeout: Per-attempt wall-clock bound in seconds for pooled
             suite runs (``None`` disables it).
         backoff: Base seconds of the jittered exponential backoff
             between retry attempts of the same run.
@@ -84,8 +83,6 @@ class Engine:
             (both in-process and via workers).
         last_suite_report: The :class:`SuiteReport` of the most recent
             :meth:`run_suite` that had to execute anything.
-        last_monitor: The :class:`~repro.engine.monitor.SuiteMonitor`
-            of that execution (``None`` unless *heartbeat* is set).
     """
 
     def __init__(
@@ -115,17 +112,12 @@ class Engine:
         self.stall_after = stall_after
         self.simulations = 0
         self.last_suite_report: SuiteReport | None = None
-        self.last_monitor = None
         self._memo: dict[str, BenchmarkRun] = {}
         self._workloads: dict[str, Workload] = {}
 
     # ------------------------------------------------------------------
     # Single runs.
     # ------------------------------------------------------------------
-    def cached(self, spec: RunSpec) -> BenchmarkRun | None:
-        """The memoised run for *spec*, if any (no store probe)."""
-        return self._memo.get(spec.key)
-
     def run(self, spec: RunSpec) -> BenchmarkRun:
         """Serve one spec: memo, then store, then simulate."""
         run = self._memo.get(spec.key)
@@ -170,16 +162,13 @@ class Engine:
         return status
 
     def run_suite(
-        self,
-        specs: Mapping[str, RunSpec],
-        jobs: int | None = None,
-        keep_going: bool | None = None,
+        self, specs: Mapping[str, RunSpec]
     ) -> dict[str, BenchmarkRun]:
         """Serve a labelled suite of specs, fanning misses out.
 
         Memo and store hits are served inline; the remaining specs are
         executed through a fault-tolerant :class:`SuiteExecutor`
-        (in-process for one worker, a process pool otherwise).
+        (in process for one job, over a process pool otherwise).
         Completed payloads are flushed to the store *as they land*, so
         an interrupted suite re-simulates only what never finished.
 
@@ -193,10 +182,6 @@ class Engine:
                 ``keep_going`` is off; the error names each failing
                 label and carries the worker-side tracebacks.
         """
-        jobs = self.jobs if jobs is None else max(1, int(jobs))
-        keep_going = (
-            self.keep_going if keep_going is None else keep_going
-        )
         runs: dict[str, BenchmarkRun] = {}
         pending: dict[str, RunSpec] = {}
         for label, spec in specs.items():
@@ -233,13 +218,13 @@ class Engine:
                 with obs.span(
                     "engine.run_suite",
                     labels=len(missing),
-                    jobs=jobs,
+                    jobs=self.jobs,
                 ):
-                    report = self._execute_missing(missing, jobs)
+                    report = self._execute_missing(missing)
                 self.last_suite_report = report
                 if self.run_log is not None:
                     self.run_log.record_suite(report)
-                if report.failed_labels and not keep_going:
+                if report.failed_labels and not self.keep_going:
                     raise SuiteExecutionError(report.failures, report)
 
             for label, spec in pending.items():
@@ -273,9 +258,7 @@ class Engine:
             self.store.misses += 1
             return None
 
-    def _execute_missing(
-        self, missing: dict[str, RunSpec], jobs: int
-    ) -> SuiteReport:
+    def _execute_missing(self, missing: dict[str, RunSpec]) -> SuiteReport:
         """Execute the store-missing specs; memoise and checkpoint."""
 
         def flush(label: str, payload: dict[str, Any]) -> None:
@@ -293,19 +276,17 @@ class Engine:
             )
 
         executor = SuiteExecutor(
-            jobs=jobs,
+            jobs=self.jobs,
             retries=self.retries,
             fn=self.worker_fn,
             timeout=self.timeout,
             backoff=self.backoff,
-            keep_going=True,  # the engine applies its own policy
             on_result=flush,
             heartbeat=self.heartbeat,
             stall_after=self.stall_after,
             on_event=self._live_event,
         )
         result = executor.execute(list(missing.items()))
-        self.last_monitor = executor.monitor
         for label, payload in result.payloads.items():
             spec = missing[label]
             run = self._memo[spec.key]
@@ -315,7 +296,7 @@ class Engine:
                 run,
                 "simulated",
                 float(payload.get("wall_s") or 0.0),
-                jobs=jobs,
+                jobs=self.jobs,
                 attempts=outcome.attempts if outcome else 1,
             )
         return result.report

@@ -1,45 +1,51 @@
-"""Resilient parallel suite execution over run specs.
+"""Resilient suite execution over run specs.
 
-:class:`SuiteExecutor` fans a list of ``(label, RunSpec)`` pairs out
-across a :class:`~concurrent.futures.ProcessPoolExecutor` (serial
-in-process fallback for ``jobs=1``) and survives the three fault
-classes long sweep campaigns actually hit:
+:class:`SuiteExecutor` runs a list of ``(label, RunSpec)`` pairs
+through one attempt loop, over a
+:class:`~concurrent.futures.ProcessPoolExecutor` or -- for ``jobs=1``
+-- an in-process stand-in whose ``submit`` runs the call at once.
+Dispatch, backoff, resource records, trace events and the
+:class:`SuiteReport` take the same path in both modes, and one
+:meth:`SuiteExecutor._settle` decides each attempt. The loop survives
+the three fault classes long sweep campaigns actually hit:
 
 * **a run raises** -- the worker captures its own traceback and ships
   it back as data, so failure reports show the *remote* stack, and the
-  run is retried with deterministic jittered exponential backoff;
+  run is retried after a deterministic jittered exponential backoff,
+  waited out in a delayed heap while other labels run;
 * **a worker process dies** (OOM kill, segfault) -- the broken pool is
-  torn down and recreated, in-flight runs are re-dispatched, and the
-  suite keeps going instead of cascading `BrokenProcessPool` into
-  every remaining label;
-* **a worker hangs** -- each parallel attempt is bounded by a
-  wall-clock ``timeout``; expired workers are killed (the pool is
-  recreated) and the run is re-dispatched or reported as timed out.
+  torn down and recreated and the runs in flight are re-dispatched. A
+  death with one run in flight is charged to it; with more, none is
+  charged and each reruns alone as a *suspect*, so a second death
+  lands on the run that caused it;
+* **a worker hangs** -- each pooled attempt is bounded by a wall-clock
+  ``timeout``; expired workers are killed (the pool is recreated) and
+  the run is re-dispatched or reported as timed out.
 
 Completed payloads are handed to an ``on_result`` callback the moment
 they land, which is how the engine checkpoints partial suites to the
-:class:`~repro.engine.store.RunStore` (interrupted suites resume from
-the store instead of restarting). Every execution produces a
-:class:`SuiteReport` -- per-label status, attempts, wall time, failure
-cause -- and ``keep_going`` mode returns partial results plus that
-report instead of raising.
+:class:`~repro.engine.store.RunStore`. Every execution returns its
+payloads with a :class:`SuiteReport` -- per-label status, attempts,
+wall time, failure cause -- and never raises for run-level failures.
 
 Payloads -- not live objects -- cross the process boundary, so a
 parallel suite reconstructs runs through exactly the same
 serialisation path as a store hit and stays bit-identical to a serial
 run.
 
-With a ``heartbeat`` interval set, every worker additionally ships
-periodic progress beats (:mod:`repro.obs.progress`) back over a
-``multiprocessing`` queue; the parent folds them into a live
-:class:`~repro.engine.monitor.SuiteMonitor` status table, detects
-silently *stalled* workers before the wall-clock timeout fires, and
-forwards each beat -- plus per-attempt ``resource.getrusage``
-accounting -- to an ``on_event`` callback (the engine's run-log hook).
+With a ``heartbeat`` interval set, every run additionally ships
+periodic progress beats (:mod:`repro.obs.progress`) to the parent
+(over a ``multiprocessing`` queue from pool workers); the parent folds
+them into a live :class:`~repro.engine.monitor.SuiteMonitor` status
+table, detects silently *stalled* workers before the wall-clock
+timeout fires, and forwards each beat -- plus per-attempt
+``resource.getrusage`` accounting -- to an ``on_event`` callback (the
+engine's run-log hook).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import multiprocessing
@@ -48,6 +54,7 @@ import traceback
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
@@ -73,6 +80,10 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
 STATUS_TIMEOUT = "timeout"
+
+#: Growth factor and jitter seed of :func:`backoff_delay`.
+_BACKOFF_FACTOR = 2.0
+_BACKOFF_SEED = 12345
 
 
 class SuiteExecutionError(RuntimeError):
@@ -115,28 +126,22 @@ def _last_line(tb: str) -> str:
     return lines[-1].strip() if lines else "unknown error"
 
 
-def backoff_delay(
-    attempt: int,
-    base: float,
-    factor: float = 2.0,
-    seed: int = 12345,
-    label: str = "",
-) -> float:
+def backoff_delay(attempt: int, base: float, label: str = "") -> float:
     """Seconds to wait before *attempt* (1-based; the first is free).
 
-    Exponential in the attempt number with a deterministic jitter in
-    ``[0.5, 1.5)`` derived from ``sha256(seed, label, attempt)`` --
-    the same seed always reproduces the same backoff schedule, so
-    retry timing is testable and sweeps are replayable, while distinct
-    labels still decorrelate their retry storms.
+    Doubles with each attempt, times a deterministic jitter in
+    ``[0.5, 1.5)`` derived from ``sha256(seed, label, attempt)`` with a
+    fixed seed -- the same label always gets the same backoff schedule,
+    so retry timing is testable and sweeps are replayable, while
+    distinct labels still decorrelate their retry storms.
     """
     if attempt <= 1 or base <= 0:
         return 0.0
     digest = hashlib.sha256(
-        f"{seed}:{label}:{attempt}".encode()
+        f"{_BACKOFF_SEED}:{label}:{attempt}".encode()
     ).digest()
     jitter = 0.5 + int.from_bytes(digest[:8], "big") / 2**64
-    return base * factor ** (attempt - 2) * jitter
+    return base * _BACKOFF_FACTOR ** (attempt - 2) * jitter
 
 
 @dataclass
@@ -168,7 +173,7 @@ class SuiteReport:
 
     Attributes:
         outcomes: label -> terminal :class:`LabelOutcome`.
-        retries: Total re-dispatches performed (all labels).
+        retries: Retries scheduled after failed attempts (all labels).
         timeouts: Attempts cancelled for exceeding the timeout.
         pool_recreations: Times the worker pool was torn down and
             rebuilt (worker death or hung-worker cancellation).
@@ -376,53 +381,60 @@ def _run_captured(
     )
 
 
-class _QueueSink:
-    """Worker-side heartbeat sink: beats -> the parent's queue.
+class _BeatSink:
+    """Heartbeat sink: beats -> *put*.
 
-    The ``min_interval_s`` attribute is the throttle
+    In a pool worker *put* is the parent queue's ``put_nowait``; in
+    process it is the executor's live-event handler. The
+    ``min_interval_s`` attribute is the throttle
     :mod:`repro.obs.progress` honours, so the executor's heartbeat
-    interval governs the beat rate. A full or torn-down queue drops
-    the beat -- heartbeats are best-effort by design and must never
-    fail a run.
+    interval governs the beat rate. A *put* that raises (a full or
+    torn-down queue) drops the beat -- heartbeats are best-effort by
+    design and must never fail a run.
     """
 
     def __init__(
-        self, queue: Any, min_interval_s: float
+        self, put: Callable[[dict[str, Any]], None], min_interval_s: float
     ) -> None:
-        self.queue = queue
+        self.put = put
         self.min_interval_s = min_interval_s
 
     def __call__(self, event: "_progress.ProgressEvent") -> None:
         try:
-            self.queue.put_nowait(event.to_record())
+            self.put(event.to_record())
         except Exception:
             pass
 
 
 def _heartbeat_init(queue: Any, interval_s: float) -> None:
-    """Pool initializer: install the queue sink in a fresh worker.
+    """Pool initializer: send a fresh worker's beats to the queue.
 
     Travels to the worker through ``ProcessPoolExecutor``'s
     ``initargs`` (valid under both fork and spawn -- initargs ride the
     ``Process`` constructor, which is the one place a
     ``multiprocessing.Queue`` may cross).
     """
-    _progress.set_sink(_QueueSink(queue, interval_s))
+    _progress.set_sink(_BeatSink(queue.put_nowait, interval_s))
 
 
-class _LocalSink:
-    """Serial-path heartbeat sink: beats -> the parent handler."""
+class _InlinePool:
+    """In-process stand-in for the worker pool (``jobs=1``).
 
-    def __init__(
-        self,
-        handler: Callable[[dict[str, Any]], None],
-        min_interval_s: float,
-    ) -> None:
-        self._handler = handler
-        self.min_interval_s = min_interval_s
+    ``submit`` runs the call at once and returns a completed future,
+    so serial suites take the attempt loop pooled ones do. An
+    in-process attempt cannot be preempted, so it never times out.
+    """
 
-    def __call__(self, event: "_progress.ProgressEvent") -> None:
-        self._handler(event.to_record())
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        """Nothing to release."""
 
 
 def _instant(name: str, **args: Any) -> None:
@@ -431,7 +443,7 @@ def _instant(name: str, **args: Any) -> None:
         obs.COLLECTOR.add_instant(name, args or None, cat="executor")
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
+def _terminate_pool(pool: Any) -> None:
     """Kill a pool's worker processes and release its resources.
 
     Used when a hung worker must be cancelled (the only way to preempt
@@ -452,8 +464,29 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
         pass
 
 
+class _Suite:
+    """The queues and report of one :meth:`SuiteExecutor.execute`."""
+
+    def __init__(self, items: list[tuple[str, Any]]) -> None:
+        self.report = SuiteReport()
+        self.payloads: dict[str, dict[str, Any]] = {}
+        # (item, attempt) waiting for a worker; (due, seq, item,
+        # attempt) retries waiting out their backoff, seq keeping the
+        # retry order deterministic; future -> (item, attempt, started)
+        # in flight, in dispatch order.
+        self.ready: deque[tuple[tuple[str, Any], int]] = deque(
+            (item, 1) for item in items
+        )
+        self.delayed: list[tuple[float, int, tuple[str, Any], int]] = []
+        self.seq = 0
+        self.running: dict[Future, tuple[tuple[str, Any], int, float]] = {}
+        self.waived: dict[str, int] = {}  # attempts a death did not charge
+        self.suspects: set[str] = set()  # next attempt runs alone
+        self.solo = False  # the attempt in flight is a suspect's
+
+
 class SuiteExecutor:
-    """Fan specs out over worker processes with fault tolerance.
+    """Run specs through one attempt loop with fault tolerance.
 
     Args:
         jobs: Maximum concurrent workers (1 = serial, in-process).
@@ -461,20 +494,15 @@ class SuiteExecutor:
         fn: Worker callable ``(label, spec) -> (label, payload)``;
             overridable for tests and fault injection. Must be
             picklable when ``jobs > 1``.
-        timeout: Per-attempt wall-clock bound in seconds (parallel
-            runs only -- an in-process attempt cannot be preempted).
+        timeout: Per-attempt wall-clock bound in seconds (pooled runs
+            only -- an in-process attempt cannot be preempted).
             ``None`` disables the bound.
         backoff: Base backoff in seconds between attempts of the same
             run (see :func:`backoff_delay`); 0 retries immediately.
-        backoff_factor: Exponential growth factor of the backoff.
-        seed: Seed of the deterministic backoff jitter.
-        keep_going: When true, :meth:`map` returns the partial payload
-            dict instead of raising on failures (the report is always
-            available via :attr:`last_report`).
         on_result: Callback ``(label, payload)`` invoked in the parent
             as each run lands -- the engine's checkpoint hook.
         heartbeat: Worker heartbeat interval in seconds; ``None``
-            (default) disables live monitoring. When set, workers ship
+            (default) disables live monitoring. When set, runs ship
             progress beats to the parent, a
             :class:`~repro.engine.monitor.SuiteMonitor` tracks
             per-label status on :attr:`monitor`, and silent stalls are
@@ -497,9 +525,6 @@ class SuiteExecutor:
         *,
         timeout: float | None = None,
         backoff: float = 0.0,
-        backoff_factor: float = 2.0,
-        seed: int = 12345,
-        keep_going: bool = False,
         on_result: Callable[[str, dict[str, Any]], None] | None = None,
         heartbeat: float | None = None,
         stall_after: float | None = None,
@@ -510,9 +535,6 @@ class SuiteExecutor:
         self.fn = fn
         self.timeout = None if timeout is None else float(timeout)
         self.backoff = max(0.0, float(backoff))
-        self.backoff_factor = float(backoff_factor)
-        self.seed = int(seed)
-        self.keep_going = bool(keep_going)
         self.on_result = on_result
         self.heartbeat = (
             None if heartbeat is None else max(0.05, float(heartbeat))
@@ -524,28 +546,6 @@ class SuiteExecutor:
         self.stall_after = stall_after
         self.on_event = on_event
         self.monitor: SuiteMonitor | None = None
-        self.last_report: SuiteReport | None = None
-
-    # ------------------------------------------------------------------
-    # Public API.
-    # ------------------------------------------------------------------
-    def map(
-        self, items: Sequence[tuple[str, RunSpec]]
-    ) -> dict[str, dict[str, Any]]:
-        """Execute every item; payloads by label.
-
-        Raises:
-            SuiteExecutionError: If any item still fails after retries
-                and ``keep_going`` is off (every other item's result is
-                completed first). With ``keep_going`` the partial
-                payload dict is returned instead.
-        """
-        result = self.execute(items)
-        if result.report.failed_labels and not self.keep_going:
-            raise SuiteExecutionError(
-                result.report.failures, result.report
-            )
-        return result.payloads
 
     def execute(
         self, items: Sequence[tuple[str, RunSpec]]
@@ -559,28 +559,278 @@ class SuiteExecutor:
                 [item[0] for item in items],
                 stall_after=self.stall_after,
             )
-        if self.jobs <= 1 or not items or (
+        suite = _Suite(items)
+        inline = self.jobs <= 1 or not items or (
             len(items) <= 1 and self.timeout is None
-        ):
-            result = self._execute_serial(items)
-        else:
-            result = self._execute_parallel(items)
-        result.report.wall_s = time.monotonic() - start
-        self.last_report = result.report
-        return result
-
-    def _delay(self, attempt: int, label: str) -> float:
-        return backoff_delay(
-            attempt,
-            self.backoff,
-            self.backoff_factor,
-            self.seed,
-            label,
         )
+        beat_queue: Any = None
+        if inline:
+            workers = 1
+            new_pool: Callable[[], Any] = _InlinePool
+            if self.heartbeat is not None:
+                _progress.set_sink(
+                    _BeatSink(self._live_event, self.heartbeat)
+                )
+        else:
+            workers = min(self.jobs, len(items))
+            pool_kwargs: dict[str, Any] = {}
+            if self.heartbeat is not None:
+                # Workers ship beat records back over this queue; it is
+                # passed through the pool initializer (initargs ride the
+                # Process constructor, the one place a multiprocessing
+                # queue may legally cross, under fork and spawn alike).
+                beat_queue = multiprocessing.Queue()
+                pool_kwargs = {
+                    "initializer": _heartbeat_init,
+                    "initargs": (beat_queue, self.heartbeat),
+                }
+            new_pool = functools.partial(
+                ProcessPoolExecutor, max_workers=workers, **pool_kwargs
+            )
+        pool = new_pool()
+        try:
+            while suite.ready or suite.delayed or suite.running:
+                now = time.monotonic()
+                while suite.delayed and suite.delayed[0][0] <= now:
+                    _, _, item, attempt = heapq.heappop(suite.delayed)
+                    suite.ready.append((item, attempt))
+                broken = self._dispatch(suite, pool, workers)
+                if not broken:
+                    if not suite.running:
+                        # Only retries are left, waiting out a backoff.
+                        due, _, item, _ = suite.delayed[0]
+                        wait_s = due - time.monotonic()
+                        if wait_s > 0:
+                            with obs.span(
+                                f"backoff:{item[0]}",
+                                delay_s=round(wait_s, 6),
+                            ):
+                                time.sleep(wait_s)
+                        continue
+                    broken = self._drain(suite)
+                    broken = self._expire(suite) or broken
+                self._pump(beat_queue, suite.report)
+                if broken:
+                    # Runs still in flight are innocent bystanders:
+                    # re-dispatch them without consuming an attempt.
+                    suite.ready.extend(
+                        (item, attempt)
+                        for item, attempt, _ in suite.running.values()
+                    )
+                    suite.running.clear()
+                    with obs.span("pool.recreate", workers=workers):
+                        _terminate_pool(pool)
+                        pool = new_pool()
+                    suite.report.pool_recreations += 1
+                    obs.COUNTERS.inc("executor.pool_recreations")
+        except BaseException:
+            _terminate_pool(pool)
+            raise
+        else:
+            # Every run settled: let the idle workers exit cleanly. Pump
+            # first, so a worker still flushing its last beats into the
+            # queue cannot block the join.
+            self._pump(beat_queue, suite.report)
+            pool.shutdown(wait=True)
+        finally:
+            self._pump(beat_queue, suite.report)
+            if beat_queue is not None:
+                beat_queue.close()
+                beat_queue.join_thread()
+            if inline and self.heartbeat is not None:
+                _progress.set_sink(None)
+        suite.report.wall_s = time.monotonic() - start
+        return SuiteResult(payloads=suite.payloads, report=suite.report)
 
-    def _emit(self, label: str, payload: dict[str, Any]) -> None:
-        if self.on_result is not None:
-            self.on_result(label, payload)
+    # ------------------------------------------------------------------
+    # The attempt loop.
+    # ------------------------------------------------------------------
+    def _dispatch(self, suite: _Suite, pool: Any, workers: int) -> bool:
+        """Submit ready attempts to free workers; True if the pool broke.
+
+        A suspect's attempt runs alone: it waits for the pool to empty,
+        and nothing else is dispatched while it runs.
+        """
+        while suite.ready and len(suite.running) < workers:
+            item, attempt = suite.ready[0]
+            label = item[0]
+            alone = label in suite.suspects
+            if suite.running and (alone or suite.solo):
+                break
+            _instant(f"dispatch:{label}", attempt=attempt)
+            self._note("note_dispatch", label, attempt)
+            started = time.monotonic()
+            try:
+                future = pool.submit(_run_captured, self.fn, item, attempt)
+            except (BrokenProcessPool, RuntimeError):
+                return True
+            suite.ready.popleft()
+            suite.suspects.discard(label)
+            suite.solo = alone
+            suite.running[future] = (item, attempt, started)
+        return False
+
+    def _wait_timeout(self, suite: _Suite) -> float | None:
+        """How long the completion wait may block.
+
+        With heartbeats on, the wait additionally wakes at the beat
+        interval so the parent pumps the queue and runs the stall
+        check while workers are still in flight.
+        """
+        bounds = []
+        if self.timeout is not None:
+            earliest = min(
+                started for (_, _, started) in suite.running.values()
+            )
+            bounds.append(earliest + self.timeout - time.monotonic())
+        if suite.delayed:
+            bounds.append(suite.delayed[0][0] - time.monotonic())
+        if self.heartbeat is not None:
+            bounds.append(self.heartbeat)
+        if not bounds:
+            return None
+        return max(0.0, min(bounds))
+
+    def _drain(self, suite: _Suite) -> bool:
+        """Wait for finished attempts and settle them; True if a worker
+        died.
+
+        A worker death breaks every future in flight. With one attempt
+        in flight the death is charged to it; with more, none is
+        charged: each goes back as a suspect on its next attempt, which
+        runs alone.
+        """
+        done, _ = wait(
+            set(suite.running),
+            timeout=self._wait_timeout(suite),
+            return_when=FIRST_COMPLETED,
+        )
+        died = []
+        for future in [f for f in suite.running if f in done]:
+            item, attempt, started = suite.running.pop(future)
+            try:
+                outcome = future.result()
+            except BrokenProcessPool:
+                died.append((item, attempt, started, traceback.format_exc()))
+                continue
+            except Exception as exc:  # pickling / pool-internal errors
+                outcome = _WorkerOutcome(
+                    item[0], None, traceback.format_exc(),
+                    f"{type(exc).__name__}: {exc}",
+                    time.monotonic() - started,
+                )
+            else:
+                # Worker-side span events travelled back on the
+                # outcome; merge them into the parent's timeline.
+                obs.COLLECTOR.ingest(outcome.obs)
+                self._settle_resources(item[0], attempt, outcome)
+            self._settle(suite, item, attempt, outcome)
+        if not died:
+            return False
+        if len(died) + len(suite.running) == 1:
+            item, attempt, started, tb = died[0]
+            self._settle(suite, item, attempt, _WorkerOutcome(
+                item[0], None, tb,
+                "worker process died (BrokenProcessPool)",
+                time.monotonic() - started,
+            ))
+            return True
+        in_flight = [entry[:2] for entry in died]
+        in_flight += [entry[:2] for entry in suite.running.values()]
+        suite.running.clear()
+        for item, attempt in in_flight:
+            label = item[0]
+            suite.waived[label] = suite.waived.get(label, 0) + 1
+            suite.suspects.add(label)
+            self._note("note_retry", label, attempt + 1)
+            suite.ready.append((item, attempt + 1))
+        return True
+
+    def _expire(self, suite: _Suite) -> bool:
+        """Settle attempts past the timeout; True if any expired.
+
+        Worker processes cannot be interrupted, so expiry implies
+        killing the pool; the loop recreates it and re-dispatches the
+        surviving in-flight runs.
+        """
+        if self.timeout is None:
+            return False
+        now = time.monotonic()
+        expired = [
+            future
+            for future, (_, _, started) in suite.running.items()
+            if now - started >= self.timeout
+        ]
+        for future in expired:
+            item, attempt, started = suite.running.pop(future)
+            suite.report.timeouts += 1
+            obs.COUNTERS.inc("executor.timeouts")
+            _instant(
+                f"timeout:{item[0]}",
+                attempt=attempt,
+                limit_s=self.timeout,
+            )
+            cause = (
+                f"timed out after {self.timeout:.1f}s (worker cancelled)"
+            )
+            self._settle(
+                suite, item, attempt,
+                _WorkerOutcome(item[0], None, None, cause, now - started),
+                STATUS_TIMEOUT,
+            )
+        return bool(expired)
+
+    def _settle(
+        self,
+        suite: _Suite,
+        item: tuple[str, Any],
+        attempt: int,
+        outcome: _WorkerOutcome,
+        status: str = STATUS_FAILED,
+    ) -> None:
+        """Decide one attempt: the label's result, a retry, or its
+        final failure (with *status*).
+
+        An outcome without a ``cause`` succeeded. A failure is retried
+        while the label's charged attempts -- all but those a worker
+        death waived -- stay within ``retries``; the retry waits out
+        its backoff in the delayed heap. Any other failure is final and
+        counts in ``executor.runs_failed``.
+        """
+        label = item[0]
+        charged = attempt - suite.waived.get(label, 0)
+        if outcome.cause is None:
+            suite.payloads[label] = outcome.payload
+            suite.report.outcomes[label] = LabelOutcome(
+                label, STATUS_OK, attempt, outcome.wall_s,
+            )
+            obs.COUNTERS.inc("executor.runs_ok")
+            self._note("note_done", label, "done")
+            if self.on_result is not None:
+                self.on_result(label, outcome.payload)
+        elif charged <= self.retries:
+            suite.report.retries += 1
+            obs.COUNTERS.inc("executor.retries")
+            _instant(f"retry:{label}", attempt=attempt, cause=outcome.cause)
+            self._note("note_retry", label, attempt + 1)
+            suite.seq += 1
+            due = time.monotonic() + backoff_delay(
+                charged + 1, self.backoff, label
+            )
+            heapq.heappush(
+                suite.delayed, (due, suite.seq, item, attempt + 1)
+            )
+        else:
+            obs.COUNTERS.inc("executor.runs_failed")
+            self._note("note_done", label, status)
+            suite.report.outcomes[label] = LabelOutcome(
+                label,
+                status,
+                attempt,
+                outcome.wall_s,
+                cause=outcome.cause,
+                traceback=outcome.error,
+            )
 
     # ------------------------------------------------------------------
     # Live monitoring plumbing (heartbeat mode only).
@@ -636,342 +886,3 @@ class SuiteExecutor:
             # The monitor already folded the stall; forward only.
             if self.on_event is not None:
                 self.on_event(record)
-
-    # ------------------------------------------------------------------
-    # Serial path.
-    # ------------------------------------------------------------------
-    def _execute_serial(
-        self, items: list[tuple[str, RunSpec]]
-    ) -> SuiteResult:
-        payloads: dict[str, dict[str, Any]] = {}
-        report = SuiteReport()
-        if self.heartbeat is not None:
-            # In-process runs beat straight into the parent handler
-            # (no queue). Stall detection needs a thread the serial
-            # path deliberately does not have; beats and resource
-            # records still flow.
-            _progress.set_sink(
-                _LocalSink(self._live_event, self.heartbeat)
-            )
-        try:
-            for item in items:
-                label = item[0]
-                for attempt in range(1, self.retries + 2):
-                    _instant(f"dispatch:{label}", attempt=attempt)
-                    self._note("note_dispatch", label, attempt)
-                    outcome = _run_captured(self.fn, item, attempt)
-                    # Serial runs drained their own events out of the
-                    # collector; put them back on the shared timeline.
-                    obs.COLLECTOR.ingest(outcome.obs)
-                    self._settle_resources(label, attempt, outcome)
-                    if outcome.error is None:
-                        payloads[label] = outcome.payload
-                        report.outcomes[label] = LabelOutcome(
-                            label, STATUS_OK, attempt, outcome.wall_s,
-                        )
-                        obs.COUNTERS.inc("executor.runs_ok")
-                        self._note("note_done", label, "done")
-                        self._emit(label, outcome.payload)
-                        break
-                    if attempt <= self.retries:
-                        report.retries += 1
-                        obs.COUNTERS.inc("executor.retries")
-                        _instant(
-                            f"retry:{label}",
-                            attempt=attempt,
-                            cause=outcome.cause,
-                        )
-                        self._note("note_retry", label, attempt + 1)
-                        delay = self._delay(attempt + 1, label)
-                        if delay > 0:
-                            with obs.span(
-                                f"backoff:{label}",
-                                delay_s=round(delay, 6),
-                            ):
-                                time.sleep(delay)
-                    else:
-                        obs.COUNTERS.inc("executor.runs_failed")
-                        self._note("note_done", label, "failed")
-                        report.outcomes[label] = LabelOutcome(
-                            label,
-                            STATUS_FAILED,
-                            attempt,
-                            outcome.wall_s,
-                            cause=outcome.cause,
-                            traceback=outcome.error,
-                        )
-        finally:
-            if self.heartbeat is not None:
-                _progress.set_sink(None)
-        return SuiteResult(payloads=payloads, report=report)
-
-    # ------------------------------------------------------------------
-    # Parallel path.
-    # ------------------------------------------------------------------
-    def _execute_parallel(
-        self, items: list[tuple[str, RunSpec]]
-    ) -> SuiteResult:
-        workers = min(self.jobs, len(items))
-        payloads: dict[str, dict[str, Any]] = {}
-        report = SuiteReport()
-        ready: deque[tuple[tuple[str, Any], int]] = deque(
-            (item, 1) for item in items
-        )
-        delayed: list[tuple[float, int, tuple[str, Any], int]] = []
-        running: dict[Any, tuple[tuple[str, Any], int, float]] = {}
-        seq = 0  # heap tie-breaker keeping retry order deterministic
-
-        beat_queue: Any = None
-        pool_kwargs: dict[str, Any] = {}
-        if self.heartbeat is not None:
-            # Workers ship beat records back over this queue; it is
-            # passed through the pool initializer (initargs ride the
-            # Process constructor, the one place a multiprocessing
-            # queue may legally cross, under fork and spawn alike).
-            beat_queue = multiprocessing.Queue()
-            pool_kwargs = {
-                "initializer": _heartbeat_init,
-                "initargs": (beat_queue, self.heartbeat),
-            }
-        pool = ProcessPoolExecutor(max_workers=workers, **pool_kwargs)
-
-        def schedule_retry(
-            item: tuple[str, Any], failed_attempt: int
-        ) -> None:
-            nonlocal seq
-            report.retries += 1
-            obs.COUNTERS.inc("executor.retries")
-            self._note("note_retry", item[0], failed_attempt + 1)
-            seq += 1
-            delay = self._delay(failed_attempt + 1, item[0])
-            heapq.heappush(
-                delayed,
-                (time.monotonic() + delay, seq, item, failed_attempt + 1),
-            )
-
-        try:
-            while ready or delayed or running:
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    _, _, item, attempt = heapq.heappop(delayed)
-                    ready.append((item, attempt))
-
-                broken = False
-                while ready and len(running) < workers:
-                    item, attempt = ready.popleft()
-                    try:
-                        future = pool.submit(
-                            _run_captured, self.fn, item, attempt
-                        )
-                    except (BrokenProcessPool, RuntimeError):
-                        ready.appendleft((item, attempt))
-                        broken = True
-                        break
-                    _instant(f"dispatch:{item[0]}", attempt=attempt)
-                    self._note("note_dispatch", item[0], attempt)
-                    running[future] = (item, attempt, time.monotonic())
-
-                if not broken:
-                    if not running:
-                        if delayed:
-                            time.sleep(
-                                max(
-                                    0.0,
-                                    delayed[0][0] - time.monotonic(),
-                                )
-                            )
-                        continue
-                    broken = self._drain(
-                        running, delayed, report, payloads,
-                        schedule_retry,
-                    )
-                    broken = (
-                        self._expire(running, report, schedule_retry)
-                        or broken
-                    )
-                self._pump(beat_queue, report)
-
-                if broken:
-                    # Surviving in-flight runs are innocent bystanders:
-                    # re-dispatch them without consuming an attempt.
-                    for item, attempt, _ in running.values():
-                        ready.append((item, attempt))
-                    running.clear()
-                    with obs.span(
-                        "pool.recreate", workers=workers
-                    ):
-                        _terminate_pool(pool)
-                        pool = ProcessPoolExecutor(
-                            max_workers=workers, **pool_kwargs
-                        )
-                    report.pool_recreations += 1
-                    obs.COUNTERS.inc("executor.pool_recreations")
-        except BaseException:
-            _terminate_pool(pool)
-            raise
-        else:
-            # Every run settled: let the idle workers exit cleanly. Pump
-            # first, so a worker still flushing its last beats into the
-            # queue cannot block the join.
-            self._pump(beat_queue, report)
-            pool.shutdown(wait=True)
-        finally:
-            self._pump(beat_queue, report)
-            if beat_queue is not None:
-                beat_queue.close()
-                beat_queue.join_thread()
-        return SuiteResult(payloads=payloads, report=report)
-
-    def _wait_timeout(
-        self,
-        running: dict[Any, tuple[tuple[str, Any], int, float]],
-        delayed: list,
-    ) -> float | None:
-        """How long the completion wait may block.
-
-        With heartbeats on, the wait additionally wakes at the beat
-        interval so the parent pumps the queue and runs the stall
-        check while workers are still in flight.
-        """
-        bounds = []
-        if self.timeout is not None:
-            earliest = min(
-                started for (_, _, started) in running.values()
-            )
-            bounds.append(earliest + self.timeout - time.monotonic())
-        if delayed:
-            bounds.append(delayed[0][0] - time.monotonic())
-        if self.heartbeat is not None:
-            bounds.append(self.heartbeat)
-        if not bounds:
-            return None
-        return max(0.0, min(bounds))
-
-    def _drain(
-        self,
-        running: dict[Any, tuple[tuple[str, Any], int, float]],
-        delayed: list,
-        report: SuiteReport,
-        payloads: dict[str, dict[str, Any]],
-        schedule_retry: Callable[[tuple[str, Any], int], None],
-    ) -> bool:
-        """Wait for and settle completed futures; True if pool broke."""
-        timeout = self._wait_timeout(running, delayed)
-        done, _ = wait(
-            set(running), timeout=timeout, return_when=FIRST_COMPLETED
-        )
-        broken = False
-        for future in done:
-            item, attempt, started = running.pop(future)
-            label = item[0]
-            try:
-                outcome = future.result()
-            except BrokenProcessPool:
-                broken = True
-                cause = "worker process died (BrokenProcessPool)"
-                if attempt <= self.retries:
-                    schedule_retry(item, attempt)
-                else:
-                    self._note("note_done", label, "failed")
-                    report.outcomes[label] = LabelOutcome(
-                        label,
-                        STATUS_FAILED,
-                        attempt,
-                        time.monotonic() - started,
-                        cause=cause,
-                        traceback=traceback.format_exc(),
-                    )
-                continue
-            except Exception as exc:  # pickling / pool-internal errors
-                cause = f"{type(exc).__name__}: {exc}"
-                if attempt <= self.retries:
-                    schedule_retry(item, attempt)
-                else:
-                    self._note("note_done", label, "failed")
-                    report.outcomes[label] = LabelOutcome(
-                        label,
-                        STATUS_FAILED,
-                        attempt,
-                        time.monotonic() - started,
-                        cause=cause,
-                        traceback=traceback.format_exc(),
-                    )
-                continue
-            # Worker-side span events travelled back on the outcome;
-            # merge them into the parent's timeline.
-            obs.COLLECTOR.ingest(outcome.obs)
-            self._settle_resources(label, attempt, outcome)
-            if outcome.error is None:
-                payloads[label] = outcome.payload
-                report.outcomes[label] = LabelOutcome(
-                    label, STATUS_OK, attempt, outcome.wall_s,
-                )
-                obs.COUNTERS.inc("executor.runs_ok")
-                self._note("note_done", label, "done")
-                self._emit(label, outcome.payload)
-            elif attempt <= self.retries:
-                _instant(
-                    f"retry:{label}",
-                    attempt=attempt,
-                    cause=outcome.cause,
-                )
-                schedule_retry(item, attempt)
-            else:
-                obs.COUNTERS.inc("executor.runs_failed")
-                self._note("note_done", label, "failed")
-                report.outcomes[label] = LabelOutcome(
-                    label,
-                    STATUS_FAILED,
-                    attempt,
-                    outcome.wall_s,
-                    cause=outcome.cause,
-                    traceback=outcome.error,
-                )
-        return broken
-
-    def _expire(
-        self,
-        running: dict[Any, tuple[tuple[str, Any], int, float]],
-        report: SuiteReport,
-        schedule_retry: Callable[[tuple[str, Any], int], None],
-    ) -> bool:
-        """Cancel attempts past the timeout; True if any expired.
-
-        Worker processes cannot be interrupted, so expiry implies
-        killing the pool; the caller recreates it and re-dispatches
-        the surviving in-flight runs.
-        """
-        if self.timeout is None:
-            return False
-        now = time.monotonic()
-        expired = [
-            future
-            for future, (_, _, started) in running.items()
-            if now - started >= self.timeout
-        ]
-        for future in expired:
-            item, attempt, started = running.pop(future)
-            label = item[0]
-            report.timeouts += 1
-            obs.COUNTERS.inc("executor.timeouts")
-            _instant(
-                f"timeout:{label}",
-                attempt=attempt,
-                limit_s=self.timeout,
-            )
-            cause = (
-                f"timed out after {self.timeout:.1f}s "
-                f"(worker cancelled)"
-            )
-            if attempt <= self.retries:
-                schedule_retry(item, attempt)
-            else:
-                self._note("note_done", label, "timeout")
-                report.outcomes[label] = LabelOutcome(
-                    label,
-                    STATUS_TIMEOUT,
-                    attempt,
-                    now - started,
-                    cause=cause,
-                )
-        return bool(expired)

@@ -20,8 +20,10 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
+from repro.backends import simulate_backend
 from repro.core.error import pics_error
 from repro.core.events import Event, event_mask
 from repro.core.pics import PicsProfile, RawProfile
@@ -30,7 +32,6 @@ from repro.core.samplers import Sampler, make_sampler
 from repro.core.states import CommitState
 from repro.engine.spec import RunSpec
 from repro.version import MODEL_VERSION
-from repro.uarch.core import simulate
 from repro.workloads import Workload, build
 
 #: Schema identifier written into every stored-run payload.
@@ -51,9 +52,10 @@ class BenchmarkRun:
     result: CoreResult
     samplers: dict[str, Any] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def golden(self) -> PicsProfile:
-        """Golden-reference profile of this run."""
+        """Golden-reference profile of this run, built on first use and
+        kept (nothing mutates a profile's stacks)."""
         return self.result.golden_profile()
 
     def profile(self, technique: str) -> PicsProfile:
@@ -133,36 +135,20 @@ def simulate_spec(
     """
     workload = workload or build_workload(spec)
     backend = getattr(spec, "backend", "detailed")
-    if backend == "functional":
-        from repro.backends.functional import simulate_functional
-
-        result = simulate_functional(
-            workload.program,
-            config=spec.config,
-            arch_state=workload.fresh_state(),
-        )
-        return BenchmarkRun(workload=workload, result=result, samplers={})
     samplers: dict[str, Sampler] = {}
-    for key, technique, period, seed in spec.sampler_plan():
-        samplers[key] = make_sampler(
-            technique, period, jitter=spec.jitter, seed=seed
-        )
-    if backend == "sampled":
-        from repro.backends.sampled import SampledBackend
-
-        result = SampledBackend(plan=spec.window_plan()).simulate(
-            workload.program,
-            config=spec.config,
-            samplers=list(samplers.values()),
-            arch_state=workload.fresh_state(),
-        )
-    else:
-        result = simulate(
-            workload.program,
-            config=spec.config,
-            samplers=list(samplers.values()),
-            arch_state=workload.fresh_state(),
-        )
+    if backend != "functional":
+        for key, technique, period, seed in spec.sampler_plan():
+            samplers[key] = make_sampler(
+                technique, period, jitter=spec.jitter, seed=seed
+            )
+    result = simulate_backend(
+        backend,
+        workload.program,
+        config=spec.config,
+        samplers=list(samplers.values()),
+        arch_state=workload.fresh_state(),
+        plan=spec.window_plan(),
+    )
     return BenchmarkRun(workload=workload, result=result,
                         samplers=samplers)
 

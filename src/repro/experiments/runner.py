@@ -8,7 +8,8 @@ an optional cross-process result store, parallel suite execution, and
 run telemetry. This module keeps the historical
 :class:`ExperimentRunner` interface every experiment module uses, and
 re-exports the engine's constants and :class:`BenchmarkRun` for
-backwards compatibility.
+backwards compatibility. Store, jobs, run log and resilience settings
+live on the :class:`Engine` a runner is given.
 """
 
 from __future__ import annotations
@@ -19,12 +20,9 @@ from repro.engine import (
     TECHNIQUES,
     BenchmarkRun,
     Engine,
-    RunLog,
     RunSpec,
-    RunStore,
 )
 from repro.uarch.config import CoreConfig
-from repro.workloads import WORKLOAD_NAMES
 
 __all__ = [
     "BenchmarkRun",
@@ -51,21 +49,9 @@ class ExperimentRunner:
         extra_periods: Additional periods to attach per technique (used
             by the Fig 8 frequency sweep); sampler keys become
             ``f"{technique}@{period}"``.
-        store: Optional :class:`RunStore` for cross-process result
-            persistence (``None`` keeps runs in-process only).
-        jobs: Default worker count for :meth:`run_suite`.
-        run_log: Optional :class:`RunLog` telemetry sink.
-        retries: Per-run retry attempts for suite execution.
-        timeout: Per-attempt wall-clock bound (seconds) for parallel
-            suite runs.
-        backoff: Base seconds of the jittered exponential retry
-            backoff.
-        keep_going: Return partial suite results plus a report
-            instead of raising on failures.
-        engine: Share an existing engine (its memo, store, and
-            telemetry) instead of building one; ``store``/``jobs``/
-            ``run_log`` and the resilience knobs are ignored when
-            given.
+        engine: The engine to run on (its memo, store, telemetry and
+            suite settings); ``None`` builds an in-process
+            :class:`Engine` with no store.
     """
 
     def __init__(
@@ -76,13 +62,6 @@ class ExperimentRunner:
         techniques: tuple[str, ...] = TECHNIQUES,
         extra_periods: tuple[int, ...] = (),
         *,
-        store: RunStore | None = None,
-        jobs: int = 1,
-        run_log: RunLog | None = None,
-        retries: int = 1,
-        timeout: float | None = None,
-        backoff: float = 0.0,
-        keep_going: bool = False,
         engine: Engine | None = None,
     ) -> None:
         self.scale = scale
@@ -90,32 +69,7 @@ class ExperimentRunner:
         self.config = config
         self.techniques = tuple(techniques)
         self.extra_periods = tuple(extra_periods)
-        if engine is None:
-            engine = Engine(
-                store=store,
-                run_log=run_log,
-                jobs=jobs,
-                retries=retries,
-                timeout=timeout,
-                backoff=backoff,
-                keep_going=keep_going,
-            )
-        self.engine = engine
-
-    @property
-    def store(self) -> RunStore | None:
-        """The engine's run store (if any)."""
-        return self.engine.store
-
-    @property
-    def jobs(self) -> int:
-        """The engine's default suite worker count."""
-        return self.engine.jobs
-
-    @property
-    def last_suite_report(self):
-        """The engine's most recent suite execution report (if any)."""
-        return self.engine.last_suite_report
+        self.engine = Engine() if engine is None else engine
 
     def spec(self, name: str, **workload_kwargs) -> RunSpec:
         """The canonical :class:`RunSpec` for one benchmark run."""
@@ -132,17 +86,6 @@ class ExperimentRunner:
     def run(self, name: str, **workload_kwargs) -> BenchmarkRun:
         """Simulate one benchmark (memoised) with all samplers attached."""
         return self.engine.run(self.spec(name, **workload_kwargs))
-
-    def run_suite(
-        self,
-        names: tuple[str, ...] | None = None,
-        jobs: int | None = None,
-    ) -> dict[str, BenchmarkRun]:
-        """Simulate the whole suite (memoised; parallel when jobs > 1)."""
-        names = tuple(names or WORKLOAD_NAMES)
-        return self.engine.run_suite(
-            {name: self.spec(name) for name in names}, jobs=jobs
-        )
 
     def derive(
         self,

@@ -5,10 +5,10 @@ the same discipline to the reproduction itself. Its pieces are all
 **off by default** and zero-overhead while disabled:
 
 * :mod:`repro.obs.spans` -- a lightweight span/trace API
-  (``obs.span("decode")`` context manager, :func:`traced` decorator)
-  feeding a process-global, thread-safe :class:`SpanCollector`;
-* :mod:`repro.obs.counters` -- a :class:`CounterRegistry` of counters,
-  gauges, and histograms the core and suite executor report into;
+  (``obs.span("decode")`` context manager) feeding a process-global,
+  thread-safe :class:`SpanCollector`;
+* :mod:`repro.obs.counters` -- a :class:`CounterRegistry` of counters
+  and gauges the core and suite executor report into;
 * :mod:`repro.obs.stageprof` -- :class:`StageSampler`, a ``SIGPROF``
   stack sampler giving wall time per core pipeline stage per
   250k-cycle window;
@@ -28,13 +28,7 @@ Enable with ``REPRO_OBS=1`` or :func:`enable`; the CLI's
 ``--trace-out`` and ``--metrics-out`` flags do it for you.
 """
 
-from repro.obs.counters import (
-    BUCKET_BOUNDS,
-    COUNTERS,
-    CounterRegistry,
-    counters,
-    hist_quantile,
-)
+from repro.obs.counters import COUNTERS, CounterRegistry
 from repro.obs.export import (
     chrome_trace_doc,
     export_chrome_trace,
@@ -63,18 +57,15 @@ from repro.obs.spans import (
     OBS_ENV,
     Span,
     SpanCollector,
-    collector,
     disable,
     enable,
     enabled,
     now_us,
     span,
-    traced,
 )
 from repro.obs.stageprof import STAGES, StageSampler
 
 __all__ = [
-    "BUCKET_BOUNDS",
     "COLLECTOR",
     "COUNTERS",
     "CounterRegistry",
@@ -89,15 +80,12 @@ __all__ = [
     "begin_run",
     "chrome_trace_doc",
     "clear_run_context",
-    "collector",
-    "counters",
     "disable",
     "enable",
     "enabled",
     "end_run",
     "export_chrome_trace",
     "expose_prometheus",
-    "hist_quantile",
     "now_us",
     "prometheus_text",
     "read_chrome_trace",
@@ -106,7 +94,6 @@ __all__ = [
     "set_run_context",
     "set_sink",
     "span",
-    "traced",
     "validate_chrome_trace",
     "validate_prometheus_text",
 ]

@@ -2,12 +2,12 @@
 
 * :func:`prometheus_text` renders the process-global
   :class:`~repro.obs.counters.CounterRegistry` as ``# TYPE``-annotated
-  families (counter, gauge, histogram with cumulative ``le`` buckets);
+  counter and gauge families;
 * :func:`expose_prometheus` writes it as a node-exporter-style textfile
   (the CLI's ``--metrics-out``);
 * :func:`validate_prometheus_text` -- a small format validator (used by
-  tests and the CI health-smoke job) checking TYPE lines, sample
-  syntax, and cumulative bucket monotonicity.
+  tests and the CI health-smoke job) checking TYPE lines and sample
+  syntax.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.obs.counters import COUNTERS, CounterRegistry
 #: Prefix every exposed metric family carries.
 PROM_PREFIX = "tea_"
 
-METRIC_KINDS = ("counter", "gauge", "histogram")
+METRIC_KINDS = ("counter", "gauge")
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
 _SAMPLE_LINE = re.compile(
@@ -53,14 +53,12 @@ def _fmt_value(value: float) -> str:
 def prometheus_text(registry: CounterRegistry | None = None) -> str:
     """Render *registry* in Prometheus text format 0.0.4.
 
-    *registry* defaults to the process-global ``COUNTERS``. Histograms
-    emit cumulative ``le`` buckets, ``_sum``, and ``_count``.
+    *registry* defaults to the process-global ``COUNTERS``.
     """
     registry = COUNTERS if registry is None else registry
     snap = registry.snapshot()
     counters = snap["counters"]
     gauges = snap["gauges"]
-    hists = snap["histograms"]
 
     lines: list[str] = []
     for name in sorted(counters):
@@ -73,23 +71,6 @@ def prometheus_text(registry: CounterRegistry | None = None) -> str:
         lines.append(f"# HELP {prom} {name}")
         lines.append(f"# TYPE {prom} gauge")
         lines.append(f"{prom} {_fmt_value(gauges[name])}")
-    for name in sorted(hists):
-        summary = hists[name]
-        prom = sanitize_metric_name(name)
-        lines.append(f"# HELP {prom} {name}")
-        lines.append(f"# TYPE {prom} histogram")
-        buckets = summary.get("buckets") or {}
-        for bound, cumulative in buckets.items():
-            if bound == "+Inf":
-                continue
-            lines.append(
-                f'{prom}_bucket{{le="{bound}"}} {int(cumulative)}'
-            )
-        lines.append(
-            f'{prom}_bucket{{le="+Inf"}} {int(summary["count"])}'
-        )
-        lines.append(f"{prom}_sum {_fmt_value(summary['sum'])}")
-        lines.append(f"{prom}_count {int(summary['count'])}")
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -97,25 +78,11 @@ def validate_prometheus_text(text: str) -> list[str]:
     """Check *text* against the Prometheus text format.
 
     Returns human-readable problems (empty = valid). Verifies sample
-    line syntax, that every sample belongs to a ``# TYPE``-declared
-    family of a known kind, and that histogram ``le`` buckets are
-    cumulative (monotone non-decreasing, ``+Inf`` last and equal to
-    ``_count``).
+    line syntax and that every sample belongs to a ``# TYPE``-declared
+    family of a known kind.
     """
     problems: list[str] = []
     types: dict[str, str] = {}
-    buckets: dict[str, list[tuple[float, float]]] = {}
-    counts: dict[str, float] = {}
-
-    def family_of(name: str) -> str | None:
-        if name in types:
-            return name
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix):
-                base = name[: -len(suffix)]
-                if types.get(base) == "histogram":
-                    return base
-        return None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -149,56 +116,16 @@ def validate_prometheus_text(text: str) -> list[str]:
             continue
         name = match.group("name")
         try:
-            value = float(match.group("value"))
+            float(match.group("value"))
         except ValueError:
             problems.append(
                 f"line {lineno}: non-numeric value "
                 f"{match.group('value')!r}"
             )
             continue
-        family = family_of(name)
-        if family is None:
+        if name not in types:
             problems.append(
                 f"line {lineno}: sample {name} has no TYPE declaration"
-            )
-            continue
-        if name == family + "_bucket":
-            labels = match.group("labels") or ""
-            le_match = re.search(r'le="([^"]*)"', labels)
-            if not le_match:
-                problems.append(
-                    f"line {lineno}: histogram bucket without le label"
-                )
-                continue
-            bound_raw = le_match.group(1)
-            bound = (
-                float("inf") if bound_raw == "+Inf"
-                else float(bound_raw)
-            )
-            buckets.setdefault(family, []).append((bound, value))
-        elif name == family + "_count":
-            counts[family] = value
-
-    for family, series in buckets.items():
-        bounds = [bound for bound, _ in series]
-        if bounds != sorted(bounds):
-            problems.append(
-                f"histogram {family}: bucket bounds out of order"
-            )
-        values = [value for _, value in series]
-        if any(b < a for a, b in zip(values, values[1:])):
-            problems.append(
-                f"histogram {family}: cumulative bucket counts "
-                f"decrease"
-            )
-        if series[-1][0] != float("inf"):
-            problems.append(
-                f"histogram {family}: missing +Inf bucket"
-            )
-        elif family in counts and series[-1][1] != counts[family]:
-            problems.append(
-                f"histogram {family}: +Inf bucket "
-                f"({series[-1][1]:g}) != _count ({counts[family]:g})"
             )
     return problems
 

@@ -8,8 +8,6 @@ a zero-overhead disabled path:
 
 * :func:`span` checks one module-level boolean and returns a shared
   no-op context manager when disabled -- no allocation, no clock read;
-* :func:`traced`-decorated functions call straight through to the
-  wrapped function when disabled;
 * collector and counter mutations are all behind the same flag.
 
 Enable with ``REPRO_OBS=1`` in the environment or :func:`enable` at
@@ -25,11 +23,9 @@ Perfetto-loadable trace file or ``"kind": "span"`` JSONL records.
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 import time
-from collections.abc import Callable
 from typing import Any
 
 #: Environment variable gating the whole subsystem.
@@ -206,11 +202,6 @@ class SpanCollector:
 COLLECTOR = SpanCollector()
 
 
-def collector() -> SpanCollector:
-    """The process-global :class:`SpanCollector`."""
-    return COLLECTOR
-
-
 class Span:
     """A live span: context manager recording one ``"X"`` event."""
 
@@ -268,27 +259,3 @@ def span(name: str, **args: Any) -> Span | _NoopSpan:
     if not _ENABLED:
         return _NOOP_SPAN
     return Span(name, args)
-
-
-def traced(
-    name: str | None = None,
-) -> Callable[[Callable], Callable]:
-    """Decorator recording one span per call of the wrapped function.
-
-    The span name defaults to the function's qualified name. When
-    instrumentation is off the wrapper calls straight through.
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        label = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if not _ENABLED:
-                return fn(*args, **kwargs)
-            with Span(label, {}):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -72,9 +72,9 @@ PINNED_MODEL_VERSION = 3
 #: sha256 of each registered file's bytes at pin time.
 SEMANTIC_HASHES = {
     "src/repro/backends/functional.py":
-        "fdf588ade4282db51ddc9ef649507b68b2d8d5657784c5f4c115fc29eb39fbc6",
+        "eeb57f3c7cf5df15a07fd8a7910f1687ef457dc92cbcbe75aa803418e80bbfbe",
     "src/repro/backends/sampled.py":
-        "d497a017c725fa54fc25f53c7a8fdb9250de857a6f8bbcfe9f8e0dff8157d451",
+        "b5fd4fb420b528463babaf8baaf22b9b1ba11fd7e2f6451e13a9b855df1de435",
     "src/repro/backends/warmup.py":
         "dc1d6734a99bbab6f126dc8444e1215ef281f66b680296081428409ece9dab0c",
     "src/repro/branch/predictor.py":

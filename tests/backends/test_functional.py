@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backends.functional import (
-    FunctionalBackend,
-    simulate_functional,
-)
+from repro.backends import simulate_backend
+from repro.backends.functional import simulate_functional
 from repro.isa.semantics import InstStream, arch_digest, snapshot_arch
 from repro.uarch.core import Core
 from repro.workloads import WORKLOAD_NAMES, build
@@ -60,9 +58,9 @@ def test_functional_is_timeless():
 
 def test_functional_backend_rejects_samplers():
     workload = build("lbm", scale=_SCALE)
-    backend = FunctionalBackend()
     with pytest.raises(ValueError, match="no cycle-level behaviour"):
-        backend.simulate(
+        simulate_backend(
+            "functional",
             workload.program,
             samplers=[object()],
             arch_state=workload.fresh_state(),

@@ -23,7 +23,7 @@ def test_serial_retry_recovers_from_one_failure():
         return item[0], {"ok": True}
 
     executor = SuiteExecutor(jobs=1, retries=1, fn=flaky)
-    results = executor.map([("a", None)])
+    results = executor.execute([("a", None)]).payloads
     assert results == {"a": {"ok": True}}
     assert calls == ["a", "a"]
 
@@ -35,9 +35,8 @@ def test_exhausted_retries_name_the_failing_workload():
         return item[0], {"ok": item[0]}
 
     executor = SuiteExecutor(jobs=1, retries=1, fn=doomed)
-    with pytest.raises(SuiteExecutionError) as excinfo:
-        executor.map([("fine", None), ("doom", None)])
-    exc = excinfo.value
+    report = executor.execute([("fine", None), ("doom", None)]).report
+    exc = SuiteExecutionError(report.failures, report)
     assert "doom" in str(exc)
     assert "kernel exploded" in str(exc)
     assert "fine" not in exc.failures
@@ -55,8 +54,8 @@ def test_zero_retries_fail_immediately():
         raise RuntimeError("always")
 
     executor = SuiteExecutor(jobs=1, retries=0, fn=flaky)
-    with pytest.raises(SuiteExecutionError):
-        executor.map([("a", None)])
+    report = executor.execute([("a", None)]).report
+    assert report.failed_labels == ["a"]
     assert calls == ["a"]
 
 
@@ -74,7 +73,7 @@ def _flaky_worker(marker_dir, item):
 def test_parallel_retry_across_processes(tmp_path):
     fn = functools.partial(_flaky_worker, str(tmp_path))
     executor = SuiteExecutor(jobs=2, retries=1, fn=fn)
-    results = executor.map([("a", None), ("b", None)])
+    results = executor.execute([("a", None), ("b", None)]).payloads
     assert results == {"a": {"ok": "a"}, "b": {"ok": "b"}}
 
 
@@ -88,8 +87,9 @@ def test_parallel_matches_serial_bit_identically():
         ("exchange2", RunSpec.make("exchange2", **SMALL)),
         ("xz", RunSpec.make("xz", **SMALL)),
     ]
-    serial = SuiteExecutor(jobs=1, fn=simulate_to_payload).map(items)
-    parallel = SuiteExecutor(jobs=2, fn=simulate_to_payload).map(items)
+    serial = SuiteExecutor(jobs=1, fn=simulate_to_payload).execute(items)
+    parallel = SuiteExecutor(jobs=2, fn=simulate_to_payload).execute(items)
+    serial, parallel = serial.payloads, parallel.payloads
     assert set(serial) == set(parallel) == {"exchange2", "xz"}
     for label in serial:
         assert _strip_wall(parallel[label]) == _strip_wall(serial[label])
@@ -115,7 +115,7 @@ def test_successful_parallel_suite_lets_its_workers_exit(
     monkeypatch.setattr(executor_module, "ProcessPoolExecutor", RecordingPool)
     executor = SuiteExecutor(jobs=2, fn=_echo_worker, heartbeat=heartbeat)
     labels = ["a", "b", "c", "d"]
-    results = executor.map([(label, None) for label in labels])
+    results = executor.execute([(label, None) for label in labels]).payloads
     assert results == {label: {"ok": label} for label in labels}
     assert workers
     for process in workers:

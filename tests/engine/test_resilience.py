@@ -43,34 +43,30 @@ def test_parallel_failure_report_carries_remote_traceback(tmp_path):
         tmp_path, {"doom": ("raise", "raise")}
     )
     executor = SuiteExecutor(jobs=2, retries=1, fn=worker)
-    with pytest.raises(SuiteExecutionError) as excinfo:
-        executor.map([("doom", None), ("fine", None)])
-    tb = excinfo.value.failures["doom"]
+    failures = executor.execute([("doom", None), ("fine", None)]).report.failures
+    tb = failures["doom"]
     assert "_fault_helper_inner" in tb
     assert "InjectedFault" in tb
     assert "injected fault in 'doom'" in tb
     assert "future.result" not in tb
-    assert excinfo.value.suite_report is not None
-    assert "fine" not in excinfo.value.failures
+    assert "fine" not in failures
 
 
 def test_serial_failure_report_carries_real_traceback(tmp_path):
     worker = FaultyWorker(tmp_path, {"doom": ("raise",)})
     executor = SuiteExecutor(jobs=1, retries=0, fn=worker)
-    with pytest.raises(SuiteExecutionError) as excinfo:
-        executor.map([("doom", None)])
-    assert "_fault_helper_inner" in excinfo.value.failures["doom"]
+    failures = executor.execute([("doom", None)]).report.failures
+    assert "_fault_helper_inner" in failures["doom"]
 
 
 # ----------------------------------------------------------------------
 # Deterministic jittered backoff.
 # ----------------------------------------------------------------------
 def test_backoff_delay_is_deterministic_per_seed():
-    a = backoff_delay(2, base=0.5, seed=7, label="lbm")
-    assert a == backoff_delay(2, base=0.5, seed=7, label="lbm")
-    assert a != backoff_delay(2, base=0.5, seed=8, label="lbm")
-    assert a != backoff_delay(2, base=0.5, seed=7, label="xz")
-    assert a != backoff_delay(3, base=0.5, seed=7, label="lbm")
+    a = backoff_delay(2, base=0.5, label="lbm")
+    assert a == backoff_delay(2, base=0.5, label="lbm")
+    assert a != backoff_delay(2, base=0.5, label="xz")
+    assert a != backoff_delay(3, base=0.5, label="lbm")
 
 
 def test_backoff_delay_bounds_and_growth():
@@ -85,14 +81,36 @@ def test_backoff_delay_bounds_and_growth():
 def test_serial_retry_waits_out_the_backoff(tmp_path):
     worker = FaultyWorker(tmp_path, {"flaky": ("raise",)})
     executor = SuiteExecutor(
-        jobs=1, retries=1, fn=worker, backoff=0.05, seed=99
+        jobs=1, retries=1, fn=worker, backoff=0.05
     )
     start = time.monotonic()
     result = executor.execute([("flaky", None)])
     elapsed = time.monotonic() - start
     assert result.report.outcomes["flaky"].status == STATUS_OK
-    assert elapsed >= backoff_delay(2, base=0.05, seed=99, label="flaky")
+    assert elapsed >= backoff_delay(2, base=0.05, label="flaky")
     assert result.report.retries == 1
+
+
+def test_serial_retry_waits_while_queued_labels_run():
+    """A serial retry waits out its backoff in the delayed heap, so the
+    labels already queued run first; per-label outcomes are unchanged."""
+    calls = []
+
+    def record_call(item):
+        calls.append(item[0])
+        if calls == ["flaky"]:
+            raise RuntimeError("transient")
+        return item[0], {"ok": item[0]}
+
+    # tealint: disable=TL005 -- jobs=1 runs the closure in process
+    executor = SuiteExecutor(jobs=1, retries=1, fn=record_call, backoff=0.3)
+    result = executor.execute([("flaky", None), ("a", None), ("b", None)])
+    assert calls == ["flaky", "a", "b", "flaky"]
+    assert {
+        label: (out.status, out.attempts)
+        for label, out in result.report.outcomes.items()
+    } == {"flaky": (STATUS_OK, 2), "a": (STATUS_OK, 1), "b": (STATUS_OK, 1)}
+    assert set(result.payloads) == {"flaky", "a", "b"}
 
 
 # ----------------------------------------------------------------------
@@ -153,6 +171,24 @@ def test_killed_worker_does_not_poison_the_suite(tmp_path):
     assert report.pool_recreations >= 1
 
 
+def test_worker_death_fails_only_the_label_whose_worker_died(tmp_path):
+    """A death that breaks two runs in flight charges neither: each
+    reruns alone, so only the label that kills its worker again fails
+    and the bystander still completes."""
+    worker = FaultyWorker(
+        tmp_path, {"victim": ("kill", "kill"), "slow": ("hang",)},
+        hang_s=1.0,
+    )
+    executor = SuiteExecutor(jobs=2, retries=0, fn=worker)
+    result = executor.execute([("victim", None), ("slow", None)])
+    outcomes = result.report.outcomes
+    assert outcomes["slow"].status == STATUS_OK
+    assert outcomes["victim"].status == STATUS_FAILED
+    assert "worker process died" in outcomes["victim"].cause
+    assert set(result.payloads) == {"slow"}
+    assert result.report.pool_recreations >= 2
+
+
 # ----------------------------------------------------------------------
 # Serial/parallel report parity and keep-going.
 # ----------------------------------------------------------------------
@@ -184,13 +220,12 @@ def test_keep_going_returns_partial_results(tmp_path):
         jobs=1,
         retries=1,
         fn=worker,
-        keep_going=True,
         on_result=lambda label, payload: landed.append(label),
     )
-    payloads = executor.map([("doom", None), ("fine", None)])
-    assert set(payloads) == {"fine"}
+    result = executor.execute([("doom", None), ("fine", None)])
+    assert set(result.payloads) == {"fine"}
     assert landed == ["fine"]
-    report = executor.last_report
+    report = result.report
     assert report.failed_labels == ["doom"]
     assert report.outcomes["doom"].status == STATUS_FAILED
     assert "InjectedFault" in report.outcomes["doom"].cause
@@ -302,7 +337,7 @@ def test_engine_checkpoints_before_decoding(tmp_path, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(engine_mod, "build_workload", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            Engine(store=store).run_suite(specs, jobs=1)
+            Engine(store=store).run_suite(specs)
     assert store.contains(specs["good"])
 
     resumed = Engine(store=RunStore(store.root))

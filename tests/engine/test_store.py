@@ -6,9 +6,11 @@ import json
 import pytest
 
 from repro.backends.base import BACKEND_NAMES
+from repro.core.error import pics_error
+from repro.core.pics import PicsProfile
 from repro.core.result import CoreResult
 from repro.engine import Engine, RunStore
-from repro.engine.runs import PAYLOAD_SCHEMA
+from repro.engine.runs import PAYLOAD_SCHEMA, run_from_payload, run_to_payload
 from repro.engine.spec import RunSpec
 
 from tests.engine.conftest import SMALL
@@ -228,3 +230,29 @@ def test_default_root_honours_env(monkeypatch, tmp_path):
 
     monkeypatch.setenv("TEA_REPRO_STORE", str(tmp_path / "envstore"))
     assert default_store_root() == tmp_path / "envstore"
+
+
+def test_run_builds_its_golden_profile_once(warm_store, monkeypatch):
+    """Every technique's error reads one golden profile, built on the
+    first access, and the errors equal the ones from a fresh build."""
+    _, fresh = warm_store
+    spec = small_spec()
+    run = run_from_payload(run_to_payload(spec, fresh), fresh.workload)
+    expected = {
+        key: pics_error(
+            sampler.profile(), run.result.golden_profile(), sampler.mask
+        )
+        for key, sampler in run.samplers.items()
+    }
+    built = []
+    from_raw = PicsProfile.from_raw.__func__
+
+    def counting(cls, name, raw):
+        built.append(name)
+        return from_raw(cls, name, raw)
+
+    monkeypatch.setattr(PicsProfile, "from_raw", classmethod(counting))
+    errors = {key: run.error(key) for key in run.samplers}
+    assert len(errors) > 1
+    assert built.count("golden") == 1
+    assert errors == expected

@@ -117,11 +117,11 @@ def test_warm_suite_performs_zero_new_simulations(tmp_path):
 
 
 def test_suite_results_identical_across_jobs(tmp_path):
-    serial = Engine(store=None).run_suite(
-        {"exchange2": spec(), "xz": spec("xz")}, jobs=1
+    serial = Engine(store=None, jobs=1).run_suite(
+        {"exchange2": spec(), "xz": spec("xz")}
     )
-    parallel = Engine(store=None).run_suite(
-        {"exchange2": spec(), "xz": spec("xz")}, jobs=2
+    parallel = Engine(store=None, jobs=2).run_suite(
+        {"exchange2": spec(), "xz": spec("xz")}
     )
     for label, run in serial.items():
         other = parallel[label]

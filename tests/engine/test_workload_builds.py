@@ -91,7 +91,7 @@ def test_store_probe_builds_once(filled_store, builds, fresh_errors):
 
 def test_suite_execution_builds_once(tmp_path, builds, fresh_errors):
     engine = Engine(store=RunStore(tmp_path))
-    runs = engine.run_suite(SPECS, jobs=1)
+    runs = engine.run_suite(SPECS)
     assert engine.simulations == 3
     assert len(builds) == 1
     assert_shared(runs, fresh_errors)

@@ -148,7 +148,7 @@ def test_failed_suite_still_exports_obs(tmp_path, capsys, monkeypatch):
     """A suite failure exits 1 and still writes --trace-out,
     --metrics-out and the run log's obs records."""
 
-    def failing_suite(self, specs, jobs=None, keep_going=None):
+    def failing_suite(self, specs):
         label, spec = next(iter(specs.items()))
         self.run(spec)  # one run lands, then the suite fails
         raise SuiteExecutionError({label: "InjectedFault: injected"})

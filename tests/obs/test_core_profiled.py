@@ -173,7 +173,7 @@ def test_sampled_run_attributes_stages():
             samplers=[make_sampler("TEA", 293)],
             arch_state=wl.fresh_state(),
         )
-        if obs.COUNTERS.get("core.stage_ticks") >= 200:
+        if obs.COUNTERS.snapshot()["counters"]["core.stage_ticks"] >= 200:
             break
     counters = obs.COUNTERS.snapshot()["counters"]
     assert counters["core.stage_ticks"] >= 200
@@ -226,7 +226,7 @@ def test_sampler_is_inert_off_the_main_thread():
     thread.join(timeout=120)
     assert not thread.is_alive()
     assert len(outcome) == 1
-    assert obs.COUNTERS.get("core.stage_ticks") == 0
+    assert obs.COUNTERS.snapshot()["counters"]["core.stage_ticks"] == 0
     assert signal.getsignal(signal.SIGPROF) == handler
     assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
 

@@ -5,6 +5,7 @@ import time
 
 from repro import obs
 from repro.engine.executor import SuiteExecutor
+from repro.engine.faults import FaultyWorker
 from repro.obs.export import (
     chrome_trace_doc,
     export_chrome_trace,
@@ -86,8 +87,7 @@ def test_serial_suite_keeps_spans_on_shared_timeline():
 def test_retry_and_failure_events_recorded():
     obs.enable()
     executor = SuiteExecutor(
-        jobs=1, retries=1, fn=flaky_payload, keep_going=True,
-        backoff=0.01,
+        jobs=1, retries=1, fn=flaky_payload, backoff=0.01,
     )
     result = executor.execute(items("good", "bad"))
     assert result.report.outcomes["bad"].status == "failed"
@@ -114,9 +114,34 @@ def test_retry_and_failure_events_recorded():
     assert snap["counters"]["executor.runs_failed"] == 1
 
 
+def test_runs_failed_counts_every_label_left_without_a_payload(tmp_path):
+    """A raise, a worker death and a timeout each end a label without a
+    payload, and each is one ``executor.runs_failed``."""
+    obs.enable()
+    worker = FaultyWorker(
+        tmp_path,
+        {
+            "victim": ("kill", "kill"),
+            "hung": ("hang", "hang"),
+            "doom": ("raise",),
+        },
+        hang_s=60.0,
+    )
+    executor = SuiteExecutor(jobs=2, retries=0, fn=worker, timeout=2.0)
+    result = executor.execute(items("victim", "hung", "doom", "fine"))
+    report = result.report
+    counters = obs.COUNTERS.snapshot()["counters"]
+    assert counters["executor.runs_failed"] == len(report.failed_labels)
+    assert counters["executor.runs_ok"] == 1
+    assert set(result.payloads) == {"fine"}
+    assert report.outcomes["victim"].status == "failed"
+    assert report.outcomes["hung"].status == "timeout"
+    assert report.outcomes["doom"].status == "failed"
+
+
 def test_disabled_executor_ships_no_events():
     obs.disable()
-    executor = SuiteExecutor(jobs=1, fn=flaky_payload, keep_going=True)
+    executor = SuiteExecutor(jobs=1, fn=flaky_payload)
     executor.execute(items("good"))
     assert len(obs.COLLECTOR) == 0
     doc = chrome_trace_doc([])

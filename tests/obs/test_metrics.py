@@ -1,10 +1,7 @@
 """The metrics layer: Prometheus exposition of the counter registry
 (validated against the text-format rules) and the textfile exporter."""
 
-import json
 import threading
-
-import pytest
 
 from repro import obs
 from repro.obs.metrics import (
@@ -22,8 +19,6 @@ def _populated_registry():
     obs.enable()
     obs.COUNTERS.inc("engine.simulations", 4)
     obs.COUNTERS.gauge("progress.committed", 123456)
-    for value in (0.0005, 0.003, 0.003, 0.8, 12.0):
-        obs.COUNTERS.observe("run.wall_s", value)
     return obs.COUNTERS
 
 
@@ -34,53 +29,28 @@ def test_prometheus_text_round_trips_through_validator():
     # Counters/gauges carry their declared types.
     assert "# TYPE tea_engine_simulations counter" in text
     assert "# TYPE tea_progress_committed gauge" in text
-    assert "# TYPE tea_run_wall_s histogram" in text
     assert "tea_engine_simulations 4" in text
 
 
-def test_prometheus_histogram_buckets_are_cumulative():
-    registry = _populated_registry()
-    text = prometheus_text(registry)
-    lines = [
-        line for line in text.splitlines()
-        if line.startswith("tea_run_wall_s_bucket")
-    ]
-    counts = [float(line.rsplit(" ", 1)[1]) for line in lines]
-    assert counts == sorted(counts)  # cumulative => monotone
-    assert lines[-1].startswith('tea_run_wall_s_bucket{le="+Inf"}')
-    assert counts[-1] == 5.0
-    assert "tea_run_wall_s_count 5" in text
-    assert "tea_run_wall_s_sum" in text
-
-
 def test_validator_rejects_broken_exposition():
-    # _count disagreeing with the +Inf bucket must be flagged.
+    # The registry has counters and gauges only: a histogram family
+    # is an unknown type, and its suffixed samples are undeclared.
     bad = "\n".join(
         [
             "# TYPE tea_h histogram",
-            'tea_h_bucket{le="1"} 2',
             'tea_h_bucket{le="+Inf"} 3',
-            "tea_h_sum 1.5",
-            "tea_h_count 7",
+            "tea_h_count 3",
             "",
         ]
     )
-    assert validate_prometheus_text(bad) != []
-    # Non-monotone cumulative buckets must be flagged.
-    bad2 = "\n".join(
-        [
-            "# TYPE tea_h histogram",
-            'tea_h_bucket{le="1"} 5',
-            'tea_h_bucket{le="2"} 3',
-            'tea_h_bucket{le="+Inf"} 5',
-            "tea_h_sum 1.0",
-            "tea_h_count 5",
-            "",
-        ]
-    )
-    assert any(
-        "decrease" in p for p in validate_prometheus_text(bad2)
-    )
+    problems = validate_prometheus_text(bad)
+    assert any("unknown metric type 'histogram'" in p for p in problems)
+    assert any("tea_h_bucket has no TYPE" in p for p in problems)
+    # Non-numeric values and undeclared samples must be flagged.
+    bad2 = "\n".join(["# TYPE tea_c counter", "tea_c one", "tea_d 1", ""])
+    problems = validate_prometheus_text(bad2)
+    assert any("non-numeric value" in p for p in problems)
+    assert any("tea_d has no TYPE" in p for p in problems)
 
 
 def test_sanitize_metric_name():
@@ -104,67 +74,6 @@ def test_expose_prometheus_writes_textfile_atomically(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Histogram buckets + quantiles (CounterRegistry.observe).
-# ----------------------------------------------------------------------
-def test_observe_populates_log_spaced_buckets():
-    from repro.obs.counters import BUCKET_BOUNDS, CounterRegistry
-
-    assert list(BUCKET_BOUNDS) == sorted(BUCKET_BOUNDS)
-    obs.enable()
-    registry = CounterRegistry()
-    for value in (0.001, 0.02, 0.02, 5.0, 5.0, 5.0, 120.0, 1e12):
-        registry.observe("h", value)
-    summary = registry.get("h")
-    buckets = summary["buckets"]
-    assert buckets["+Inf"] == 8
-    # Cumulative counts at each emitted bound.
-    assert buckets["0.001"] == 1
-    assert buckets["0.02"] == 3
-    assert buckets["5"] == 6
-    assert buckets["200"] == 7  # 120 falls in the (100, 200] bucket
-
-
-def test_hist_quantiles_from_buckets():
-    from repro.obs.counters import CounterRegistry, hist_quantile
-
-    obs.enable()
-    registry = CounterRegistry()
-    for value in (0.001, 0.02, 0.02, 5.0, 5.0, 5.0, 120.0, 1e12):
-        registry.observe("h", value)
-    assert registry.quantile("h", 0.5) == pytest.approx(5.0)
-    # The p99 rank lands in the overflow bucket; clamp to the max.
-    assert registry.quantile("h", 0.99) == pytest.approx(1e12)
-    assert registry.quantile("h", 0.0) == pytest.approx(0.001)
-    assert hist_quantile({}, 0.5) is None
-    assert registry.quantile("absent", 0.5) is None
-
-
-def test_registry_get_returns_histogram_summary():
-    """Regression: get() used to return None for histogram names."""
-    from repro.obs.counters import CounterRegistry
-
-    obs.enable()
-    registry = CounterRegistry()
-    registry.observe("wall", 2.0)
-    registry.observe("wall", 4.0)
-    summary = registry.get("wall")
-    assert summary["count"] == 2
-    assert summary["sum"] == pytest.approx(6.0)
-    assert summary["min"] == 2.0 and summary["max"] == 4.0
-    assert registry.get("never") is None
-
-
-def test_hist_snapshot_carries_buckets_key():
-    """The snapshot stays backward compatible: old keys intact, the
-    new "buckets" mapping added."""
-    obs.enable()
-    obs.COUNTERS.observe("lat", 0.5)
-    hist = obs.COUNTERS.snapshot()["histograms"]["lat"]
-    assert {"count", "sum", "min", "max", "buckets"} <= set(hist)
-    assert json.dumps(hist)  # JSON-serialisable for the run log
-
-
-# ----------------------------------------------------------------------
 # Satellite: multi-thread registry contention.
 # ----------------------------------------------------------------------
 def test_counter_registry_is_thread_safe_under_contention():
@@ -179,7 +88,6 @@ def test_counter_registry_is_thread_safe_under_contention():
             registry.inc("shared")
             registry.inc(f"mine.{tid}")
             registry.gauge("last", float(i))
-            registry.observe("obs", float(i % 7))
 
     threads = [
         threading.Thread(target=hammer, args=(tid,))
@@ -189,9 +97,7 @@ def test_counter_registry_is_thread_safe_under_contention():
         thread.start()
     for thread in threads:
         thread.join()
-    assert registry.get("shared") == threads_n * iters
+    counters = registry.snapshot()["counters"]
+    assert counters["shared"] == threads_n * iters
     for tid in range(threads_n):
-        assert registry.get(f"mine.{tid}") == iters
-    summary = registry.get("obs")
-    assert summary["count"] == threads_n * iters
-    assert summary["buckets"]["+Inf"] == threads_n * iters
+        assert counters[f"mine.{tid}"] == iters

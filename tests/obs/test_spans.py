@@ -76,22 +76,6 @@ def test_span_duration_clamped_on_clock_step(monkeypatch):
     assert event["ts"] == 5_000_000
 
 
-def test_traced_decorator_gates_at_call_time():
-    calls = []
-
-    @obs.traced("worker")
-    def work(x):
-        calls.append(x)
-        return x * 2
-
-    assert work(2) == 4  # disabled: straight through
-    assert len(obs.COLLECTOR) == 0
-    obs.enable()
-    assert work(3) == 6
-    assert [e["name"] for e in obs.COLLECTOR.snapshot()] == ["worker"]
-    assert calls == [2, 3]
-
-
 def test_mark_drain_ingest_round_trip():
     obs.enable()
     with obs.span("before"):
@@ -132,11 +116,9 @@ def test_counters_gated_while_disabled():
     obs.disable()
     obs.COUNTERS.inc("x")
     obs.COUNTERS.gauge("g", 1.0)
-    obs.COUNTERS.observe("h", 2.0)
     snap = obs.COUNTERS.snapshot()
     assert snap["counters"] == {}
     assert snap["gauges"] == {}
-    assert snap["histograms"] == {}
 
 
 def test_counter_registry_semantics():
@@ -144,15 +126,9 @@ def test_counter_registry_semantics():
     obs.COUNTERS.inc("runs")
     obs.COUNTERS.inc("runs", 2)
     obs.COUNTERS.gauge("occ", 7.5)
-    for value in (1.0, 3.0, 2.0):
-        obs.COUNTERS.observe("wall", value)
     snap = obs.COUNTERS.snapshot()
     assert snap["counters"]["runs"] == 3
     assert snap["gauges"]["occ"] == 7.5
-    hist = snap["histograms"]["wall"]
-    assert hist["count"] == 3
-    assert hist["sum"] == pytest.approx(6.0)
-    assert hist["min"] == 1.0 and hist["max"] == 3.0
 
 
 def test_counter_sample_emits_trace_event_and_gauges():
