@@ -10,13 +10,14 @@ in the model.
 import os
 
 from repro.experiments import sensitivity
+from repro.experiments.runner import ExperimentRunner
 
 SCALE = float(os.environ.get("TEA_BENCH_SCALE", "1.0"))
 
 
 def test_rob_size_sensitivity(benchmark, emit):
     result = benchmark.pedantic(
-        lambda: sensitivity.rob_size_sweep(scale=SCALE),
+        lambda: sensitivity.rob_size_sweep(ExperimentRunner(scale=SCALE)),
         rounds=1,
         iterations=1,
     )
@@ -33,7 +34,9 @@ def test_rob_size_sensitivity(benchmark, emit):
 
 def test_store_queue_sensitivity(benchmark, emit):
     result = benchmark.pedantic(
-        lambda: sensitivity.store_queue_sweep(scale=SCALE),
+        lambda: sensitivity.store_queue_sweep(
+            ExperimentRunner(scale=SCALE)
+        ),
         rounds=1,
         iterations=1,
     )

@@ -52,6 +52,7 @@ def simulate_backend(
     arch_state=None,
     max_cycles: int = 500_000_000,
     plan: WindowPlan | None = None,
+    cycle_trace=None,
 ):
     """Simulate *program* on the named backend and return its result.
 
@@ -62,16 +63,27 @@ def simulate_backend(
         backend: One of :data:`BACKEND_NAMES`.
         plan: Window geometry for the sampled backend (ignored by the
             other tiers; ``None`` selects :class:`WindowPlan` defaults).
+        cycle_trace: The detailed core's per-cycle sink (see
+            :class:`~repro.trace.store.TraceStore`).
 
     Raises:
-        ValueError: Unknown backend name, or samplers attached to the
-            functional tier (it has no cycles to sample).
+        ValueError: Unknown backend name, samplers attached to the
+            functional tier (it has no cycles to sample), or a
+            *cycle_trace* on a tier other than detailed.
     """
     if backend == "detailed":
         from repro.uarch.core import simulate
 
         return simulate(
             program, config, samplers, arch_state, max_cycles=max_cycles,
+            cycle_trace=cycle_trace,
+        )
+    if cycle_trace is not None:
+        raise ValueError(
+            f"a cycle trace needs the detailed backend, not "
+            f"{backend!r}: the functional tier has no cycles, and the "
+            "sampled tier's fast-forward gaps would leave holes in "
+            "the trace"
         )
     if backend == "functional":
         if list(samplers):

@@ -15,7 +15,8 @@ Use the library as a profiler/tool::
     tea-repro diff lbm lbm:prefetch_distance=3
     tea-repro figures --out results/figures
 
-Engine controls (any experiment command)::
+Engine controls (any experiment or tool command; ``profile``,
+``advise``, ``diff`` and ``query`` share the run store and run log)::
 
     tea-repro --jobs 4 all              # parallel suite execution
     tea-repro --store PATH fig5         # explicit run-store location
@@ -40,16 +41,17 @@ from pathlib import Path
 from repro import obs
 from repro.core.diff import diff_profiles, render_diff
 from repro.core.pics import Granularity
-from repro.core.samplers import make_sampler
 from repro.core.report import render_top
 from repro.engine import (
     DEFAULT_RUN_LOG_NAME,
+    BenchmarkRun,
     Engine,
     RunLog,
     RunSpec,
     RunStore,
     SuiteExecutionError,
     read_run_log,
+    simulate_spec,
     summarize_records_json,
     summarize_run_log,
 )
@@ -65,7 +67,6 @@ from repro.experiments import (
     per_instruction,
     tables,
 )
-from repro.uarch.core import simulate
 from repro.workloads import BUILDERS, WORKLOAD_NAMES, build
 
 
@@ -537,47 +538,60 @@ def parse_workload_fields(spec: str) -> tuple[str, dict]:
     return name, kwargs
 
 
-def _profile_workload(workload, technique: str, period: int):
-    sampler = make_sampler(technique, period)
-    result = simulate(
-        workload.program,
-        samplers=[sampler],
-        arch_state=workload.fresh_state(),
+def _tool_run(
+    engine: Engine, args, workload_arg: str, technique: str
+) -> BenchmarkRun:
+    """The run ``profile``, ``advise`` and ``diff`` read: *workload_arg*
+    with one *technique* attached, served by *engine*.
+
+    A ``.asm`` file has no registered builder to key a spec by, so it
+    is simulated directly on its parsed workload and never stored.
+    """
+    workload = None
+    if workload_arg.endswith(".asm"):
+        workload = parse_workload_spec(workload_arg, args.scale)
+        name, kwargs = workload.name, {}
+    else:
+        name, kwargs = parse_workload_fields(workload_arg)
+    backend = getattr(args, "backend", "detailed")
+    geometry = {}
+    if backend == "sampled" and args.window:
+        geometry = {
+            "window": args.window,
+            "stride": args.stride,
+            "warmup": args.warmup,
+        }
+    spec = RunSpec.make(
+        name, kwargs, scale=args.scale, period=args.period,
+        techniques=(technique,), backend=backend, **geometry,
     )
-    return result, sampler
+    if workload is not None:
+        return simulate_spec(spec, workload)
+    return engine.run(spec)
 
 
 def cmd_profile(args) -> int:
     """``tea-repro profile <workload> ...``: print a PICS profile."""
-    from repro.backends import WindowPlan, simulate_backend
-
-    workload = parse_workload_spec(args.workload, args.scale)
-    backend = getattr(args, "backend", "detailed")
-    samplers = []
-    if backend != "functional":
-        samplers.append(make_sampler(args.technique, args.period))
-    plan = None
-    if backend == "sampled" and args.window:
-        plan = WindowPlan(
-            window=args.window, stride=args.stride, warmup=args.warmup
-        )
-    result = simulate_backend(
-        backend,
-        workload.program,
-        samplers=samplers,
-        arch_state=workload.fresh_state(),
-        plan=plan,
-    )
-    if samplers:
-        profile = samplers[0].profile()
-        sample_note = f"{samplers[0].samples_taken} samples"
+    engine = make_engine(args)
+    if args.stats:
+        # A stored run keeps no machine state (caches, TLBs,
+        # predictor, DRAM): simulate, as with --no-store.
+        engine.store = None
+    run = _tool_run(engine, args, args.workload, args.technique)
+    workload, result = run.workload, run.result
+    backend = args.backend
+    if run.samplers:
+        sampler = run.samplers[args.technique]
+        profile = sampler.profile()
+        sample_note = f"{sampler.samples_taken} samples"
         if backend == "sampled":
-            sample_note += (
-                f" over {len(result.windows)} window(s), "
-                "cycles extrapolated"
-            )
+            # A stored sampled run keeps no windows.
+            windows = getattr(result, "windows", None)
+            if windows is not None:
+                sample_note += f" over {len(windows)} window(s)"
+            sample_note += ", cycles extrapolated"
     else:
-        profile = result.golden_profile()
+        profile = run.golden
         sample_note = "functional tier (exact counts, no timing)"
     level = Granularity(args.granularity)
     if level != Granularity.INSTRUCTION:
@@ -614,19 +628,19 @@ def cmd_advise(args) -> int:
     from repro.core.advisor import advise, render_findings
     from repro.predict import predict_program
 
-    workload = parse_workload_spec(args.workload, args.scale)
-    result, sampler = _profile_workload(workload, "TEA", args.period)
+    run = _tool_run(make_engine(args), args, args.workload, "TEA")
+    workload = run.workload
     # The static prediction is free (no simulation); findings cite
     # the predictor's binding bottleneck per implicated block.
     prediction = predict_program(workload.program)
     findings = advise(
-        sampler.profile(),
+        run.profile("TEA"),
         workload.program,
         threshold=args.threshold,
         prediction=prediction,
     )
     print(
-        f"{workload.name}: {result.cycles:,} cycles, "
+        f"{workload.name}: {run.result.cycles:,} cycles, "
         f"{len(findings)} finding(s)\n"
     )
     print(render_findings(findings, workload.program))
@@ -680,17 +694,13 @@ def cmd_predict(args) -> int:
 
 def cmd_diff(args) -> int:
     """``tea-repro diff <before> <after>``: compare two profiles."""
-    before_wl = parse_workload_spec(args.before, args.scale)
-    after_wl = parse_workload_spec(args.after, args.scale)
-    _, before_sampler = _profile_workload(
-        before_wl, args.technique, args.period
-    )
-    _, after_sampler = _profile_workload(
-        after_wl, args.technique, args.period
-    )
+    engine = make_engine(args)
+    before = _tool_run(engine, args, args.before, args.technique)
+    after = _tool_run(engine, args, args.after, args.technique)
     diff = diff_profiles(
-        before_sampler.profile(), after_sampler.profile()
+        before.profile(args.technique), after.profile(args.technique)
     )
+    before_wl, after_wl = before.workload, after.workload
     program = (
         before_wl.program
         if len(before_wl.program) == len(after_wl.program)
@@ -721,25 +731,16 @@ def _query_spec(spec_str: str, args):
     )
 
 
-def _query_for(spec, args, run_store, run_log):
+def _query_for(engine: Engine, spec: RunSpec, args):
     """A TraceQuery over *spec*'s trace (sidecar hit or fresh capture)."""
-    from repro.engine.runs import build_workload
-    from repro.trace import TraceQuery, capture_run, ensure_trace
+    from repro.trace import TraceQuery
 
-    if run_store is None:
-        run, store = capture_run(spec)
-        return TraceQuery(store, run.workload.program)
-    store = ensure_trace(
-        spec, run_store, refresh=args.refresh, run_log=run_log
-    )
-    return TraceQuery(store, build_workload(spec).program)
+    store = engine.trace(spec, refresh=args.refresh)
+    return TraceQuery(store, engine.workload(spec).program)
 
 
 def cmd_query(args) -> int:
     """``tea-repro query``: analytics over the columnar trace store."""
-    from repro.core.states import CommitState
-    from repro.experiments.runner import format_table
-    from repro.trace import diff_attribution
     from repro.trace.query import parse_states
 
     try:
@@ -748,29 +749,24 @@ def cmd_query(args) -> int:
         raise SystemExit(str(exc)) from None
     if args.window is not None and not args.window_cycles:
         raise SystemExit("--window needs --window-cycles")
-
-    run_store = None if args.no_store else RunStore(args.store)
-    run_log = None
-    if run_store is not None and not args.no_run_log:
-        log_path = args.run_log or (
-            run_store.root / DEFAULT_RUN_LOG_NAME
-        )
-        run_log = RunLog(log_path)
-
+    if args.what == "diff" and not args.baseline:
+        raise SystemExit("--what diff needs --baseline <workload-spec>")
     spec = _query_spec(args.workload, args)
-    query = _query_for(spec, args, run_store, run_log)
+    base_spec = (
+        _query_spec(args.baseline, args) if args.what == "diff" else None
+    )
+    engine = make_engine(args)
+    query = _query_for(engine, spec, args)
     try:
-        return _run_query(args, spec, query, states, run_store,
-                          run_log, diff_attribution, format_table,
-                          CommitState)
+        return _run_query(args, engine, spec, base_spec, query, states)
     finally:
         query.store.close()
-        if run_log is not None:
-            run_log.close()
 
 
-def _run_query(args, spec, query, states, run_store, run_log,
-               diff_attribution, format_table, CommitState) -> int:
+def _run_query(args, engine, spec, base_spec, query, states) -> int:
+    from repro.experiments.runner import format_table
+    from repro.trace import diff_attribution
+
     what = args.what
     if what == "summary":
         state_cycles = query.state_cycles()
@@ -893,10 +889,7 @@ def _run_query(args, spec, query, states, run_store, run_log,
         return 0
 
     # what == "diff"
-    if not args.baseline:
-        raise SystemExit("--what diff needs --baseline <workload-spec>")
-    base_spec = _query_spec(args.baseline, args)
-    base_query = _query_for(base_spec, args, run_store, run_log)
+    base_query = _query_for(engine, base_spec, args)
     try:
         report = diff_attribution(
             base_query,

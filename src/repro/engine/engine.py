@@ -9,9 +9,11 @@ command, and benchmark script funnels through. For each
    cache hits, reconstructed bit-identically from the stored payload
    onto the engine's built workload; a payload that does not decode is
    a miss),
-3. a fresh simulation via the fault-tolerant
-   :class:`~repro.engine.executor.SuiteExecutor` -- in process for
-   ``jobs=1``, over a worker pool otherwise, through the same attempt
+3. a fresh simulation -- inline for :meth:`Engine.run` and
+   :meth:`Engine.trace` (the same run with a columnar trace attached);
+   :meth:`Engine.run_suite` hands its misses to the fault-tolerant
+   :class:`~repro.engine.executor.SuiteExecutor`, in process for
+   ``jobs=1`` and over a worker pool otherwise, through one attempt
    loop with its retries, backoff, timeouts and pool recovery.
 
 Suite runs checkpoint as they go: each completed payload is flushed to
@@ -31,7 +33,7 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Callable, Mapping
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro import obs
 from repro.engine.executor import (
@@ -51,6 +53,9 @@ from repro.engine.spec import RunSpec
 from repro.engine.store import RunStore
 from repro.engine.telemetry import RunLog, RunMetrics
 from repro.workloads import Workload
+
+if TYPE_CHECKING:
+    from repro.trace.store import TraceStore
 
 
 class Engine:
@@ -132,14 +137,50 @@ class Engine:
                 source = "store"
                 obs.COUNTERS.inc("engine.store_hits")
             else:
-                run = simulate_spec(spec, self._workload(spec))
-                self.simulations += 1
+                run = self._simulate(spec)
                 source = "simulated"
-                obs.COUNTERS.inc("engine.simulations")
-                if self.store is not None:
-                    self.store.save(spec, run_to_payload(spec, run))
         self._memo[spec.key] = run
         self._record(spec, run, source, time.perf_counter() - start)
+        return run
+
+    def trace(self, spec: RunSpec, refresh: bool = False) -> TraceStore:
+        """The columnar trace of *spec*: its stored sidecar, or a capture.
+
+        A valid sidecar is returned mmap-backed with one ``trace``
+        record, and nothing is simulated. Otherwise (or with
+        *refresh*) the spec is simulated once with a fresh store
+        attached; the payload and the sidecar are saved, the run is
+        memoised, and one ``simulated`` run record and one ``trace``
+        record are logged. A non-detailed spec raises ``ValueError``.
+        """
+        from repro.trace.store import TraceStore
+
+        if self.store is not None and not refresh:
+            cached = self.store.load_trace(spec)
+            if cached is not None:
+                if self.run_log is not None:
+                    self.run_log.record_trace(spec, cached, cached=True)
+                return cached
+        trace = TraceStore()
+        start = time.perf_counter()
+        run = self._simulate(spec, trace)
+        wall_s = time.perf_counter() - start
+        if self.store is not None:
+            self.store.save_trace(spec, trace)
+        self._memo[spec.key] = run
+        self._record(spec, run, "simulated", wall_s)
+        if self.run_log is not None:
+            self.run_log.record_trace(spec, trace, cached=False,
+                                      wall_s=wall_s)
+        return trace
+
+    def _simulate(self, spec: RunSpec, trace: Any = None) -> BenchmarkRun:
+        """Simulate a spec the memo and store missed; store its payload."""
+        run = simulate_spec(spec, self.workload(spec), trace)
+        self.simulations += 1
+        obs.COUNTERS.inc("engine.simulations")
+        if self.store is not None:
+            self.store.save(spec, run_to_payload(spec, run))
         return run
 
     # ------------------------------------------------------------------
@@ -249,7 +290,7 @@ class Engine:
         payload = self.store.load(spec)
         if payload is None:
             return None
-        workload = self._workload(spec)
+        workload = self.workload(spec)
         try:
             return run_from_payload(payload, workload)
         except (KeyError, TypeError, ValueError):
@@ -272,7 +313,7 @@ class Engine:
             self.simulations += 1
             obs.COUNTERS.inc("engine.simulations")
             self._memo[spec.key] = run_from_payload(
-                payload, self._workload(spec)
+                payload, self.workload(spec)
             )
 
         executor = SuiteExecutor(
@@ -311,7 +352,7 @@ class Engine:
         if self.run_log is not None:
             self.run_log.record_event(record)
 
-    def _workload(self, spec: RunSpec) -> Workload:
+    def workload(self, spec: RunSpec) -> Workload:
         """The workload *spec* names, built once per engine.
 
         Keyed by what a build depends on -- the workload name, the

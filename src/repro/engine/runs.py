@@ -125,22 +125,30 @@ def build_workload(spec: RunSpec) -> Workload:
 
 
 def simulate_spec(
-    spec: RunSpec, workload: Workload | None = None
+    spec: RunSpec, workload: Workload | None = None, trace: Any = None
 ) -> BenchmarkRun:
     """Simulate one spec on its backend, sampler plan attached.
 
     The functional tier has no cycle-level behaviour to sample, so its
     runs carry no samplers (the golden profile is still produced); the
     detailed and sampled tiers attach the full plan.
+
+    A *trace* (a :class:`~repro.trace.store.TraceStore`, detailed tier
+    only) becomes the core's ``cycle_trace`` and every sampler's sink;
+    the hooks only observe, so the run is the one an untraced call
+    returns.
     """
     workload = workload or build_workload(spec)
     backend = getattr(spec, "backend", "detailed")
     samplers: dict[str, Sampler] = {}
     if backend != "functional":
         for key, technique, period, seed in spec.sampler_plan():
-            samplers[key] = make_sampler(
+            sampler = make_sampler(
                 technique, period, jitter=spec.jitter, seed=seed
             )
+            if trace is not None:
+                sampler.sink = trace.sampler_sink(key)
+            samplers[key] = sampler
     result = simulate_backend(
         backend,
         workload.program,
@@ -148,7 +156,11 @@ def simulate_spec(
         samplers=list(samplers.values()),
         arch_state=workload.fresh_state(),
         plan=spec.window_plan(),
+        cycle_trace=trace,
     )
+    if trace is not None:
+        trace.meta.update(workload=spec.workload, label=spec.label(),
+                          cycles=result.cycles, committed=result.committed)
     return BenchmarkRun(workload=workload, result=result,
                         samplers=samplers)
 

@@ -44,6 +44,27 @@ def default_store_root() -> Path:
     return Path.home() / ".cache" / "tea-repro"
 
 
+def _write_atomic(path: Path, data: bytes) -> Path:
+    """Write *data* to *path* through a temp file and a rename, so a
+    reader sees the old file or the new one, never a torn write; the
+    temp file is removed if the write fails."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=".tmp-", suffix=path.suffix
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return path
+
+
 class RunStore:
     """A spec-keyed, versioned store of completed run payloads.
 
@@ -102,24 +123,10 @@ class RunStore:
 
     def save(self, spec: RunSpec, payload: dict[str, Any]) -> Path:
         """Atomically persist *payload* under *spec*'s key."""
-        path = self.path_for(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                # One dumps() call: json.dump() always runs the
-                # pure-Python encoder, dumps() the C one (same text).
-                handle.write(json.dumps(payload, separators=(",", ":")))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        # One dumps() call: json.dump() always runs the pure-Python
+        # encoder, dumps() the C one (same text).
+        text = json.dumps(payload, separators=(",", ":"))
+        return _write_atomic(self.path_for(spec), text.encode("utf-8"))
 
     # -- columnar trace sidecars ---------------------------------------
     def trace_path_for(self, spec: RunSpec) -> Path:
@@ -130,10 +137,6 @@ class RunStore:
         both artefacts of a run together.
         """
         return self.runs_dir / spec.key[:2] / f"{spec.key}.teacol"
-
-    def has_trace(self, spec: RunSpec) -> bool:
-        """Cheap existence probe for a spec's trace sidecar."""
-        return self.trace_path_for(spec).is_file()
 
     def save_trace(self, spec: RunSpec, store: Any) -> Path:
         """Atomically persist a :class:`~repro.trace.store.TraceStore`.
@@ -148,22 +151,7 @@ class RunStore:
                 "spec_key": spec.key,
             }
         )
-        path = self.trace_path_for(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".teacol"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(store.to_bytes())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        return _write_atomic(self.trace_path_for(spec), store.to_bytes())
 
     def load_trace(self, spec: RunSpec):
         """The stored trace for *spec*, or ``None`` on a miss.

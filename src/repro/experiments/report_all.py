@@ -117,13 +117,13 @@ def _sections(runner: ExperimentRunner):
     yield (
         "Sensitivity: out-of-order window",
         lambda: sensitivity.format_result(
-            sensitivity.rob_size_sweep(scale=runner.scale)
+            sensitivity.rob_size_sweep(runner)
         ),
     )
     yield (
         "Sensitivity: store queue",
         lambda: sensitivity.format_result(
-            sensitivity.store_queue_sweep(scale=runner.scale)
+            sensitivity.store_queue_sweep(runner)
         ),
     )
     yield (

@@ -16,15 +16,12 @@ narratives rather than the sampling techniques themselves:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from repro.core.events import Event
 from repro.core.psv import psv_has
-from repro.experiments.runner import format_table
+from repro.experiments.runner import ExperimentRunner, format_table
 from repro.uarch.config import CoreConfig
-from repro.uarch.core import simulate
-from repro.workloads import build
 
 
 @dataclass
@@ -47,12 +44,19 @@ class SensitivityResult:
     points: list[SensitivityPoint]
 
 
-def _measure(workload, config: CoreConfig, value: int) -> SensitivityPoint:
-    result = simulate(
-        workload.program, config=config,
-        arch_state=workload.fresh_state(),
+def _measure(
+    runner: ExperimentRunner,
+    config: CoreConfig,
+    value: int,
+    name: str,
+    **workload_kwargs,
+) -> SensitivityPoint:
+    """One sweep point: *name* under *config*, no samplers attached,
+    run on (and stored by) the runner's engine."""
+    run = runner.derive(config=config, techniques=()).run(
+        name, **workload_kwargs
     )
-    golden = result.golden_profile()
+    result, golden = run.result, run.golden
     total = golden.total()
     top = golden.top_units(1)[0]
     dr_sq = sum(
@@ -71,18 +75,18 @@ def _measure(workload, config: CoreConfig, value: int) -> SensitivityPoint:
 
 
 def rob_size_sweep(
+    runner: ExperimentRunner,
     sizes: tuple[int, ...] = (48, 96, 192, 384, 768),
     workload_name: str = "lbm",
-    scale: float = 1.0,
 ) -> SensitivityResult:
-    """Sweep the out-of-order *window* on the lbm kernel.
+    """Sweep the out-of-order *window* on the lbm kernel, at the
+    runner's scale.
 
     The issue queues and load/store queues scale with the ROB (as they
     do across real core generations) so the sweep measures the paper's
     mechanism -- how much of the next iterations the window can hold --
     rather than whichever single queue happens to clip first.
     """
-    workload = build(workload_name, scale=scale)
     baseline = CoreConfig()
     points = []
     for size in sizes:
@@ -104,30 +108,35 @@ def rob_size_sweep(
         config.store_queue_entries = max(
             8, int(baseline.store_queue_entries * factor)
         )
-        points.append(_measure(workload, config, size))
+        points.append(_measure(runner, config, size, workload_name))
     return SensitivityResult(
         parameter="rob_entries", workload=workload_name, points=points
     )
 
 
 def store_queue_sweep(
+    runner: ExperimentRunner,
     sizes: tuple[int, ...] = (8, 16, 32, 64, 128),
     workload_name: str = "lbm",
-    scale: float = 1.0,
     prefetch_distance: int = 3,
 ) -> SensitivityResult:
-    """Sweep the store-queue size on prefetched lbm (mechanism 2)."""
-    workload = build(
-        workload_name, scale=scale, prefetch_distance=prefetch_distance
-    )
+    """Sweep the store-queue size on prefetched lbm (mechanism 2), at
+    the runner's scale."""
     points = []
     for size in sizes:
         config = CoreConfig()
         config.store_queue_entries = size
-        points.append(_measure(workload, config, size))
+        points.append(
+            _measure(
+                runner, config, size, workload_name,
+                prefetch_distance=prefetch_distance,
+            )
+        )
     return SensitivityResult(
         parameter="store_queue_entries",
-        workload=workload.name,
+        workload=runner.engine.workload(
+            runner.spec(workload_name, prefetch_distance=prefetch_distance)
+        ).name,
         points=points,
     )
 

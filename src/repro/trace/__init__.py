@@ -13,11 +13,15 @@ out-of-band. Both streams land in one place here:
 * :mod:`repro.trace.cycletrace` -- the records the store hands back
   (:meth:`TraceStore.cycle_records`) and :func:`replay_golden`, the
   independent offline golden-attribution oracle;
-* :mod:`repro.trace.capture` / :mod:`repro.trace.query` -- capture a
-  :class:`~repro.engine.spec.RunSpec` into a store persisted as a
-  ``.teacol`` sidecar keyed by the spec hash, and query it with
-  :class:`TraceQuery` (golden attribution, group-by, top-k, flush
-  histograms, cross-run diff), surfaced as ``tea-repro query``.
+* :mod:`repro.trace.query` -- :class:`TraceQuery` over a store
+  (golden attribution, group-by, top-k, flush histograms, cross-run
+  diff), surfaced as ``tea-repro query``.
+
+The package records and reads traces; it does not run them. A run's
+trace comes from the engine like the run itself:
+:meth:`repro.engine.Engine.trace` simulates a spec once with a store
+attached and keeps it as a ``.teacol`` sidecar next to the stored
+payload, keyed by the spec hash.
 """
 
 from repro.trace.cycletrace import (
@@ -40,11 +44,6 @@ from repro.trace.query import (
     group_attribution,
     top_k,
 )
-from repro.trace.capture import (
-    TraceBackendError,
-    capture_run,
-    ensure_trace,
-)
 
 __all__ = [
     "CommitRecord",
@@ -61,7 +60,4 @@ __all__ = [
     "flush_cause",
     "group_attribution",
     "top_k",
-    "TraceBackendError",
-    "capture_run",
-    "ensure_trace",
 ]

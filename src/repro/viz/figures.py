@@ -301,6 +301,6 @@ def render_all(runner, out_dir: str | Path) -> list[Path]:
 
     save(
         "sensitivity_rob",
-        sensitivity_svg(sensitivity.rob_size_sweep(scale=runner.scale)),
+        sensitivity_svg(sensitivity.rob_size_sweep(runner)),
     )
     return written

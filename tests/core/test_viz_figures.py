@@ -80,5 +80,7 @@ def test_topdown_svg(small_runner):
 def test_sensitivity_svg():
     from repro.experiments import sensitivity
 
-    result = sensitivity.rob_size_sweep(sizes=(48, 192), scale=0.05)
+    result = sensitivity.rob_size_sweep(
+        ExperimentRunner(scale=0.05), sizes=(48, 192)
+    )
     valid_svg(figures.sensitivity_svg(result))

@@ -210,6 +210,32 @@ def test_saved_text_is_the_compact_encoding(tmp_path, warm_store):
     assert text == streamed.getvalue()
 
 
+def test_failed_writes_leave_no_file(tmp_path, warm_store, monkeypatch):
+    """A payload or sidecar write that fails removes its temp file and
+    leaves no file under the key."""
+    from repro.trace.store import TraceStore
+
+    store, _ = warm_store
+    spec = small_spec()
+    payload = json.loads(store.path_for(spec).read_text())
+    copy = RunStore(tmp_path / "failing")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("repro.engine.store.os.replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        copy.save(spec, payload)
+    with pytest.raises(OSError, match="disk full"):
+        copy.save_trace(spec, TraceStore())
+    assert list(copy.runs_dir.rglob("*")) == [copy.path_for(spec).parent]
+    monkeypatch.undo()
+    copy.save(spec, payload)
+    copy.save_trace(spec, TraceStore())
+    assert copy.load(spec) == payload
+    copy.load_trace(spec).close()
+
+
 def test_store_inventory_and_clear(tmp_path, warm_store):
     store, _ = warm_store
     spec = small_spec()

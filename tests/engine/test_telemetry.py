@@ -450,14 +450,13 @@ def test_every_record_the_code_writes_is_tea_runlog_v1(tmp_path):
     capture (trace) and record_obs (span, counters) into one log: every
     line validates, and all seven kinds appear."""
     from repro.obs.counters import CounterRegistry
-    from repro.trace import ensure_trace
 
     store = RunStore(tmp_path / "store")
     path = tmp_path / "store" / DEFAULT_RUN_LOG_NAME
     log = RunLog(path)
     engine = Engine(store=store, run_log=log, jobs=2, heartbeat=0.1)
     engine.run_suite({"a": spec(), "b": spec("mcf")})
-    ensure_trace(spec("xz"), run_store=store, run_log=log)
+    Engine(store=store, run_log=log).trace(spec("xz"))
     registry = CounterRegistry()
     registry.inc("engine.simulations")
     log.record_obs(

@@ -1,8 +1,11 @@
 """Tests for the CLI tool commands (profile / diff / figures)."""
 
+import json
+
 import pytest
 
 from repro.cli import main, parse_workload_spec
+from repro.engine import DEFAULT_RUN_LOG_NAME, read_run_log
 
 
 def test_parse_workload_spec_plain():
@@ -71,8 +74,6 @@ def test_cli_figures(tmp_path, capsys):
 def test_parallel_fig12_prewarms_only_the_nab_binaries(tmp_path, capsys):
     """``--jobs 2 fig12`` simulates exactly the two nab binaries Fig 12
     reads, both in the worker pool, and none of the other kernels."""
-    from repro.engine import DEFAULT_RUN_LOG_NAME, read_run_log
-
     store = tmp_path / "store"
     assert main(
         ["--scale", "0.05", "--period", "67", "--store", str(store),
@@ -93,6 +94,7 @@ def test_cli_experiment_command(capsys):
 
 
 def test_cli_profile_asm_file(tmp_path, capsys):
+    """A ``.asm`` file has no spec key: it simulates and stores nothing."""
     asm = tmp_path / "kernel.asm"
     asm.write_text(
         ".func main\n"
@@ -102,12 +104,15 @@ def test_cli_profile_asm_file(tmp_path, capsys):
         "    bne x1, x0, loop\n"
         "    halt\n"
     )
+    store = tmp_path / "store"
     assert main(
-        ["--period", "31", "profile", str(asm), "--top", "2"]
+        ["--period", "31", "--store", str(store), "profile", str(asm),
+         "--top", "2"]
     ) == 0
     out = capsys.readouterr().out
     assert "kernel" in out
     assert "TEA PICS" in out
+    assert not list(store.rglob("*.json"))
 
 
 def test_cli_profile_missing_asm_file():
@@ -122,3 +127,46 @@ def test_cli_advise(capsys):
     out = capsys.readouterr().out
     assert "llc-missing-loads" in out
     assert "try:" in out
+
+
+# ----------------------------------------------------------------------
+# The tool commands run on the command's engine: one run store, one run
+# log, the same as the experiment commands.
+# ----------------------------------------------------------------------
+def test_repeated_query_is_one_logged_capture(tmp_path, capsys):
+    store = tmp_path / "store"
+    for _ in range(2):
+        assert main(
+            ["--scale", "0.05", "--store", str(store), "query", "x264",
+             "--what", "summary"]
+        ) == 0
+    capsys.readouterr()
+    assert main(["--store", str(store), "stats", "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["runs"]["by_source"]["simulated"] == 1
+    assert summary["traces"]["captures"] == 1
+    assert summary["traces"]["loads"] == 1
+
+
+def test_advise_after_profile_is_a_store_hit(tmp_path, capsys):
+    store = tmp_path / "store"
+    flags = ["--scale", "0.05", "--period", "67", "--store", str(store)]
+    assert main(flags + ["profile", "lbm"]) == 0
+    assert main(flags + ["advise", "lbm"]) == 0
+    assert "finding(s)" in capsys.readouterr().out
+    assert [
+        rec["source"]
+        for rec in read_run_log(store / DEFAULT_RUN_LOG_NAME)
+        if rec.get("kind") == "run"
+    ] == ["simulated", "store"]
+
+
+def test_query_diff_without_baseline_fails_before_simulating(tmp_path):
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit, match="needs --baseline"):
+        main(
+            ["--scale", "0.05", "--store", str(store), "query", "mcf",
+             "--what", "diff"]
+        )
+    assert not list(store.rglob("*.json"))
+    assert not list(store.rglob("*.teacol"))

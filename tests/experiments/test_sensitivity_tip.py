@@ -7,7 +7,9 @@ from repro.experiments.runner import ExperimentRunner
 
 
 def test_rob_sweep_structure():
-    result = sensitivity.rob_size_sweep(sizes=(48, 192), scale=0.05)
+    result = sensitivity.rob_size_sweep(
+        ExperimentRunner(scale=0.05), sizes=(48, 192)
+    )
     assert result.parameter == "rob_entries"
     assert [p.value for p in result.points] == [48, 192]
     for point in result.points:
@@ -18,7 +20,9 @@ def test_rob_sweep_structure():
 
 
 def test_sq_sweep_structure():
-    result = sensitivity.store_queue_sweep(sizes=(8, 64), scale=0.05)
+    result = sensitivity.store_queue_sweep(
+        ExperimentRunner(scale=0.05), sizes=(8, 64)
+    )
     assert result.parameter == "store_queue_entries"
     by_size = {p.value: p for p in result.points}
     # A tiny SQ cannot be faster than a big one.
@@ -26,7 +30,9 @@ def test_sq_sweep_structure():
 
 
 def test_sensitivity_format():
-    result = sensitivity.rob_size_sweep(sizes=(48,), scale=0.05)
+    result = sensitivity.rob_size_sweep(
+        ExperimentRunner(scale=0.05), sizes=(48,)
+    )
     text = sensitivity.format_result(result)
     assert "rob_entries" in text
     assert "DR-SQ share" in text

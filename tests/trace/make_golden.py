@@ -21,10 +21,10 @@ import json
 from pathlib import Path
 
 from repro.core.states import CommitState
-from repro.engine.runs import build_workload
+from repro.engine.runs import build_workload, simulate_spec
 from repro.engine.spec import RunSpec
-from repro.trace.capture import capture_run
 from repro.trace.query import TraceQuery
+from repro.trace.store import TraceStore
 
 DATA = Path(__file__).parent / "data"
 
@@ -34,7 +34,8 @@ FIXTURE_SCALE = 0.05
 
 def main() -> None:
     spec = RunSpec.make(FIXTURE_WORKLOAD, scale=FIXTURE_SCALE)
-    run, store = capture_run(spec)
+    store = TraceStore()
+    simulate_spec(spec, trace=store)
     store.meta["spec_key"] = spec.key
     program = build_workload(spec).program
     query = TraceQuery(store, program)

@@ -15,15 +15,11 @@ import pytest
 
 from repro.core.events import Event
 from repro.core.states import CommitState
+from repro.engine.engine import Engine
 from repro.engine.runs import build_workload, simulate_spec
 from repro.engine.spec import RunSpec
 from repro.engine.store import RunStore
 from repro.memory.hierarchy import MemoryConfig
-from repro.trace.capture import (
-    TraceBackendError,
-    capture_run,
-    ensure_trace,
-)
 from repro.trace.cycletrace import replay_golden
 from repro.trace.query import (
     TraceQuery,
@@ -39,9 +35,15 @@ from repro.uarch.config import CoreConfig
 DATA = Path(__file__).parent / "data"
 
 
+def capture(spec):
+    """One traced simulation of *spec*: the run and its trace."""
+    store = TraceStore()
+    return simulate_spec(spec, trace=store), store
+
+
 def make_query(name, scale=0.05, config=None):
     spec = RunSpec.make(name, scale=scale, config=config)
-    run, store = capture_run(spec)
+    run, store = capture(spec)
     return run, TraceQuery(store, run.workload.program)
 
 
@@ -188,17 +190,23 @@ def test_labels(x264):
 # -- capture plumbing ---------------------------------------------------
 
 
-def test_capture_rejects_non_detailed_backend():
-    spec = RunSpec.make("mcf", scale=0.05, backend="functional")
-    with pytest.raises(TraceBackendError, match="detailed backend"):
-        capture_run(spec)
+def test_capture_rejects_non_detailed_backend(tmp_path):
+    run_store = RunStore(tmp_path)
+    for backend in ("functional", "sampled"):
+        spec = RunSpec.make("mcf", scale=0.05, backend=backend)
+        with pytest.raises(ValueError, match="detailed backend"):
+            simulate_spec(spec, trace=TraceStore())
+        with pytest.raises(ValueError, match="detailed backend"):
+            Engine(store=run_store).trace(spec)
+        assert not run_store.path_for(spec).exists()
+        assert not run_store.trace_path_for(spec).exists()
 
 
 def test_capture_only_observes():
     """Attaching the trace hooks must not perturb the simulation."""
     spec = RunSpec.make("mcf", scale=0.05)
     plain = simulate_spec(spec)
-    traced, store = capture_run(spec)
+    traced, store = capture(spec)
     assert traced.result.cycles == plain.result.cycles
     assert traced.result.golden_raw == plain.result.golden_raw
     for key, sampler in plain.samplers.items():
@@ -208,15 +216,16 @@ def test_capture_only_observes():
     assert store.meta["cycles"] == plain.result.cycles
 
 
-def test_ensure_trace_capture_then_sidecar_hit(tmp_path):
+def test_engine_trace_capture_then_sidecar_hit(tmp_path):
     spec = RunSpec.make("mcf", scale=0.05)
     run_store = RunStore(tmp_path)
-    first = ensure_trace(spec, run_store=run_store)
-    assert run_store.has_trace(spec)
-    assert run_store.trace_path_for(spec).exists()
+    first = Engine(store=run_store).trace(spec)
+    assert run_store.trace_path_for(spec).is_file()
     # The run payload rode along with the sidecar.
     assert run_store.load(spec) is not None
-    second = ensure_trace(spec, run_store=run_store)
+    engine = Engine(store=run_store)
+    second = engine.trace(spec)
+    assert engine.simulations == 0
     try:
         assert second._mmap is not None  # sidecar hit, zero-copy
         assert second.cycle_records() == first.cycle_records()
@@ -227,10 +236,11 @@ def test_ensure_trace_capture_then_sidecar_hit(tmp_path):
         second.close()
 
 
-def test_ensure_trace_stale_sidecar_recaptures(tmp_path):
+def test_engine_trace_stale_sidecar_recaptures(tmp_path):
     spec = RunSpec.make("mcf", scale=0.05)
     run_store = RunStore(tmp_path)
-    ensure_trace(spec, run_store=run_store)
+    engine = Engine(store=run_store)
+    engine.trace(spec)
     # Corrupt the sidecar's identity: a schema/spec mismatch must be
     # treated as a miss, never served.
     path = run_store.trace_path_for(spec)
@@ -238,11 +248,33 @@ def test_ensure_trace_stale_sidecar_recaptures(tmp_path):
     stale.meta["spec_key"] = "0" * 64
     stale.save(path)
     misses_before = run_store.misses
-    again = ensure_trace(spec, run_store=run_store)
+    again = engine.trace(spec)
     assert run_store.misses == misses_before + 1
     assert again._mmap is None  # recaptured in memory
     # And the rewritten sidecar is valid again.
     assert run_store.load_trace(spec) is not None
+
+
+def test_engine_trace_is_an_engine_run(tmp_path):
+    """A capture is simulated, stored, memoised and logged like any
+    run: the run that follows it is a memo hit."""
+    from repro.engine.telemetry import RunLog, read_run_log
+
+    spec = RunSpec.make("mcf", scale=0.05)
+    log_path = tmp_path / "runs.jsonl"
+    engine = Engine(store=RunStore(tmp_path), run_log=RunLog(log_path))
+    store = engine.trace(spec)
+    run = engine.run(spec)
+    engine.run_log.close()
+    assert engine.simulations == 1
+    assert store.meta["cycles"] == run.result.cycles
+    records = read_run_log(log_path)
+    assert [r["source"] for r in records if r["kind"] == "run"] == [
+        "simulated", "memo",
+    ]
+    assert [r["cached"] for r in records if r["kind"] == "trace"] == [
+        False,
+    ]
 
 
 # -- cross-run diff -----------------------------------------------------
@@ -286,7 +318,7 @@ def test_diff_falls_back_to_function_grouping():
     """Different program shapes cannot diff by instruction index."""
     _run_a, before = make_query("lbm")
     spec = RunSpec.make("lbm", {"prefetch_distance": 4}, scale=0.05)
-    run_b, store_b = capture_run(spec)
+    run_b, store_b = capture(spec)
     after = TraceQuery(store_b, run_b.workload.program)
     assert len(before.program) != len(after.program)
     report = diff_attribution(before, after)
@@ -367,5 +399,5 @@ class TestGoldenFixture:
     def test_live_capture_matches_fixture(self, query, golden):
         """The committed trace is what today's simulator produces."""
         spec = RunSpec.make(golden["workload"], scale=golden["scale"])
-        _run, live = capture_run(spec)
+        _run, live = capture(spec)
         assert live.cycle_records() == query.store.cycle_records()

@@ -28,12 +28,15 @@ def test_summary_reflects_workload_character():
     assert "gcc" in text
 
 
-def test_cli_profile_stats_flag(capsys):
+def test_cli_profile_stats_flag(tmp_path, capsys):
+    """``--stats`` prints live machine state, which a stored run does
+    not keep, so it simulates even when the store holds the run."""
     from repro.cli import main
 
-    assert main(
-        ["--scale", "0.1", "--period", "101", "profile", "exchange2",
-         "--top", "2", "--stats"]
-    ) == 0
+    flags = ["--scale", "0.1", "--period", "101", "--store",
+             str(tmp_path), "profile", "exchange2", "--top", "2"]
+    assert main(flags) == 0
+    capsys.readouterr()
+    assert main(flags + ["--stats"]) == 0
     out = capsys.readouterr().out
     assert "branch mispredict rate" in out
