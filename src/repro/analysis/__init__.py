@@ -3,8 +3,9 @@ correctness contracts.
 
 The simulator's load-bearing invariants -- observability staying
 behind its fast path, model determinism, ``__slots__`` discipline,
-picklable executor payloads, and MODEL_VERSION tracking semantics
-drift -- are all checkable from source. This package checks them:
+picklable executor payloads, and the purity of the backends and the
+static predictor -- are all checkable from source. This package checks
+them:
 
 >>> from repro.analysis import lint_paths
 >>> result = lint_paths(["src"])
@@ -26,7 +27,6 @@ from repro.analysis.findings import (
 from repro.analysis.module import ModuleSource
 from repro.analysis.registry import (
     CHECKERS,
-    ProjectContext,
     Rule,
     all_rules,
     checker,
@@ -50,7 +50,6 @@ __all__ = [
     "GATING_SEVERITIES",
     "LintResult",
     "ModuleSource",
-    "ProjectContext",
     "Rule",
     "all_rules",
     "checker",

@@ -3,7 +3,6 @@
 from repro.analysis.checkers import (  # noqa: F401
     backend_purity,
     determinism,
-    model_version,
     obs_overhead,
     predict_purity,
     slots,

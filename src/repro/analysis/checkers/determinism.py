@@ -1,8 +1,9 @@
 """TL003 determinism: model code must be bit-reproducible.
 
 The reproduction's core claim -- identical PICS profiles for identical
-(spec, MODEL_VERSION) pairs -- dies the moment model code consults a
-wall clock, an unseeded RNG, the OS entropy pool, or the environment.
+(spec, code) pairs, which the run store relies on -- dies the moment
+model code consults a wall clock, an unseeded RNG, the OS entropy
+pool, or the environment.
 This checker bans those inputs from the simulation packages
 (``repro.uarch``, ``repro.isa``, ``repro.backends``,
 ``repro.workloads``):

@@ -1,17 +1,10 @@
 """The pluggable checker registry of tea-lint.
 
 A checker is a plain function registered under a :class:`Rule` with the
-:func:`checker` decorator. Two scopes exist:
-
-* ``module`` -- called once per analysed file with the
-  :class:`~repro.analysis.module.ModuleSource`; yields findings.
-* ``project`` -- called once per lint run with a
-  :class:`ProjectContext` (repo root plus every parsed module);
-  for whole-tree invariants such as TL006's semantics pins.
-
-Checker functions yield ``(line, col, message, hint)`` tuples or
-ready-made :class:`~repro.analysis.findings.Finding` objects; the
-runner fills in rule id, severity, path, and enclosing symbol.
+:func:`checker` decorator. It is called once per analysed file with the
+:class:`~repro.analysis.module.ModuleSource` and yields
+``(line, col, message, hint)`` tuples; the runner fills in rule id,
+severity, path, and enclosing symbol.
 
 Adding a checker::
 
@@ -27,7 +20,7 @@ registration runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable, Iterable
 
 from repro.analysis.findings import SEVERITIES, SEVERITY_ERROR
@@ -42,28 +35,16 @@ class Rule:
         name: Short kebab-case name for humans.
         summary: One-line description for ``--list-rules`` and docs.
         severity: Default severity of its findings.
-        scope: ``"module"`` or ``"project"``.
     """
 
     id: str
     name: str
     summary: str
     severity: str = SEVERITY_ERROR
-    scope: str = "module"
 
     def __post_init__(self) -> None:
         if self.severity not in SEVERITIES:
             raise ValueError(f"unknown severity {self.severity!r}")
-        if self.scope not in ("module", "project"):
-            raise ValueError(f"unknown scope {self.scope!r}")
-
-
-@dataclass
-class ProjectContext:
-    """What a project-scope checker sees: the whole lint run."""
-
-    root: str
-    modules: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,7 @@ The pipeline per run:
    ``tests/analysis/data/`` are skipped when walking directories);
 2. parse each into a :class:`~repro.analysis.module.ModuleSource`
    (syntax errors become ``TL000`` findings rather than crashes);
-3. run every selected module-scope checker on every module, and every
-   project-scope checker once;
+3. run every selected checker on every module;
 4. drop findings silenced by inline suppressions, then split the rest
    against the baseline;
 5. return a :class:`~repro.analysis.findings.LintResult`.
@@ -22,12 +21,7 @@ from collections.abc import Iterable, Sequence
 from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding, LintResult
 from repro.analysis.module import ModuleSource
-from repro.analysis.registry import (
-    CHECKERS,
-    Checker,
-    ProjectContext,
-    select_checkers,
-)
+from repro.analysis.registry import CHECKERS, Checker, select_checkers
 
 # Populate the registry.
 import repro.analysis.checkers  # noqa: F401  (registration side effect)
@@ -42,6 +36,16 @@ DEFAULT_EXCLUDES = (
 
 #: Rule id for files that fail to parse.
 SYNTAX_RULE = "TL000"
+
+
+def find_repo_root() -> Path:
+    """Nearest ancestor of the working directory with a pyproject.toml
+    (the working directory itself when none has one)."""
+    cwd = Path.cwd()
+    for candidate in (cwd, *cwd.parents):
+        if (candidate / "pyproject.toml").is_file():
+            return candidate
+    return cwd
 
 
 def _excluded(path: Path, excludes: Sequence[str]) -> bool:
@@ -110,61 +114,35 @@ def _relpath(path: Path, root: Path | None) -> str:
     return path.as_posix()
 
 
-def _materialise(
-    checker: Checker, module: ModuleSource | None, raw: Iterable
-) -> list[Finding]:
-    """Normalise a checker's yields into Finding objects."""
-    findings: list[Finding] = []
-    for item in raw:
-        if isinstance(item, Finding):
-            findings.append(item)
-            continue
-        line, col, message, hint = item
-        assert module is not None, (
-            f"{checker.rule.id}: project checkers must yield Findings"
+def _materialise(checker: Checker, module: ModuleSource) -> list[Finding]:
+    """Run *checker* on *module*, its yields made Finding objects."""
+    return [
+        Finding(
+            rule=checker.rule.id,
+            severity=checker.rule.severity,
+            path=module.path,
+            line=line,
+            col=col,
+            message=message,
+            hint=hint,
+            symbol=module.symbol_at(line),
         )
-        findings.append(
-            Finding(
-                rule=checker.rule.id,
-                severity=checker.rule.severity,
-                path=module.path,
-                line=line,
-                col=col,
-                message=message,
-                hint=hint,
-                symbol=module.symbol_at(line),
-            )
-        )
-    return findings
+        for line, col, message, hint in checker.fn(module)
+    ]
 
 
 def lint_modules(
     modules: Sequence[ModuleSource],
-    root: str | Path = ".",
     rules: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
     baseline: Baseline | None = None,
     parse_failures: Sequence[Finding] = (),
 ) -> LintResult:
     """Run the selected checkers over already-parsed modules."""
-    selected = select_checkers(rules, ignore)
     collected: list[Finding] = list(parse_failures)
-    for registered in selected:
-        if registered.rule.scope != "module":
-            continue
+    for registered in select_checkers(rules, ignore):
         for module in modules:
-            collected.extend(
-                _materialise(
-                    registered, module, registered.fn(module)
-                )
-            )
-    context = ProjectContext(root=str(root), modules=list(modules))
-    for registered in selected:
-        if registered.rule.scope != "project":
-            continue
-        collected.extend(
-            _materialise(registered, None, registered.fn(context))
-        )
+            collected.extend(_materialise(registered, module))
     collected.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
 
     by_path = {module.path: module for module in modules}
@@ -211,7 +189,6 @@ def lint_paths(
             modules.append(parsed)
     return lint_modules(
         modules,
-        root=root,
         rules=rules,
         ignore=ignore,
         baseline=baseline,
@@ -222,7 +199,6 @@ def lint_paths(
 def lint_source(
     source: str,
     path: str = "<memory>.py",
-    root: str | Path = ".",
     rules: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
     baseline: Baseline | None = None,
@@ -234,7 +210,6 @@ def lint_source(
     """
     return lint_modules(
         [ModuleSource(path, source)],
-        root=root,
         rules=rules,
         ignore=ignore,
         baseline=baseline,
@@ -249,7 +224,6 @@ def rule_catalogue() -> list[dict[str, str]]:
             "name": registered.rule.name,
             "summary": registered.rule.summary,
             "severity": registered.rule.severity,
-            "scope": registered.rule.scope,
         }
         for registered in CHECKERS.values()
     ]

@@ -288,13 +288,13 @@ def cmd_lint(args) -> int:
         render_text,
         rule_catalogue,
     )
-    from repro.version import find_repo_root
+    from repro.analysis.runner import find_repo_root
 
     if args.list_rules:
         for rule in rule_catalogue():
             print(
-                f"{rule['id']} {rule['name']} [{rule['severity']}, "
-                f"{rule['scope']}]: {rule['summary']}"
+                f"{rule['id']} {rule['name']} [{rule['severity']}]: "
+                f"{rule['summary']}"
             )
         return 0
 

@@ -5,7 +5,7 @@ out-of-band methodology) as a real architectural layer:
 
 * :mod:`repro.engine.spec` -- canonical, content-hashed
   :class:`RunSpec` descriptions of a run;
-* :mod:`repro.engine.store` -- the versioned on-disk
+* :mod:`repro.engine.store` -- the versioned, code-addressed on-disk
   :class:`RunStore` of completed runs;
 * :mod:`repro.engine.executor` -- parallel :class:`SuiteExecutor`
   fan-out with retry, per-workload failure reporting, and worker

@@ -31,7 +31,6 @@ from repro.core.result import CoreResult, FlushStats
 from repro.core.samplers import Sampler, make_sampler
 from repro.core.states import CommitState
 from repro.engine.spec import RunSpec
-from repro.version import MODEL_VERSION
 from repro.workloads import Workload, build
 
 #: Schema identifier written into every stored-run payload.
@@ -221,7 +220,6 @@ def run_to_payload(
     result = run.result
     return {
         "schema": PAYLOAD_SCHEMA,
-        "model_version": MODEL_VERSION,
         "spec_key": spec.key,
         "workload": spec.workload,
         "backend": getattr(spec, "backend", "detailed"),

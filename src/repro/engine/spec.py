@@ -10,11 +10,10 @@ order, or config object identity -- the key the engine memo, the
 on-disk run store, and the telemetry log all share.
 
 The hash also covers :data:`repro.version.MODEL_VERSION` (re-exported
-here for compatibility), so bumping it after a behavioural change to
-the timing model or samplers automatically invalidates every
-previously stored run. The version constant and the registry of
-semantics-bearing files live in :mod:`repro.version`, which the
-tea-lint TL006 checker polices.
+here for compatibility). It does not cover the code that runs the
+spec: the :class:`~repro.engine.store.RunStore` files each key under
+:func:`repro.version.code_digest`, so a key stays the same across code
+edits while a stored run does not outlive the code that made it.
 """
 
 from __future__ import annotations
@@ -58,6 +57,19 @@ DEFAULT_SCALE = 1.0
 #: v2: backend selection (detailed / functional / sampled) and the
 #: sampled-mode window geometry joined the hashed payload.
 SPEC_SCHEMA = "tea-spec-v2"
+
+#: The default sampler plan, hashed in place of a functional spec's own:
+#: that tier attaches no samplers, so specs that differ only in their
+#: plan describe one simulation and share one key. (Tuples hash as the
+#: lists of the other specs' payloads do, and cannot be mutated.)
+_FUNCTIONAL_PLAN = {
+    "techniques": TECHNIQUES,
+    "extra_periods": (),
+    "period": DEFAULT_PERIOD,
+    "seed": 12345,
+    "extra_seed": 54321,
+    "jitter": True,
+}
 
 
 def _sort_token(value: Any) -> str:
@@ -280,8 +292,12 @@ class RunSpec:
                 )
 
     def canonical_payload(self) -> dict[str, Any]:
-        """The canonical dict the content hash is computed over."""
-        return {
+        """The canonical dict the content hash is computed over.
+
+        A functional spec hashes the default sampler plan, whatever
+        its own (see :data:`_FUNCTIONAL_PLAN`).
+        """
+        payload = {
             "schema": SPEC_SCHEMA,
             "model_version": MODEL_VERSION,
             "workload": self.workload,
@@ -301,6 +317,9 @@ class RunSpec:
             "stride": int(self.stride),
             "warmup": int(self.warmup),
         }
+        if self.backend == "functional":
+            payload.update(_FUNCTIONAL_PLAN)
+        return payload
 
     @cached_property
     def key(self) -> str:

@@ -1,11 +1,14 @@
 """Versioned on-disk store for completed simulation runs.
 
 Stored runs are JSON payloads (see :mod:`repro.engine.runs`) addressed
-by the :class:`~repro.engine.spec.RunSpec` content hash, laid out as
-``<root>/runs-v<N>/<key[:2]>/<key>.json``. Because the spec hash covers
-:data:`~repro.engine.spec.MODEL_VERSION`, stale runs from an older
-timing model simply never match; the payload-level schema and version
-checks are a second line of defence against hand-edited files.
+by the code that made them and the :class:`~repro.engine.spec.RunSpec`
+content hash, laid out as
+``<root>/runs-v<N>/<code[:16]>/<key[:2]>/<key>.json`` with the run's
+``.teacol`` trace sidecar beside it. ``code`` is
+:func:`repro.version.code_digest`, a hash of the source of every
+package that can change a result, so a run stored by other code is
+never found; the payload and sidecar headers carry the full digest as
+a second line of defence against hand-edited or copied files.
 
 The default root is ``$TEA_REPRO_STORE`` or ``~/.cache/tea-repro``.
 Writes are atomic (temp file + rename), so concurrent executor workers
@@ -18,16 +21,18 @@ import json
 import os
 import shutil
 import tempfile
+from functools import cached_property
 from pathlib import Path
 from collections.abc import Iterator
 from typing import Any
 
 from repro.engine.runs import PAYLOAD_SCHEMA
 from repro.engine.spec import RunSpec
-from repro.version import MODEL_VERSION
+from repro.version import code_digest
 
 #: On-disk layout revision (bump on path-layout changes).
-STORE_VERSION = 1
+#: v2: runs are filed under the code digest's directory.
+STORE_VERSION = 2
 
 #: Environment variable overriding the default store root.
 STORE_ENV = "TEA_REPRO_STORE"
@@ -85,9 +90,15 @@ class RunStore:
         self.hits = 0
         self.misses = 0
 
+    @cached_property
+    def code_dir(self) -> Path:
+        """The directory of the current code's runs under
+        :attr:`runs_dir` (the source is hashed on first use)."""
+        return self.runs_dir / code_digest()[:16]
+
     def path_for(self, spec: RunSpec) -> Path:
         """The on-disk path a spec's payload lives at."""
-        return self.runs_dir / spec.key[:2] / f"{spec.key}.json"
+        return self.code_dir / spec.key[:2] / f"{spec.key}.json"
 
     def contains(self, spec: RunSpec) -> bool:
         """Cheap existence probe for *spec* (no parse, no accounting).
@@ -100,10 +111,11 @@ class RunStore:
     def load(self, spec: RunSpec) -> dict[str, Any] | None:
         """The stored payload for *spec*, or ``None`` on a miss.
 
-        Corrupt, truncated, or version-mismatched files count as misses
-        (they will be overwritten by the next :meth:`save`). So does a
-        payload that passes these checks but does not decode: the
-        engine moves its count from :attr:`hits` to :attr:`misses`.
+        Corrupt, truncated, or schema-, code- or key-mismatched files
+        count as misses (they will be overwritten by the next
+        :meth:`save`). So does a payload that passes these checks but
+        does not decode: the engine moves its count from :attr:`hits`
+        to :attr:`misses`.
         """
         path = self.path_for(spec)
         try:
@@ -113,7 +125,7 @@ class RunStore:
             return None
         if (
             payload.get("schema") != PAYLOAD_SCHEMA
-            or payload.get("model_version") != MODEL_VERSION
+            or payload.get("code") != code_digest()
             or payload.get("spec_key") != spec.key
         ):
             self.misses += 1
@@ -122,7 +134,9 @@ class RunStore:
         return payload
 
     def save(self, spec: RunSpec, payload: dict[str, Any]) -> Path:
-        """Atomically persist *payload* under *spec*'s key."""
+        """Stamp *payload* with the code digest :meth:`load` checks and
+        atomically persist it under *spec*'s key."""
+        payload["code"] = code_digest()
         # One dumps() call: json.dump() always runs the pure-Python
         # encoder, dumps() the C one (same text).
         text = json.dumps(payload, separators=(",", ":"))
@@ -136,18 +150,18 @@ class RunStore:
         ``.teacol`` suffix, so :meth:`clear` and key-based tooling see
         both artefacts of a run together.
         """
-        return self.runs_dir / spec.key[:2] / f"{spec.key}.teacol"
+        return self.code_dir / spec.key[:2] / f"{spec.key}.teacol"
 
     def save_trace(self, spec: RunSpec, store: Any) -> Path:
         """Atomically persist a :class:`~repro.trace.store.TraceStore`.
 
-        Stamps ``meta`` with the schema/version/key triple
+        Stamps ``meta`` with the schema/code/key triple
         :meth:`load_trace` validates against.
         """
         store.meta.update(
             {
                 "schema": TRACE_SCHEMA,
-                "model_version": MODEL_VERSION,
+                "code": code_digest(),
                 "spec_key": spec.key,
             }
         )
@@ -156,8 +170,8 @@ class RunStore:
     def load_trace(self, spec: RunSpec):
         """The stored trace for *spec*, or ``None`` on a miss.
 
-        Corrupt or stale sidecars (schema / model version / spec key
-        mismatch) count as misses, exactly like :meth:`load`.
+        Corrupt or stale sidecars (schema / code / spec key mismatch)
+        count as misses, exactly like :meth:`load`.
         """
         from repro.trace.store import TraceStore
 
@@ -170,7 +184,7 @@ class RunStore:
         meta = store.meta
         if (
             meta.get("schema") != TRACE_SCHEMA
-            or meta.get("model_version") != MODEL_VERSION
+            or meta.get("code") != code_digest()
             or meta.get("spec_key") != spec.key
         ):
             store.close()
@@ -180,24 +194,20 @@ class RunStore:
         return store
 
     def keys(self) -> Iterator[str]:
-        """Keys of every stored run."""
-        if not self.runs_dir.is_dir():
-            return
-        for path in sorted(self.runs_dir.glob("*/*.json")):
+        """Keys of every run stored by the current code."""
+        for path in sorted(self.code_dir.glob("*/*.json")):
             yield path.stem
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
 
     def size_bytes(self) -> int:
-        """Total bytes of stored payloads."""
-        if not self.runs_dir.is_dir():
-            return 0
+        """Total bytes of the current code's stored payloads."""
         return sum(
-            path.stat().st_size
-            for path in self.runs_dir.glob("*/*.json")
+            path.stat().st_size for path in self.code_dir.glob("*/*.json")
         )
 
     def clear(self) -> None:
-        """Delete every stored run (the root directory is kept)."""
+        """Delete every stored run, those of other code revisions too
+        (the root directory is kept)."""
         shutil.rmtree(self.runs_dir, ignore_errors=True)

@@ -27,7 +27,7 @@ def lint_text(path, text, rules):
     module = ModuleSource(
         path.relative_to(REPO_ROOT).as_posix(), text
     )
-    return lint_modules([module], root=REPO_ROOT, rules=rules)
+    return lint_modules([module], rules=rules)
 
 
 def test_shipped_tree_is_clean_modulo_baseline():

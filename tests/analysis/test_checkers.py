@@ -5,10 +5,7 @@ runs) and are linted under *virtual* paths so the path-scoped
 checkers treat them as hot-package modules.
 """
 
-import pytest
-
 from repro.analysis import lint_source
-from repro.version import check_semantics
 
 from tests.analysis.conftest import fixture_text
 
@@ -280,97 +277,6 @@ class TestPredictPurityTL008:
         assert targets, "predict package not found"
         result = lint_paths(targets, root=root, rules=["TL008"])
         assert result.findings == []
-
-
-class TestModelVersionTL006:
-    def test_repo_pins_are_consistent(self):
-        from tests.analysis.conftest import REPO_ROOT
-
-        assert check_semantics(REPO_ROOT) == []
-
-    def test_drift_without_bump_is_an_error(self, tmp_path):
-        (tmp_path / "model.py").write_text("STATE = 1\n")
-        pins = {"model.py": "0" * 64}
-        problems = check_semantics(
-            tmp_path,
-            pins=pins,
-            model_version=3,
-            pinned_model_version=3,
-            files=("model.py",),
-        )
-        assert len(problems) == 1
-        assert "bump MODEL_VERSION" in problems[0]
-
-    def test_drift_with_bump_wants_refresh(self, tmp_path):
-        (tmp_path / "model.py").write_text("STATE = 1\n")
-        problems = check_semantics(
-            tmp_path,
-            pins={"model.py": "0" * 64},
-            model_version=4,
-            pinned_model_version=3,
-            files=("model.py",),
-        )
-        assert len(problems) == 1
-        assert "pins are stale" in problems[0]
-
-    def test_missing_and_unpinned_files(self, tmp_path):
-        problems = check_semantics(
-            tmp_path,
-            pins={"gone.py": "0" * 64},
-            model_version=3,
-            pinned_model_version=3,
-            files=("gone.py", "never_pinned.py"),
-        )
-        assert any("missing from the tree" in p for p in problems)
-        assert any("no pinned hash" in p for p in problems)
-
-    def test_version_bump_without_refresh(self, tmp_path):
-        from repro.version import file_hash
-
-        target = tmp_path / "model.py"
-        target.write_text("STATE = 1\n")
-        problems = check_semantics(
-            tmp_path,
-            pins={"model.py": file_hash(target)},
-            model_version=4,
-            pinned_model_version=3,
-            files=("model.py",),
-        )
-        assert len(problems) == 1
-        assert "pins were generated under 3" in problems[0]
-
-    def test_checker_skips_foreign_trees(self, tmp_path):
-        # Linting a tree without src/repro/version.py: TL006 is moot.
-        from repro.analysis import lint_paths
-
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1\n")
-        result = lint_paths([target], root=tmp_path, rules=["TL006"])
-        assert result.findings == []
-
-
-def test_refresh_pins_refuses_same_version_drift(tmp_path, monkeypatch):
-    import repro.version as version
-
-    for rel in version.SEMANTIC_FILES:
-        target = tmp_path / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text("drifted = True\n")
-    monkeypatch.setattr(
-        version, "SEMANTIC_HASHES", {
-            rel: "0" * 64 for rel in version.SEMANTIC_FILES
-        },
-    )
-    with pytest.raises(RuntimeError, match="not bumped"):
-        version.refresh_pins(tmp_path)
-
-
-def test_version_cli_reports_ok():
-    from repro.version import main
-
-    from tests.analysis.conftest import REPO_ROOT
-
-    assert main(["--root", str(REPO_ROOT)]) == 0
 
 
 def test_fixture_corpus_files_exist():

@@ -181,13 +181,13 @@ class TestReporters:
         assert doc["counts"]["active"] == 1
         assert doc["findings"][0]["rule"] == "TL003"
         assert {r["id"] for r in doc["rules"]} == {
-            "TL002", "TL003", "TL004", "TL005", "TL006", "TL007", "TL008",
+            "TL002", "TL003", "TL004", "TL005", "TL007", "TL008",
         }
 
     def test_rule_catalogue_is_complete(self):
         ids = {r["id"] for r in rule_catalogue()}
         assert ids == {
-            "TL002", "TL003", "TL004", "TL005", "TL006", "TL007", "TL008",
+            "TL002", "TL003", "TL004", "TL005", "TL007", "TL008",
         }
 
 
@@ -241,8 +241,8 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "TL002 obs-overhead" in out
-        assert "TL006 model-version" in out
+        assert "TL002 obs-overhead [error]: " in out
+        assert "TL007 backend-purity [error]: " in out
 
     def test_clean_paths_exit_zero(self, capsys):
         rc = cli_main(["lint", str(REPO_ROOT / "src" / "repro" / "obs")])

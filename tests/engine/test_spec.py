@@ -118,6 +118,35 @@ def test_canonical_payload_carries_schema_and_model_version():
     assert payload["model_version"] == MODEL_VERSION
 
 
+#: ``RunSpec.make("lbm", scale=0.05, backend="functional").key``.
+FUNCTIONAL_LBM_KEY = (
+    "ef5077959e59ddb502294bd348534143247dbf248392483f2ee7e36a7916a7ac"
+)
+PLANS = [
+    {},
+    {"techniques": ("TEA",)},
+    {"techniques": ("IBS",)},
+    {"period": 67, "extra_periods": (97,), "seed": 1, "extra_seed": 2,
+     "jitter": False},
+]
+
+
+@pytest.mark.parametrize("plan", PLANS)
+def test_functional_specs_do_not_key_their_sampler_plan(plan):
+    """The functional tier attaches no samplers: one simulation, one key."""
+    spec = RunSpec.make("lbm", scale=0.05, backend="functional", **plan)
+    assert spec.key == FUNCTIONAL_LBM_KEY
+
+
+@pytest.mark.parametrize("backend", ["detailed", "sampled"])
+def test_sampling_tiers_key_their_sampler_plan(backend):
+    keys = {
+        RunSpec.make("lbm", scale=0.05, backend=backend, **plan).key
+        for plan in PLANS
+    }
+    assert len(keys) == len(PLANS)
+
+
 def test_canonical_rejects_unhashable_junk():
     with pytest.raises(TypeError, match="cannot canonicalise"):
         canonical(object())

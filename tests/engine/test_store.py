@@ -112,19 +112,22 @@ def test_corrupt_file_is_a_miss(tmp_path, warm_store):
     [
         ("schema", "tea-run-v0"),
         ("schema", "tea-run-v1"),
-        ("model_version", -1),
+        ("code", "0" * 64),
         ("spec_key", "0" * 64),
     ],
 )
 def test_stale_payload_is_a_miss(tmp_path, warm_store, field, value):
-    """Schema / model-version / key mismatches invalidate silently."""
+    """Schema / code / key mismatches invalidate silently."""
     store, _ = warm_store
     spec = small_spec()
     payload = json.loads(store.path_for(spec).read_text())
     assert payload["schema"] == PAYLOAD_SCHEMA
     payload[field] = value
     copy = RunStore(tmp_path / "stale")
-    copy.save(spec, payload)
+    # Written directly: save() would stamp the current code.
+    path = copy.path_for(spec)
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(payload))
     assert copy.load(spec) is None
     assert (copy.hits, copy.misses) == (0, 1)
 
@@ -228,7 +231,7 @@ def test_failed_writes_leave_no_file(tmp_path, warm_store, monkeypatch):
         copy.save(spec, payload)
     with pytest.raises(OSError, match="disk full"):
         copy.save_trace(spec, TraceStore())
-    assert list(copy.runs_dir.rglob("*")) == [copy.path_for(spec).parent]
+    assert list(copy.path_for(spec).parent.iterdir()) == []
     monkeypatch.undo()
     copy.save(spec, payload)
     copy.save_trace(spec, TraceStore())
@@ -249,6 +252,31 @@ def test_store_inventory_and_clear(tmp_path, warm_store):
     assert copy.path_for(spec).parent.name == spec.key[:2]
     copy.clear()
     assert len(copy) == 0
+
+
+def test_runs_of_other_code_are_misses(tmp_path, monkeypatch):
+    """A store filled by other code has no run and no trace for this
+    code; with the code that filled it, both are served."""
+    spec = small_spec()
+    filler = Engine(store=RunStore(tmp_path))
+    filler.trace(spec).close()
+    assert filler.simulations == 1
+
+    monkeypatch.setattr("repro.engine.store.code_digest", lambda: "f" * 64)
+    other = Engine(store=RunStore(tmp_path))
+    assert not other.store.contains(spec)
+    other.run(spec)
+    assert other.simulations == 1
+    other.trace(spec).close()
+    assert other.simulations == 2
+
+    monkeypatch.undo()
+    same = Engine(store=RunStore(tmp_path))
+    assert same.store.contains(spec)
+    same.run(spec)
+    same.trace(spec).close()
+    assert same.simulations == 0
+    assert same.store.hits == 2
 
 
 def test_default_root_honours_env(monkeypatch, tmp_path):

@@ -111,7 +111,7 @@ def test_scale_and_builder_kwargs_key_the_build(builds):
         spec("exchange2", backend="detailed", period=97, seed=1),
         spec("exchange2", scale=0.06),
         spec("synth", {"seed": 0}),
-        spec("synth", {"seed": 0}, seed=7),
+        spec("synth", {"seed": 0}, backend="detailed", seed=7),
         spec("synth", {"seed": 1}),
     ]
     runs = [engine.run(s) for s in specs]

@@ -161,6 +161,23 @@ def test_advise_after_profile_is_a_store_hit(tmp_path, capsys):
     ] == ["simulated", "store"]
 
 
+def test_functional_profiles_of_two_techniques_are_one_simulation(
+    tmp_path, capsys
+):
+    store = tmp_path / "store"
+    for technique in ("TEA", "IBS"):
+        assert main(
+            ["--scale", "0.05", "--store", str(store), "profile", "lbm",
+             "--backend", "functional", "--technique", technique]
+        ) == 0
+    capsys.readouterr()
+    assert main(["--store", str(store), "stats", "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["runs"]["by_source"] == {
+        "simulated": 1, "store": 1, "memo": 0,
+    }
+
+
 def test_query_diff_without_baseline_fails_before_simulating(tmp_path):
     store = tmp_path / "store"
     with pytest.raises(SystemExit, match="needs --baseline"):
