@@ -8,9 +8,9 @@ sampling, not the event set, is what makes TEA accurate.
 from repro.experiments import ablation
 
 
-def test_ablation_dispatch_tea(benchmark, dispatch_runner, emit):
+def test_ablation_dispatch_tea(benchmark, runner, emit):
     result = benchmark.pedantic(
-        lambda: ablation.run_dispatch_tea(dispatch_runner),
+        lambda: ablation.run_dispatch_tea(runner),
         rounds=1,
         iterations=1,
     )

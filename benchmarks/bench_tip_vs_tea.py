@@ -10,11 +10,8 @@ from repro.experiments import tip_exp
 
 
 def test_tip_vs_tea(benchmark, emit, runner):
-    tip_runner = runner.derive(
-        techniques=("TEA", "TIP"), extra_periods=()
-    )
     result = benchmark.pedantic(
-        lambda: tip_exp.run(tip_runner), rounds=1, iterations=1
+        lambda: tip_exp.run(runner), rounds=1, iterations=1
     )
     emit("tip_vs_tea", tip_exp.format_result(result))
     # Q1: same attribution policy, statistically identical accuracy.

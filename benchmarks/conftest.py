@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine import DEFAULT_RUN_LOG_NAME, Engine, RunLog, RunStore
-from repro.experiments.frequency import SWEEP_PERIODS
+from repro.experiments.frequency import sweep_runner
 from repro.experiments.runner import DEFAULT_PERIOD, ExperimentRunner
 
 SCALE = float(os.environ.get("TEA_BENCH_SCALE", "1.0"))
@@ -47,20 +47,11 @@ def engine():
 
 @pytest.fixture(scope="session")
 def runner(engine):
-    """The shared experiment runner (includes the Fig 8 sweep periods
-    so one simulation serves every experiment)."""
-    return ExperimentRunner(
-        scale=SCALE, period=PERIOD, extra_periods=SWEEP_PERIODS,
-        engine=engine,
-    )
-
-
-@pytest.fixture(scope="session")
-def dispatch_runner(runner):
-    """Runner for the dispatch-TEA ablation (different technique set,
-    same engine/store)."""
-    return runner.derive(
-        techniques=("TEA", "TEA-dispatch", "IBS"), extra_periods=()
+    """The shared experiment runner: Fig 8's plan, so one simulation
+    serves every experiment that runs on the default techniques (the
+    dispatch ablation and TIP derive their own plans from it)."""
+    return sweep_runner(
+        ExperimentRunner(scale=SCALE, period=PERIOD, engine=engine)
     )
 
 

@@ -1,19 +1,22 @@
 """Command-line entry point.
 
-Regenerate paper artefacts::
+Regenerate paper artefacts (one subcommand per entry of
+``repro.experiments.artefacts.ARTEFACTS``)::
 
     tea-repro fig5 [--scale 1.0] [--period 293]
-    tea-repro fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | fig12
-    tea-repro table1 | table2 | overheads
+    tea-repro fig3 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | fig12
+    tea-repro table1 | table2 | overheads | tip | topdown | noise
     tea-repro ablation-dispatch | ablation-events
-    tea-repro all
+    tea-repro sensitivity-rob | sensitivity-sq
+    tea-repro all                       # every artefact, report order
+    tea-repro report                    # ... into one Markdown file
+    tea-repro figures --out results/figures
 
 Use the library as a profiler/tool::
 
     tea-repro profile lbm --technique TEA --top 5
     tea-repro profile nab --granularity function
     tea-repro diff lbm lbm:prefetch_distance=3
-    tea-repro figures --out results/figures
 
 Engine controls (any experiment or tool command; ``profile``,
 ``advise``, ``diff`` and ``query`` share the run store and run log)::
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -56,130 +60,13 @@ from repro.engine import (
     summarize_run_log,
 )
 from repro.experiments import ExperimentRunner
-from repro.experiments import (
-    ablation,
-    accuracy,
-    case_lbm,
-    case_nab,
-    correlation_exp,
-    frequency,
-    granularity,
-    per_instruction,
-    tables,
+from repro.experiments.artefacts import (
+    ARTEFACTS,
+    figure_artefacts,
+    write_figures,
+    write_report,
 )
-from repro.workloads import BUILDERS, WORKLOAD_NAMES, build
-
-
-# ----------------------------------------------------------------------
-# Paper-artefact regenerators.
-# ----------------------------------------------------------------------
-def _fig5(runner):
-    return accuracy.format_result(accuracy.run(runner))
-
-
-def _fig6(runner):
-    return per_instruction.format_result(per_instruction.run(runner))
-
-
-def _fig7(runner):
-    return correlation_exp.format_result(correlation_exp.run(runner))
-
-
-def _fig8(runner):
-    sweep_runner = runner.derive(
-        extra_periods=frequency.SWEEP_PERIODS
-    )
-    return frequency.format_result(frequency.run(sweep_runner))
-
-
-def _fig9(runner):
-    return granularity.format_result(granularity.run(runner))
-
-
-def _fig10(runner):
-    return case_lbm.format_fig10(case_lbm.run(runner))
-
-
-def _fig11(runner):
-    return case_lbm.format_fig11(case_lbm.run(runner))
-
-
-def _fig12(runner):
-    return case_nab.format_result(case_nab.run(runner))
-
-
-def _fig3(runner):
-    from repro.core.events import render_all_hierarchies
-
-    return (
-        "Fig 3: commit-state performance-event hierarchies\n\n"
-        + render_all_hierarchies()
-    )
-
-
-def _table1(runner):
-    return tables.format_table1()
-
-
-def _table2(runner):
-    return tables.format_table2()
-
-
-def _overheads(runner):
-    from repro.experiments import overheads_exp
-
-    return overheads_exp.format_result(overheads_exp.run(runner))
-
-
-def _ablation_dispatch(runner):
-    dispatch_runner = runner.derive(
-        techniques=("TEA", "TEA-dispatch", "IBS")
-    )
-    return ablation.format_dispatch_tea(
-        ablation.run_dispatch_tea(dispatch_runner)
-    )
-
-
-def _ablation_events(runner):
-    return ablation.format_event_sets(ablation.run_event_sets(runner))
-
-
-EXPERIMENTS = {
-    "table1": _table1,
-    "table2": _table2,
-    "fig3": _fig3,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "fig10": _fig10,
-    "fig11": _fig11,
-    "fig12": _fig12,
-    "overheads": _overheads,
-    "ablation-dispatch": _ablation_dispatch,
-    "ablation-events": _ablation_events,
-}
-
-#: Which run sets each command needs simulated: a suite flavour (all
-#: 15 kernels) or a case study's binaries (``lbm``, ``nab``). Used to
-#: prewarm the engine in one parallel fan-out before the (serial)
-#: experiment code runs and hits the memo.
-_PREWARM = {
-    "fig5": ("default",),
-    "fig6": ("default",),
-    "fig7": ("default",),
-    "fig8": ("sweep",),
-    "fig9": ("default",),
-    "fig10": ("lbm",),
-    "fig11": ("lbm",),
-    "fig12": ("nab",),
-    "overheads": ("default",),
-    "ablation-dispatch": ("dispatch",),
-    "ablation-events": ("default",),
-    "figures": ("default", "sweep", "dispatch", "lbm", "nab"),
-    "report": ("default", "sweep", "dispatch", "tip", "lbm", "nab"),
-}
+from repro.workloads import BUILDERS, build
 
 
 # ----------------------------------------------------------------------
@@ -213,38 +100,8 @@ def make_engine(args) -> Engine:
     return args.engine
 
 
-def _prewarm_specs(runner, kind: str) -> dict[str, RunSpec]:
-    """The labelled specs one :data:`_PREWARM` kind stands for."""
-    if kind == "lbm":  # Figs 10-11: the prefetch-distance binaries
-        specs = {"lbm": runner.spec("lbm")}
-        for distance in case_lbm.DISTANCES:
-            if distance:
-                specs[f"lbm:prefetch_distance={distance}"] = runner.spec(
-                    "lbm", prefetch_distance=distance
-                )
-        return specs
-    if kind == "nab":  # Fig 12: the plain and fast-math binaries
-        return {
-            "nab": runner.spec("nab"),
-            "nab:fast_math": runner.spec("nab", fast_math=True),
-        }
-    suite = _suite_runner(runner, kind)
-    return {name: suite.spec(name) for name in WORKLOAD_NAMES}
-
-
-def _suite_runner(runner, kind: str):
-    """The runner variant (sharing the engine) for one suite flavour."""
-    if kind == "sweep":
-        return runner.derive(extra_periods=frequency.SWEEP_PERIODS)
-    if kind == "dispatch":
-        return runner.derive(techniques=("TEA", "TEA-dispatch", "IBS"))
-    if kind == "tip":
-        return runner.derive(techniques=("TEA", "TIP"))
-    return runner
-
-
-def prewarm(runner, commands, resume: bool = False) -> None:
-    """Fan every suite the commands need out across the worker pool.
+def prewarm(runner, artefacts, resume: bool = False) -> None:
+    """Fan every run the artefacts read out across the worker pool.
 
     The experiment modules themselves iterate benchmarks serially; with
     ``--jobs N`` the engine simulates all missing runs here first so
@@ -253,15 +110,12 @@ def prewarm(runner, commands, resume: bool = False) -> None:
     (``--resume`` reports the checkpoint status) re-simulates only the
     runs that never finished.
     """
-    kinds: list[str] = []
-    for command in commands:
-        kinds.extend(_PREWARM.get(command, ()))
-    # Kinds overlap (``default`` and ``lbm`` both hold plain lbm), so
-    # keep one label per spec: the resume count is of distinct runs.
+    # Artefacts overlap (Figs 5 and 7 read the same suite), so keep one
+    # label per spec: the resume count is of distinct runs.
     by_key: dict[str, tuple[str, RunSpec]] = {}
-    for kind in dict.fromkeys(kinds):
-        for name, spec in _prewarm_specs(runner, kind).items():
-            by_key.setdefault(spec.key, (f"{kind}:{name}", spec))
+    for artefact in artefacts:
+        for label, spec in artefact.specs(runner).items():
+            by_key.setdefault(spec.key, (label, spec))
     specs = dict(by_key.values())
     if not specs:
         return
@@ -936,24 +790,52 @@ def _run_query(args, engine, spec, base_spec, query, states) -> int:
     return 0
 
 
-def cmd_figures(args) -> int:
-    """``tea-repro figures``: render every paper figure as SVG."""
-    from repro.viz.figures import render_all
-
+def cmd_artefacts(args) -> int:
+    """``tea-repro <artefact> | all | report | figures``: regenerate
+    paper artefacts from :data:`ARTEFACTS`."""
+    if args.command == "figures":
+        artefacts = figure_artefacts()
+    elif args.command in ("all", "report"):
+        artefacts = list(ARTEFACTS.values())
+    else:
+        artefacts = [ARTEFACTS[args.command]]
     engine = make_engine(args)
     runner = ExperimentRunner(
         scale=args.scale, period=args.period, engine=engine
     )
     if engine.jobs > 1 or args.resume:
         try:
-            prewarm(runner, ["figures"], resume=args.resume)
+            prewarm(runner, artefacts, resume=args.resume)
         except SuiteExecutionError as exc:
             print(exc.report(), file=sys.stderr)
             return 1
-    written = render_all(runner, args.out)
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+    if args.command == "figures":
+        for path in write_figures(runner, args.out):
+            print(f"wrote {path}")
+        return 0
+    if args.command == "report":
+        print(f"wrote {write_report(runner, args.out)}")
+        return 0
+
+    failed = 0
+    for artefact in artefacts:
+        start = time.time()
+        try:
+            print(artefact.render(runner))
+        except Exception as exc:
+            if not args.keep_going:
+                raise
+            # Partial-suite mode: a failed prewarm run resurfaces
+            # here; report the artefact and move on.
+            failed += 1
+            print(
+                f"[{artefact.name}: FAILED -- "
+                f"{type(exc).__name__}: {exc}]\n",
+                file=sys.stderr,
+            )
+            continue
+        print(f"[{artefact.name}: {time.time() - start:.1f}s]\n")
+    return 1 if failed else 0
 
 
 def cmd_fuzz(args) -> int:
@@ -1080,8 +962,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in sorted(EXPERIMENTS) + ["all"]:
-        sub.add_parser(name, help=f"regenerate {name}")
+    for artefact in ARTEFACTS.values():
+        sub.add_parser(artefact.name, help=artefact.title)
+    sub.add_parser("all", help="regenerate every artefact")
 
     profile_parser = sub.add_parser(
         "profile", help="profile a workload and print its PICS"
@@ -1428,7 +1311,15 @@ def main(argv: list[str] | None = None) -> int:
         obs.enable()
 
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left early (``tea-repro ... | head``). Point stdout
+        # at devnull so the exit-time flush cannot raise again (the
+        # SIGPIPE note in the Python docs), and exit 1 quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
         _finish_obs(args)
 
@@ -1455,51 +1346,7 @@ def _dispatch(args) -> int:
         return cmd_lint(args)
     if args.command == "fuzz":
         return cmd_fuzz(args)
-    if args.command == "figures":
-        return cmd_figures(args)
-
-    engine = make_engine(args)
-    runner = ExperimentRunner(
-        scale=args.scale, period=args.period, engine=engine
-    )
-    names = (
-        sorted(EXPERIMENTS) if args.command == "all"
-        else [args.command]
-    )
-    try:
-        if args.command == "report":
-            from repro.experiments.report_all import write_report
-
-            if engine.jobs > 1 or args.resume:
-                prewarm(runner, ["report"], resume=args.resume)
-            path = write_report(runner, args.out)
-            print(f"wrote {path}")
-            return 0
-
-        if engine.jobs > 1 or args.resume:
-            prewarm(runner, names, resume=args.resume)
-    except SuiteExecutionError as exc:
-        print(exc.report(), file=sys.stderr)
-        return 1
-
-    failed = 0
-    for name in names:
-        start = time.time()
-        try:
-            print(EXPERIMENTS[name](runner))
-        except Exception as exc:
-            if not args.keep_going:
-                raise
-            # Partial-suite mode: a failed prewarm run resurfaces
-            # here; report the experiment and move on.
-            failed += 1
-            print(
-                f"[{name}: FAILED -- {type(exc).__name__}: {exc}]\n",
-                file=sys.stderr,
-            )
-            continue
-        print(f"[{name}: {time.time() - start:.1f}s]\n")
-    return 1 if failed else 0
+    return cmd_artefacts(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

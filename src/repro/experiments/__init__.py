@@ -5,8 +5,10 @@ which simulates each benchmark once with every analyzer attached (the
 paper evaluates up to 15 configurations out-of-band from a single FireSim
 run for exactly this reason) and caches results per (workload, config).
 
-Each ``figN`` module exposes a ``run(...)`` returning a structured result
-and a ``format_table(result)`` returning the rows the paper reports.
+Each module exposes a ``run(...)`` returning a structured result and
+``format_*`` renderers of it (``format_result`` in most modules).
+:mod:`repro.experiments.artefacts` declares each paper artefact once:
+its subcommand, report heading, renderers and the runs it reads.
 """
 
 from repro.experiments.runner import (

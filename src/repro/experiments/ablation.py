@@ -33,25 +33,32 @@ class DispatchTeaResult:
     per_benchmark: dict[str, dict[str, float]]
 
 
+#: The techniques the dispatch ablation compares.
+DISPATCH_TECHNIQUES = ("TEA", "TEA-dispatch", "IBS")
+
+
+def dispatch_runner(runner: ExperimentRunner) -> ExperimentRunner:
+    """The dispatch ablation's plan on *runner*'s engine: its three
+    techniques and no sweep periods."""
+    return runner.derive(techniques=DISPATCH_TECHNIQUES, extra_periods=())
+
+
 def run_dispatch_tea(
     runner: ExperimentRunner | None = None,
     names: tuple[str, ...] = WORKLOAD_NAMES,
 ) -> DispatchTeaResult:
     """Compare TEA vs its dispatch-tagging variant vs IBS."""
-    if runner is None:
-        runner = ExperimentRunner(
-            techniques=("TEA", "TEA-dispatch", "IBS")
-        )
+    runner = dispatch_runner(runner or ExperimentRunner())
     per_benchmark: dict[str, dict[str, float]] = {}
     for name in names:
         bench = runner.run(name)
         per_benchmark[name] = {
-            t: bench.error(t) for t in ("TEA", "TEA-dispatch", "IBS")
+            t: bench.error(t) for t in DISPATCH_TECHNIQUES
         }
     mean = {
         t: sum(row[t] for row in per_benchmark.values())
         / len(per_benchmark)
-        for t in ("TEA", "TEA-dispatch", "IBS")
+        for t in DISPATCH_TECHNIQUES
     }
     return DispatchTeaResult(mean_errors=mean, per_benchmark=per_benchmark)
 

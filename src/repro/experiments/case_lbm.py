@@ -20,6 +20,7 @@ from repro.core.events import Event
 from repro.core.pics import PicsProfile
 from repro.core.psv import psv_has
 from repro.core.report import render_comparison
+from repro.engine import RunSpec
 from repro.experiments.runner import ExperimentRunner, format_table
 from repro.isa.opcodes import MEMORY_READ_OPS, MEMORY_WRITE_OPS
 
@@ -84,6 +85,21 @@ class LbmResult:
         return max(p.speedup for p in self.sweep)
 
 
+def sweep_specs(
+    runner: ExperimentRunner, distances: tuple[int, ...] = DISTANCES
+) -> dict[int, RunSpec]:
+    """The lbm binary each prefetch distance runs; distance 0 is the
+    plain binary Fig 10 reads."""
+    return {
+        distance: (
+            runner.spec("lbm", prefetch_distance=distance)
+            if distance
+            else runner.spec("lbm")
+        )
+        for distance in distances
+    }
+
+
 def run(
     runner: ExperimentRunner | None = None,
     distances: tuple[int, ...] = DISTANCES,
@@ -104,11 +120,8 @@ def run(
 
     base_cycles = base.result.cycles
     sweep: list[PrefetchPoint] = []
-    for distance in distances:
-        if distance == 0:
-            bench = base
-        else:
-            bench = runner.run("lbm", prefetch_distance=distance)
+    for distance, spec in sweep_specs(runner, distances).items():
+        bench = runner.engine.run(spec)
         bench_golden = bench.golden
         bench_program = bench.workload.program
         load = _top_index_by_kind(

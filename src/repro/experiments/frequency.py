@@ -35,6 +35,16 @@ class FrequencyResult:
     mean_errors: dict[str, dict[int, float]]  # technique -> period -> err
 
 
+def sweep_runner(
+    runner: ExperimentRunner,
+    periods: tuple[int, ...] = SWEEP_PERIODS,
+    techniques: tuple[str, ...] = TECHNIQUES,
+) -> ExperimentRunner:
+    """The Fig 8 plan on *runner*'s engine: *techniques*, each also
+    attached at every sweep period."""
+    return runner.derive(techniques=techniques, extra_periods=periods)
+
+
 def run(
     runner: ExperimentRunner | None = None,
     names: tuple[str, ...] = WORKLOAD_NAMES,
@@ -43,8 +53,7 @@ def run(
 ) -> FrequencyResult:
     """Run the Fig 8 sweep (one simulation per benchmark, all periods
     attached out-of-band, exactly like the paper's methodology)."""
-    if runner is None:
-        runner = ExperimentRunner(extra_periods=periods)
+    runner = sweep_runner(runner or ExperimentRunner(), periods, techniques)
     sums: dict[str, dict[int, float]] = {
         t: {p: 0.0 for p in periods} for t in techniques
     }

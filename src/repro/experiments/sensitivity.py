@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.core.events import Event
 from repro.core.psv import psv_has
+from repro.engine import RunSpec
 from repro.experiments.runner import ExperimentRunner, format_table
 from repro.uarch.config import CoreConfig
 
@@ -44,43 +45,65 @@ class SensitivityResult:
     points: list[SensitivityPoint]
 
 
-def _measure(
-    runner: ExperimentRunner,
-    config: CoreConfig,
-    value: int,
-    name: str,
-    **workload_kwargs,
-) -> SensitivityPoint:
-    """One sweep point: *name* under *config*, no samplers attached,
-    run on (and stored by) the runner's engine."""
-    run = runner.derive(config=config, techniques=()).run(
-        name, **workload_kwargs
-    )
-    result, golden = run.result, run.golden
-    total = golden.total()
-    top = golden.top_units(1)[0]
-    dr_sq = sum(
-        cycles
-        for stack in golden.stacks.values()
-        for psv, cycles in stack.items()
-        if psv_has(psv, Event.DR_SQ)
-    )
-    return SensitivityPoint(
-        value=value,
-        cycles=result.cycles,
-        ipc=result.ipc,
-        critical_share=golden.height(top) / total,
-        dr_sq_share=dr_sq / total,
-    )
+#: ROB sizes of the out-of-order window sweep.
+ROB_SIZES = (48, 96, 192, 384, 768)
+
+#: Store-queue sizes of the store-queue sweep.
+STORE_QUEUE_SIZES = (8, 16, 32, 64, 128)
+
+#: The queues that scale with the ROB in the window sweep.
+_WINDOW_QUEUES = (
+    "int_queue_entries", "mem_queue_entries", "fp_queue_entries",
+    "load_queue_entries", "store_queue_entries",
+)
 
 
-def rob_size_sweep(
+def _point_spec(
+    runner: ExperimentRunner, config: CoreConfig, name: str, **kwargs
+) -> RunSpec:
+    """A sweep point's run: *name* under *config*, no samplers."""
+    return runner.derive(config=config, techniques=()).spec(name, **kwargs)
+
+
+def _sweep(
     runner: ExperimentRunner,
-    sizes: tuple[int, ...] = (48, 96, 192, 384, 768),
-    workload_name: str = "lbm",
+    parameter: str,
+    workload: str,
+    specs: dict[int, RunSpec],
 ) -> SensitivityResult:
-    """Sweep the out-of-order *window* on the lbm kernel, at the
-    runner's scale.
+    """Measure each point's run from its golden profile."""
+    points = []
+    for value, spec in specs.items():
+        run = runner.engine.run(spec)
+        golden = run.golden
+        total = golden.total()
+        top = golden.top_units(1)[0]
+        dr_sq = sum(
+            cycles
+            for stack in golden.stacks.values()
+            for psv, cycles in stack.items()
+            if psv_has(psv, Event.DR_SQ)
+        )
+        points.append(
+            SensitivityPoint(
+                value=value,
+                cycles=run.result.cycles,
+                ipc=run.result.ipc,
+                critical_share=golden.height(top) / total,
+                dr_sq_share=dr_sq / total,
+            )
+        )
+    return SensitivityResult(
+        parameter=parameter, workload=workload, points=points
+    )
+
+
+def rob_size_specs(
+    runner: ExperimentRunner,
+    sizes: tuple[int, ...] = ROB_SIZES,
+    workload_name: str = "lbm",
+) -> dict[int, RunSpec]:
+    """The run each ROB size of :func:`rob_size_sweep` reads.
 
     The issue queues and load/store queues scale with the ROB (as they
     do across real core generations) so the sweep measures the paper's
@@ -88,56 +111,67 @@ def rob_size_sweep(
     rather than whichever single queue happens to clip first.
     """
     baseline = CoreConfig()
-    points = []
+    specs = {}
     for size in sizes:
         factor = size / baseline.rob_entries
         config = CoreConfig()
         config.rob_entries = size
-        config.int_queue_entries = max(
-            8, int(baseline.int_queue_entries * factor)
-        )
-        config.mem_queue_entries = max(
-            8, int(baseline.mem_queue_entries * factor)
-        )
-        config.fp_queue_entries = max(
-            8, int(baseline.fp_queue_entries * factor)
-        )
-        config.load_queue_entries = max(
-            8, int(baseline.load_queue_entries * factor)
-        )
-        config.store_queue_entries = max(
-            8, int(baseline.store_queue_entries * factor)
-        )
-        points.append(_measure(runner, config, size, workload_name))
-    return SensitivityResult(
-        parameter="rob_entries", workload=workload_name, points=points
+        for queue in _WINDOW_QUEUES:
+            setattr(
+                config, queue,
+                max(8, int(getattr(baseline, queue) * factor)),
+            )
+        specs[size] = _point_spec(runner, config, workload_name)
+    return specs
+
+
+def rob_size_sweep(
+    runner: ExperimentRunner,
+    sizes: tuple[int, ...] = ROB_SIZES,
+    workload_name: str = "lbm",
+) -> SensitivityResult:
+    """Sweep the out-of-order *window* on the lbm kernel, at the
+    runner's scale (see :func:`rob_size_specs`)."""
+    return _sweep(
+        runner, "rob_entries", workload_name,
+        rob_size_specs(runner, sizes, workload_name),
     )
+
+
+def store_queue_specs(
+    runner: ExperimentRunner,
+    sizes: tuple[int, ...] = STORE_QUEUE_SIZES,
+    workload_name: str = "lbm",
+    prefetch_distance: int = 3,
+) -> dict[int, RunSpec]:
+    """The run each store-queue size of :func:`store_queue_sweep`
+    reads."""
+    specs = {}
+    for size in sizes:
+        config = CoreConfig()
+        config.store_queue_entries = size
+        specs[size] = _point_spec(
+            runner, config, workload_name,
+            prefetch_distance=prefetch_distance,
+        )
+    return specs
 
 
 def store_queue_sweep(
     runner: ExperimentRunner,
-    sizes: tuple[int, ...] = (8, 16, 32, 64, 128),
+    sizes: tuple[int, ...] = STORE_QUEUE_SIZES,
     workload_name: str = "lbm",
     prefetch_distance: int = 3,
 ) -> SensitivityResult:
     """Sweep the store-queue size on prefetched lbm (mechanism 2), at
     the runner's scale."""
-    points = []
-    for size in sizes:
-        config = CoreConfig()
-        config.store_queue_entries = size
-        points.append(
-            _measure(
-                runner, config, size, workload_name,
-                prefetch_distance=prefetch_distance,
-            )
-        )
-    return SensitivityResult(
-        parameter="store_queue_entries",
-        workload=runner.engine.workload(
+    return _sweep(
+        runner,
+        "store_queue_entries",
+        runner.engine.workload(
             runner.spec(workload_name, prefetch_distance=prefetch_distance)
         ).name,
-        points=points,
+        store_queue_specs(runner, sizes, workload_name, prefetch_distance),
     )
 
 

@@ -34,13 +34,22 @@ class TipComparison:
         return sum(values) / len(values)
 
 
+#: The techniques the comparison attaches.
+TIP_TECHNIQUES = ("TEA", "TIP")
+
+
+def tip_runner(runner: ExperimentRunner) -> ExperimentRunner:
+    """The comparison's plan on *runner*'s engine: TEA and TIP, no
+    sweep periods."""
+    return runner.derive(techniques=TIP_TECHNIQUES, extra_periods=())
+
+
 def run(
     runner: ExperimentRunner | None = None,
     names: tuple[str, ...] = WORKLOAD_NAMES,
 ) -> TipComparison:
     """Run the TIP-vs-TEA comparison."""
-    if runner is None:
-        runner = ExperimentRunner(techniques=("TEA", "TIP"))
+    runner = tip_runner(runner or ExperimentRunner())
     q1: dict[str, dict[str, float]] = {}
     full: dict[str, dict[str, float]] = {}
     for name in names:
@@ -48,7 +57,7 @@ def run(
         golden = bench.golden
         q1[name] = {}
         full[name] = {}
-        for technique in ("TEA", "TIP"):
+        for technique in TIP_TECHNIQUES:
             profile = bench.samplers[technique].profile()
             # Q1: collapse the event dimension entirely.
             q1[name][technique] = pics_error(profile, golden, 0)

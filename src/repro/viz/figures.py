@@ -1,12 +1,12 @@
 """Turn experiment results into the paper's figures (SVG files).
 
-``tea-repro figures --out results/figures`` renders everything; each
-function also works standalone on its experiment's result object.
+Each function works on its experiment's result object;
+:func:`repro.experiments.artefacts.write_figures` (``tea-repro figures
+--out results/figures``) writes every figure.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 
 from repro.core.events import Event
 from repro.core.pics import PicsProfile
@@ -238,69 +238,3 @@ def phases_svg(sampler) -> str:
         ylabel="share of window cycles",
         normalise_to=1.0,
     )
-
-
-def render_all(runner, out_dir: str | Path) -> list[Path]:
-    """Run every experiment through *runner* and write all figures.
-
-    Returns the list of written files.
-    """
-    from repro.experiments import (
-        ablation,
-        accuracy,
-        case_lbm,
-        case_nab,
-        correlation_exp,
-        frequency,
-        granularity,
-        per_instruction,
-    )
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def save(name: str, svg: str) -> None:
-        path = out / f"{name}.svg"
-        path.write_text(svg)
-        written.append(path)
-
-    save("fig5", fig5_svg(accuracy.run(runner)))
-    for name, r in per_instruction.run(runner).items():
-        save(
-            f"fig6_{name}",
-            fig6_svg(name, r.golden, r.tea, r.ibs, r.top_indices),
-        )
-    save("fig7", fig7_svg(correlation_exp.run(runner)))
-    sweep_runner = runner.derive(
-        extra_periods=frequency.SWEEP_PERIODS
-    )
-    save("fig8", fig8_svg(frequency.run(sweep_runner)))
-    save("fig9", fig9_svg(granularity.run(runner)))
-    lbm = case_lbm.run(runner)
-    save("fig10", fig10_svg(lbm))
-    save("fig11", fig11_svg(lbm))
-    save("fig12", fig12_svg(case_nab.run(runner)))
-    save(
-        "ablation_event_sets",
-        ablation_event_sets_svg(ablation.run_event_sets(runner)),
-    )
-    from repro.core.topdown import top_down
-    from repro.workloads import WORKLOAD_NAMES
-
-    save(
-        "topdown",
-        topdown_svg(
-            {
-                name: top_down(runner.run(name).result)
-                for name in WORKLOAD_NAMES
-            }
-        ),
-    )
-    from repro.experiments import sensitivity
-
-    save(
-        "sensitivity_rob",
-        sensitivity_svg(sensitivity.rob_size_sweep(runner)),
-    )
-    return written

@@ -30,9 +30,7 @@ def test_fig7_svg(small_runner):
 
 
 def test_fig8_svg():
-    runner = ExperimentRunner(
-        scale=0.1, period=101, extra_periods=(73, 151)
-    )
+    runner = ExperimentRunner(scale=0.1, period=101)
     result = frequency.run(
         runner, names=("exchange2",), periods=(73, 151)
     )

@@ -1,11 +1,17 @@
 """Tests for the CLI tool commands (profile / diff / figures)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main, parse_workload_spec
 from repro.engine import DEFAULT_RUN_LOG_NAME, read_run_log
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def test_parse_workload_spec_plain():
@@ -71,21 +77,57 @@ def test_cli_figures(tmp_path, capsys):
         assert path.read_text().startswith("<svg")
 
 
-def test_parallel_fig12_prewarms_only_the_nab_binaries(tmp_path, capsys):
-    """``--jobs 2 fig12`` simulates exactly the two nab binaries Fig 12
-    reads, both in the worker pool, and none of the other kernels."""
-    store = tmp_path / "store"
+@pytest.mark.parametrize(
+    "command, simulated_runs",
+    [
+        pytest.param(["fig12"], 2, id="fig12"),  # the two nab binaries
+        pytest.param(["fig6"], 4, id="fig6"),  # its four benchmarks
+        # Every figure's runs, none of the dispatch ablation's.
+        pytest.param(["figures", "--out", "svg"], 42, id="figures"),
+    ],
+)
+def test_parallel_prewarm_simulates_what_the_command_reads(
+    tmp_path, monkeypatch, capsys, command, simulated_runs
+):
+    """``--jobs 2`` simulates exactly the runs a command reads, all of
+    them in the worker pool."""
+    monkeypatch.chdir(tmp_path)
     assert main(
-        ["--scale", "0.05", "--period", "67", "--store", str(store),
-         "--jobs", "2", "fig12"]
+        ["--scale", "0.05", "--period", "67", "--store", "store",
+         "--jobs", "2"] + command
     ) == 0
-    assert "nab" in capsys.readouterr().out
+    capsys.readouterr()
     simulated = [
-        rec for rec in read_run_log(store / DEFAULT_RUN_LOG_NAME)
+        rec for rec in read_run_log(tmp_path / "store" / DEFAULT_RUN_LOG_NAME)
         if rec.get("kind") == "run" and rec.get("source") == "simulated"
     ]
-    assert len(simulated) == 2
-    assert [rec["jobs"] for rec in simulated] == [2, 2]
+    assert len(simulated) == simulated_runs
+    assert {rec["jobs"] for rec in simulated} == {2}
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that leaves early (``tea-repro table1 | head -1``) gets
+    exit status 1 and no traceback on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")])
+    )
+    # A pipe whose read end is closed before the command starts: every
+    # write to it fails, whatever the timing.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "table1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == ""
 
 
 def test_cli_experiment_command(capsys):

@@ -77,9 +77,7 @@ def test_fig7_correlation(small_runner):
 
 
 def test_fig8_frequency_sweep():
-    runner = ExperimentRunner(
-        scale=0.12, period=101, extra_periods=(73, 151)
-    )
+    runner = ExperimentRunner(scale=0.12, period=101)
     result = frequency.run(
         runner, names=("exchange2", "fotonik3d"), periods=(73, 151)
     )
@@ -137,10 +135,7 @@ def test_overheads(small_runner):
 
 
 def test_ablation_dispatch_tea():
-    runner = ExperimentRunner(
-        scale=0.12, period=101,
-        techniques=("TEA", "TEA-dispatch", "IBS"),
-    )
+    runner = ExperimentRunner(scale=0.12, period=101)
     result = ablation.run_dispatch_tea(runner, names=("lbm", "omnetpp"))
     # Dispatch-tagging forfeits TEA's accuracy (paper Sec 5).
     assert result.mean_errors["TEA"] < result.mean_errors["TEA-dispatch"]

@@ -1,6 +1,6 @@
 """Tests for the consolidated reproduction report."""
 
-from repro.experiments.report_all import write_report
+from repro.experiments.artefacts import write_report
 from repro.experiments.runner import ExperimentRunner
 
 
@@ -10,8 +10,8 @@ def test_write_report(tmp_path):
     text = path.read_text()
     # Every section present.
     for title in (
-        "Table 1", "Table 2", "Fig 5", "Fig 6", "Fig 7", "Fig 8",
-        "Fig 9", "Figs 10-11", "Fig 12", "Overheads",
+        "Table 1", "Table 2", "Fig 3", "Fig 5", "Fig 6", "Fig 7",
+        "Fig 8", "Fig 9", "Fig 10", "Fig 11", "Fig 12", "Overheads",
         "TEA at dispatch", "event-set width", "TIP vs TEA",
         "Top-Down", "out-of-order window", "store queue",
         "Sampling noise",

@@ -39,9 +39,7 @@ def test_sensitivity_format():
 
 
 def test_tip_exp_q1_parity():
-    runner = ExperimentRunner(
-        scale=0.1, period=101, techniques=("TEA", "TIP")
-    )
+    runner = ExperimentRunner(scale=0.1, period=101)
     result = tip_exp.run(runner, names=("fotonik3d", "exchange2"))
     # Same policy: Q1 errors close; Q2 gap large for TIP.
     assert abs(

@@ -1,12 +1,12 @@
 """CLI observability: --trace-out, --metrics-out and the run-log obs
 records."""
 
+import dataclasses
 import json
 import re
 
 import pytest
 
-from repro import cli
 from repro.cli import main
 from repro.engine import (
     Engine,
@@ -15,6 +15,7 @@ from repro.engine import (
     SuiteExecutionError,
     read_run_log,
 )
+from repro.experiments.artefacts import ARTEFACTS
 from repro.obs.export import read_chrome_trace
 from repro.obs.metrics import validate_prometheus_text
 
@@ -165,7 +166,10 @@ def test_raising_experiment_still_exports_obs(tmp_path, monkeypatch):
         runner.run("exchange2")
         raise RuntimeError("injected experiment failure")
 
-    monkeypatch.setitem(cli.EXPERIMENTS, "fig5", failing_experiment)
+    monkeypatch.setitem(
+        ARTEFACTS, "fig5",
+        dataclasses.replace(ARTEFACTS["fig5"], run=failing_experiment),
+    )
     with pytest.raises(RuntimeError, match="injected"):
         main(_export_args(tmp_path) + ["fig5"])
     _assert_exported(tmp_path)
