@@ -8,6 +8,7 @@ the TEA-vs-IBS gap, showing Fig 5's ordering is not sampling luck.
 import os
 
 from repro.experiments import noise
+from repro.experiments.runner import ExperimentRunner
 
 SCALE = float(os.environ.get("TEA_BENCH_SCALE", "1.0"))
 PERIOD = int(os.environ.get("TEA_BENCH_PERIOD", "293"))
@@ -15,7 +16,7 @@ PERIOD = int(os.environ.get("TEA_BENCH_PERIOD", "293"))
 
 def test_sampling_noise(benchmark, emit):
     result = benchmark.pedantic(
-        lambda: noise.run(scale=SCALE, period=PERIOD),
+        lambda: noise.run(ExperimentRunner(scale=SCALE, period=PERIOD)),
         rounds=1,
         iterations=1,
     )

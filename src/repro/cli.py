@@ -101,14 +101,15 @@ def make_engine(args) -> Engine:
 
 
 def prewarm(runner, artefacts, resume: bool = False) -> None:
-    """Fan every run the artefacts read out across the worker pool.
+    """Run every spec the artefacts read through one engine suite.
 
-    The experiment modules themselves iterate benchmarks serially; with
-    ``--jobs N`` the engine simulates all missing runs here first so
-    those loops become pure memo hits. Completed runs checkpoint to
-    the store as they land, so re-invoking after an interruption
-    (``--resume`` reports the checkpoint status) re-simulates only the
-    runs that never finished.
+    The experiment modules themselves iterate benchmarks one run at a
+    time; the engine simulates all missing runs here first -- on the
+    worker pool with ``--jobs N``, in process otherwise, and once per
+    machine run the specs share -- so those loops become pure memo
+    hits. Completed runs checkpoint to the store as they land, so
+    re-invoking after an interruption (``--resume`` reports the
+    checkpoint status) re-simulates only the runs that never finished.
     """
     # Artefacts overlap (Figs 5 and 7 read the same suite), so keep one
     # label per spec: the resume count is of distinct runs.
@@ -803,12 +804,11 @@ def cmd_artefacts(args) -> int:
     runner = ExperimentRunner(
         scale=args.scale, period=args.period, engine=engine
     )
-    if engine.jobs > 1 or args.resume:
-        try:
-            prewarm(runner, artefacts, resume=args.resume)
-        except SuiteExecutionError as exc:
-            print(exc.report(), file=sys.stderr)
-            return 1
+    try:
+        prewarm(runner, artefacts, resume=args.resume)
+    except SuiteExecutionError as exc:
+        print(exc.report(), file=sys.stderr)
+        return 1
     if args.command == "figures":
         for path in write_figures(runner, args.out):
             print(f"wrote {path}")

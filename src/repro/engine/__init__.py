@@ -55,6 +55,7 @@ from repro.engine.runs import (
     run_from_payload,
     run_to_payload,
     simulate_spec,
+    simulate_specs,
 )
 from repro.engine.spec import (
     DEFAULT_PERIOD,
@@ -124,6 +125,7 @@ __all__ = [
     "run_from_payload",
     "run_to_payload",
     "simulate_spec",
+    "simulate_specs",
     "simulate_to_payload",
     "summarize_records",
     "summarize_records_json",

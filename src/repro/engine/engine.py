@@ -16,6 +16,12 @@ command, and benchmark script funnels through. For each
    ``jobs=1`` and over a worker pool otherwise, through one attempt
    loop with its retries, backoff, timeouts and pool recovery.
 
+A suite simulates once per machine run: misses that share a
+:attr:`~repro.engine.spec.RunSpec.simulation_key` (they differ only in
+their sampler plans) form one executor item, whose worker attaches
+every member's samplers to one run and returns each member the payload
+a simulation of its own would have stored.
+
 Suite runs checkpoint as they go: each completed payload is flushed to
 the store the moment it lands, so an interrupted or partially failed
 suite resumes from the store and re-simulates only what is missing.
@@ -30,6 +36,7 @@ did the cache save" is always answerable after the fact.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from collections.abc import Callable, Mapping
@@ -37,6 +44,8 @@ from typing import TYPE_CHECKING, Any
 
 from repro import obs
 from repro.engine.executor import (
+    STATUS_OK,
+    LabelOutcome,
     SuiteExecutionError,
     SuiteExecutor,
     SuiteReport,
@@ -72,8 +81,11 @@ class Engine:
             between retry attempts of the same run.
         keep_going: Return partial suite results plus a
             :class:`SuiteReport` instead of raising on failures.
-        worker_fn: Worker callable for suite execution; overridable
-            for tests and fault injection.
+        worker_fn: Worker callable for suite execution, taking
+            ``(label, specs)`` -- the specs of one machine run, under
+            its first member's label -- and returning ``(label,
+            payloads)`` in member order; overridable for tests and
+            fault injection.
         heartbeat: Worker heartbeat interval in seconds; ``None``
             disables live telemetry. When set, suite executions emit
             ``"kind": "heartbeat"`` records into the run log as they
@@ -84,8 +96,9 @@ class Engine:
             label is flagged stalled (default: four heartbeats).
 
     Attributes:
-        simulations: Number of fresh simulations this engine performed
-            (both in-process and via workers).
+        simulations: Number of runs this engine simulated (both
+            in-process and via workers); the members of a shared
+            machine run count one each.
         last_suite_report: The :class:`SuiteReport` of the most recent
             :meth:`run_suite` that had to execute anything.
     """
@@ -100,7 +113,8 @@ class Engine:
         backoff: float = 0.0,
         keep_going: bool = False,
         worker_fn: Callable[
-            [tuple[str, RunSpec]], tuple[str, dict[str, Any]]
+            [tuple[str, tuple[RunSpec, ...]]],
+            tuple[str, list[dict[str, Any]]],
         ] = simulate_to_payload,
         heartbeat: float | None = None,
         stall_after: float | None = None,
@@ -209,7 +223,8 @@ class Engine:
 
         Memo and store hits are served inline; the remaining specs are
         executed through a fault-tolerant :class:`SuiteExecutor`
-        (in process for one job, over a process pool otherwise).
+        (in process for one job, over a process pool otherwise), one
+        simulation per machine run they share.
         Completed payloads are flushed to the store *as they land*, so
         an interrupted suite re-simulates only what never finished.
 
@@ -300,21 +315,33 @@ class Engine:
             return None
 
     def _execute_missing(self, missing: dict[str, RunSpec]) -> SuiteReport:
-        """Execute the store-missing specs; memoise and checkpoint."""
+        """Execute the store-missing specs, one item per machine run;
+        memoise and checkpoint.
 
-        def flush(label: str, payload: dict[str, Any]) -> None:
-            # Called as each payload lands: persist before anything
-            # else can fail, so completed work survives an interrupted
-            # or partially failed suite. A worker's payload that does
-            # not decode is a bug, so it raises (unlike a stored one).
-            spec = missing[label]
-            if self.store is not None:
-                self.store.save(spec, payload)
-            self.simulations += 1
-            obs.COUNTERS.inc("engine.simulations")
-            self._memo[spec.key] = run_from_payload(
-                payload, self.workload(spec)
-            )
+        The report the executor returns has one outcome per item; it is
+        expanded to one per member label, sharing the item's status,
+        attempts and cause, with its wall time split evenly.
+        """
+        groups: dict[str, list[tuple[str, RunSpec]]] = {}
+        for label, spec in missing.items():
+            groups.setdefault(spec.simulation_key, []).append((label, spec))
+        members = {group[0][0]: group for group in groups.values()}
+
+        def flush(label: str, payloads: list[dict[str, Any]]) -> None:
+            # Called as each item lands: persist before anything else
+            # can fail, so completed work survives an interrupted or
+            # partially failed suite. A worker's payload that does not
+            # decode is a bug, so it raises (unlike a stored one).
+            for (_, spec), payload in zip(
+                members[label], payloads, strict=True
+            ):
+                if self.store is not None:
+                    self.store.save(spec, payload)
+                self.simulations += 1
+                obs.COUNTERS.inc("engine.simulations")
+                self._memo[spec.key] = run_from_payload(
+                    payload, self.workload(spec)
+                )
 
         executor = SuiteExecutor(
             jobs=self.jobs,
@@ -327,20 +354,32 @@ class Engine:
             stall_after=self.stall_after,
             on_event=self._live_event,
         )
-        result = executor.execute(list(missing.items()))
-        for label, payload in result.payloads.items():
-            spec = missing[label]
-            run = self._memo[spec.key]
-            outcome = result.report.outcomes.get(label)
-            self._record(
-                spec,
-                run,
-                "simulated",
-                float(payload.get("wall_s") or 0.0),
-                jobs=self.jobs,
-                attempts=outcome.attempts if outcome else 1,
-            )
-        return result.report
+        result = executor.execute([
+            (label, tuple(spec for _, spec in group))
+            for label, group in members.items()
+        ])
+        report = result.report
+        outcomes: dict[str, LabelOutcome] = {}
+        for label, outcome in report.outcomes.items():
+            group = members[label]
+            for member, _ in group:
+                outcomes[member] = dataclasses.replace(
+                    outcome, label=member,
+                    wall_s=outcome.wall_s / len(group),
+                )
+            if outcome.status != STATUS_OK:
+                continue
+            for (_, spec), payload in zip(group, result.payloads[label]):
+                self._record(
+                    spec,
+                    self._memo[spec.key],
+                    "simulated",
+                    float(payload.get("wall_s") or 0.0),
+                    jobs=self.jobs,
+                    attempts=outcome.attempts,
+                )
+        report.outcomes = outcomes
+        return report
 
     def _live_event(self, record: dict[str, Any]) -> None:
         """Executor live-telemetry hook: append the record and flush.

@@ -1,9 +1,9 @@
 """Resilient suite execution over run specs.
 
-:class:`SuiteExecutor` runs a list of ``(label, RunSpec)`` pairs
-through one attempt loop, over a
-:class:`~concurrent.futures.ProcessPoolExecutor` or -- for ``jobs=1``
--- an in-process stand-in whose ``submit`` runs the call at once.
+:class:`SuiteExecutor` runs a list of items through one attempt loop,
+over a :class:`~concurrent.futures.ProcessPoolExecutor` or -- for
+``jobs=1`` -- an in-process stand-in whose ``submit`` runs the call at
+once.
 Dispatch, backoff, resource records, trace events and the
 :class:`SuiteReport` take the same path in both modes, and one
 :meth:`SuiteExecutor._settle` decides each attempt. The loop survives
@@ -27,6 +27,12 @@ they land, which is how the engine checkpoints partial suites to the
 :class:`~repro.engine.store.RunStore`. Every execution returns its
 payloads with a :class:`SuiteReport` -- per-label status, attempts,
 wall time, failure cause -- and never raises for run-level failures.
+
+The engine's items are ``(label, specs)``: the specs that share one
+machine run (:attr:`~repro.engine.spec.RunSpec.simulation_key`), and
+the group's first label. :func:`simulate_to_payload` simulates them
+once and returns one payload per spec. The executor knows nothing of
+groups: an item is one attempt, retried, timed and charged as a whole.
 
 Payloads -- not live objects -- cross the process boundary, so a
 parallel suite reconstructs runs through exactly the same
@@ -67,7 +73,7 @@ from typing import Any
 from repro import obs
 from repro.engine import monitor as _monitor
 from repro.engine.monitor import SuiteMonitor
-from repro.engine.runs import run_to_payload, simulate_spec
+from repro.engine.runs import run_to_payload, simulate_specs
 from repro.engine.spec import RunSpec
 from repro.obs import progress as _progress
 
@@ -180,6 +186,8 @@ class SuiteReport:
         stalls: Silently stalled workers the heartbeat monitor
             flagged (no activity for ``stall_after`` seconds).
         wall_s: Wall-clock seconds the whole execution took.
+        simulations: Items the execution ran; one item simulates the
+            runs of every label it carries.
     """
 
     outcomes: dict[str, LabelOutcome] = field(default_factory=dict)
@@ -188,6 +196,7 @@ class SuiteReport:
     pool_recreations: int = 0
     stalls: int = 0
     wall_s: float = 0.0
+    simulations: int = 0
 
     @property
     def ok_labels(self) -> list[str]:
@@ -239,6 +248,7 @@ class SuiteReport:
         """A JSON-ready record (one telemetry line)."""
         return {
             "labels": len(self.outcomes),
+            "simulations": self.simulations,
             "ok": len(self.ok_labels),
             "failed": sorted(self.failed_labels),
             "retries": self.retries,
@@ -257,20 +267,27 @@ class SuiteReport:
 class SuiteResult:
     """Payloads plus the report of one :meth:`SuiteExecutor.execute`."""
 
-    payloads: dict[str, dict[str, Any]]
+    payloads: dict[str, Any]  # label -> what the worker returned
     report: SuiteReport
 
 
 def simulate_to_payload(
-    item: tuple[str, RunSpec],
-) -> tuple[str, dict[str, Any]]:
-    """Worker entry point: simulate one spec, return its payload."""
-    label, spec = item
+    item: tuple[str, Sequence[RunSpec]],
+) -> tuple[str, list[dict[str, Any]]]:
+    """Worker entry point: simulate the specs of one machine run once,
+    return their payloads in member order.
+
+    Each payload's ``wall_s`` is the simulation's wall time divided by
+    the number of members, so the members' times sum to the worker's.
+    """
+    label, specs = item
     start = time.perf_counter()
-    run = simulate_spec(spec)
-    return label, run_to_payload(
-        spec, run, wall_s=time.perf_counter() - start
-    )
+    runs = simulate_specs(specs)
+    wall_s = (time.perf_counter() - start) / len(specs)
+    return label, [
+        run_to_payload(spec, run, wall_s=wall_s)
+        for spec, run in zip(specs, runs)
+    ]
 
 
 @dataclass
@@ -278,7 +295,7 @@ class _WorkerOutcome:
     """What one worker attempt produced (crosses the pickle boundary)."""
 
     label: str
-    payload: dict[str, Any] | None
+    payload: Any  # what the worker returned; None on failure
     error: str | None  # formatted traceback, captured in the worker
     cause: str | None  # "ExcType: message"
     wall_s: float
@@ -317,7 +334,7 @@ def _rusage_delta(
 
 
 def _run_captured(
-    fn: Callable[[tuple[str, Any]], tuple[str, dict[str, Any]]],
+    fn: Callable[[tuple[str, Any]], tuple[str, Any]],
     item: tuple[str, Any],
     attempt: int = 1,
 ) -> _WorkerOutcome:
@@ -338,7 +355,8 @@ def _run_captured(
     that lands on the outcome as per-attempt resource accounting.
     """
     label = item[0]
-    spec = item[1] if len(item) > 1 else None
+    specs = item[1] if len(item) > 1 else None
+    spec = specs[0] if specs else None
     workload = getattr(spec, "workload", "") or label
     backend = getattr(spec, "backend", "") or "detailed"
     start = time.perf_counter()
@@ -365,9 +383,9 @@ def _run_captured(
         )
     wall_s = time.perf_counter() - start
     cycles = committed = 0
-    if isinstance(payload, dict):
-        cycles = int(payload.get("cycles") or 0)
-        committed = int(payload.get("committed") or 0)
+    if isinstance(payload, list) and payload:
+        cycles = int(payload[0].get("cycles") or 0)
+        committed = int(payload[0].get("committed") or 0)
     _progress.end_run(workload, backend, cycles, committed, ok=True)
     _progress.clear_run_context()
     return _WorkerOutcome(
@@ -469,7 +487,7 @@ class _Suite:
 
     def __init__(self, items: list[tuple[str, Any]]) -> None:
         self.report = SuiteReport()
-        self.payloads: dict[str, dict[str, Any]] = {}
+        self.payloads: dict[str, Any] = {}
         # (item, attempt) waiting for a worker; (due, seq, item,
         # attempt) retries waiting out their backoff, seq keeping the
         # retry order deterministic; future -> (item, attempt, started)
@@ -491,9 +509,11 @@ class SuiteExecutor:
     Args:
         jobs: Maximum concurrent workers (1 = serial, in-process).
         retries: Re-attempts per failing run (default 1).
-        fn: Worker callable ``(label, spec) -> (label, payload)``;
-            overridable for tests and fault injection. Must be
-            picklable when ``jobs > 1``.
+        fn: Worker callable ``item -> (label, payload)``, where an item
+            is ``(label, ...)``; the default,
+            :func:`simulate_to_payload`, takes ``(label, specs)`` and
+            returns one payload per spec. Overridable for tests and
+            fault injection. Must be picklable when ``jobs > 1``.
         timeout: Per-attempt wall-clock bound in seconds (pooled runs
             only -- an in-process attempt cannot be preempted).
             ``None`` disables the bound.
@@ -519,13 +539,13 @@ class SuiteExecutor:
         self,
         jobs: int = 1,
         retries: int = 1,
-        fn: Callable[
-            [tuple[str, RunSpec]], tuple[str, dict[str, Any]]
-        ] = simulate_to_payload,
+        fn: Callable[[tuple[str, Any]], tuple[str, Any]] = (
+            simulate_to_payload
+        ),
         *,
         timeout: float | None = None,
         backoff: float = 0.0,
-        on_result: Callable[[str, dict[str, Any]], None] | None = None,
+        on_result: Callable[[str, Any], None] | None = None,
         heartbeat: float | None = None,
         stall_after: float | None = None,
         on_event: Callable[[dict[str, Any]], None] | None = None,
@@ -547,9 +567,7 @@ class SuiteExecutor:
         self.on_event = on_event
         self.monitor: SuiteMonitor | None = None
 
-    def execute(
-        self, items: Sequence[tuple[str, RunSpec]]
-    ) -> SuiteResult:
+    def execute(self, items: Sequence[tuple[str, Any]]) -> SuiteResult:
         """Execute every item; never raises for run-level failures."""
         items = list(items)
         start = time.monotonic()
@@ -640,6 +658,7 @@ class SuiteExecutor:
             if inline and self.heartbeat is not None:
                 _progress.set_sink(None)
         suite.report.wall_s = time.monotonic() - start
+        suite.report.simulations = len(items)
         return SuiteResult(payloads=suite.payloads, report=suite.report)
 
     # ------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Executing run specs and (de)serialising completed runs.
 
-:func:`simulate_spec` turns a :class:`~repro.engine.spec.RunSpec` into a
-live :class:`BenchmarkRun`; :func:`run_to_payload` /
+:func:`simulate_specs` simulates run specs
+(:class:`~repro.engine.spec.RunSpec`) that share one machine run once
+and returns a live :class:`BenchmarkRun` for each of them
+(:func:`simulate_spec` is its one-spec case); :func:`run_to_payload` /
 :func:`run_from_payload` convert completed runs to and from the
 JSON-able payload the :class:`~repro.engine.store.RunStore` persists.
 
@@ -17,8 +19,9 @@ pin down.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
@@ -128,40 +131,85 @@ def simulate_spec(
 ) -> BenchmarkRun:
     """Simulate one spec on its backend, sampler plan attached.
 
+    ``simulate_specs((spec,), workload, trace)[0]``: the run carries
+    the backend's result object itself.
+    """
+    return simulate_specs((spec,), workload, trace)[0]
+
+
+def simulate_specs(
+    specs: Sequence[RunSpec],
+    workload: Workload | None = None,
+    trace: Any = None,
+) -> list[BenchmarkRun]:
+    """Simulate specs that share a machine run once, every member's
+    samplers attached; one run per spec, in the order given.
+
+    Samplers only observe -- each owns its RNG and accumulators, and
+    its tags ride on µops without changing their timing -- so every
+    member's run equals the one a simulation of its own would give.
+    The members' samplers attach in the order given, each member's in
+    :meth:`RunSpec.sampler_plan` order. Each run gets its own
+    ``samplers`` dict and a copy of the shared result holding only its
+    own samplers; a single spec's run keeps the backend's result.
+
     The functional tier has no cycle-level behaviour to sample, so its
-    runs carry no samplers (the golden profile is still produced); the
-    detailed and sampled tiers attach the full plan.
+    runs carry no samplers (the golden profile is still produced).
 
     A *trace* (a :class:`~repro.trace.store.TraceStore`, detailed tier
-    only) becomes the core's ``cycle_trace`` and every sampler's sink;
-    the hooks only observe, so the run is the one an untraced call
-    returns.
+    only, one spec only) becomes the core's ``cycle_trace`` and every
+    sampler's sink; the hooks only observe, so the run is the one an
+    untraced call returns.
+
+    Raises:
+        ValueError: When the specs' simulation keys differ, or a
+            *trace* comes with more than one spec.
     """
-    workload = workload or build_workload(spec)
-    backend = getattr(spec, "backend", "detailed")
-    samplers: dict[str, Sampler] = {}
-    if backend != "functional":
-        for key, technique, period, seed in spec.sampler_plan():
-            sampler = make_sampler(
-                technique, period, jitter=spec.jitter, seed=seed
+    first = specs[0]
+    if len(specs) > 1:
+        if trace is not None:
+            raise ValueError("a trace records the run of one spec")
+        if any(s.simulation_key != first.simulation_key for s in specs):
+            raise ValueError(
+                "specs that share one simulation must differ only in "
+                "their sampler plans: "
+                + ", ".join(spec.label() for spec in specs)
             )
-            if trace is not None:
-                sampler.sink = trace.sampler_sink(key)
-            samplers[key] = sampler
+    workload = workload or build_workload(first)
+    plans: list[dict[str, Sampler]] = []
+    for spec in specs:
+        samplers: dict[str, Sampler] = {}
+        if first.backend != "functional":
+            for key, technique, period, seed in spec.sampler_plan():
+                sampler = make_sampler(
+                    technique, period, jitter=spec.jitter, seed=seed
+                )
+                if trace is not None:
+                    sampler.sink = trace.sampler_sink(key)
+                samplers[key] = sampler
+        plans.append(samplers)
     result = simulate_backend(
-        backend,
+        first.backend,
         workload.program,
-        config=spec.config,
-        samplers=list(samplers.values()),
+        config=first.config,
+        samplers=[s for samplers in plans for s in samplers.values()],
         arch_state=workload.fresh_state(),
-        plan=spec.window_plan(),
+        plan=first.window_plan(),
         cycle_trace=trace,
     )
     if trace is not None:
-        trace.meta.update(workload=spec.workload, label=spec.label(),
+        trace.meta.update(workload=first.workload, label=first.label(),
                           cycles=result.cycles, committed=result.committed)
-    return BenchmarkRun(workload=workload, result=result,
-                        samplers=samplers)
+    if len(specs) == 1:
+        return [BenchmarkRun(workload, result, plans[0])]
+    return [
+        BenchmarkRun(
+            workload,
+            dataclasses.replace(result, samplers=list(samplers.values())),
+            samplers,
+        )
+        for samplers in plans
+    ]
 
 
 def _pair_columns(table: Mapping[tuple[int, int], Any]) -> list[list]:

@@ -7,7 +7,9 @@ sampling techniques, periods, and seeds attached. Two specs that
 describe the same simulation always produce the same canonical content
 hash (:attr:`RunSpec.key`) regardless of kwarg ordering, dict insertion
 order, or config object identity -- the key the engine memo, the
-on-disk run store, and the telemetry log all share.
+on-disk run store, and the telemetry log all share. Specs that differ
+only in their sampler plans share a :attr:`RunSpec.simulation_key`:
+they watch one machine run, which the engine simulates once.
 
 The hash also covers :data:`repro.version.MODEL_VERSION` (re-exported
 here for compatibility). It does not cover the code that runs the
@@ -61,7 +63,9 @@ SPEC_SCHEMA = "tea-spec-v2"
 #: The default sampler plan, hashed in place of a functional spec's own:
 #: that tier attaches no samplers, so specs that differ only in their
 #: plan describe one simulation and share one key. (Tuples hash as the
-#: lists of the other specs' payloads do, and cannot be mutated.)
+#: lists of the other specs' payloads do, and cannot be mutated.) Its
+#: keys are the six fields that say which samplers watch a run, not
+#: what runs.
 _FUNCTIONAL_PLAN = {
     "techniques": TECHNIQUES,
     "extra_periods": (),
@@ -70,6 +74,16 @@ _FUNCTIONAL_PLAN = {
     "extra_seed": 54321,
     "jitter": True,
 }
+
+#: The default window geometry, hashed in place of a spec's own off the
+#: sampled tier: the detailed and functional tiers run no windows.
+_NO_WINDOWS = {"window": 0, "stride": 0, "warmup": 0}
+
+
+def _digest(payload: dict[str, Any]) -> str:
+    """sha256 (hex) of a payload's canonical JSON."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _sort_token(value: Any) -> str:
@@ -194,7 +208,7 @@ class RunSpec:
             fast-forward).
         window: Sampled-mode window length in committed instructions
             (0 = the :class:`~repro.backends.sampled.WindowPlan`
-            default; ignored by the other backends).
+            default; ignored, and not hashed, by the other backends).
         stride: Sampled-mode fast-forward length between windows.
         warmup: Sampled-mode warm-up replay depth per window.
     """
@@ -295,7 +309,8 @@ class RunSpec:
         """The canonical dict the content hash is computed over.
 
         A functional spec hashes the default sampler plan, whatever
-        its own (see :data:`_FUNCTIONAL_PLAN`).
+        its own (see :data:`_FUNCTIONAL_PLAN`), and a spec off the
+        sampled tier the default window geometry.
         """
         payload = {
             "schema": SPEC_SCHEMA,
@@ -319,17 +334,28 @@ class RunSpec:
         }
         if self.backend == "functional":
             payload.update(_FUNCTIONAL_PLAN)
+        if self.backend != "sampled":
+            payload.update(_NO_WINDOWS)
         return payload
 
     @cached_property
     def key(self) -> str:
         """Canonical content hash (hex) identifying this run."""
-        blob = json.dumps(
-            self.canonical_payload(),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return _digest(self.canonical_payload())
+
+    @cached_property
+    def simulation_key(self) -> str:
+        """Content hash (hex) of the machine run this spec watches.
+
+        The key without the sampler plan (the fields of
+        :data:`_FUNCTIONAL_PLAN`): samplers only observe, so specs that
+        share it can attach their samplers to one simulation
+        (:func:`repro.engine.runs.simulate_specs`).
+        """
+        payload = self.canonical_payload()
+        for name in _FUNCTIONAL_PLAN:
+            del payload[name]
+        return _digest(payload)
 
     def window_plan(self):
         """The sampled-mode :class:`WindowPlan` this spec describes.

@@ -52,7 +52,8 @@ RECORD_KEYS: dict[str, dict[str, Any]] = {
     # One engine run (:class:`RunMetrics`).
     "run": {"workload": str, "source": str, "wall_s": _NUMBER,
             "cycles": int},
-    # One suite execution (:class:`~repro.engine.executor.SuiteReport`).
+    # One suite execution (:class:`~repro.engine.executor.SuiteReport`;
+    # its ``simulations`` is optional, as older logs lack it).
     "suite": {"retries": int, "timeouts": int, "pool_recreations": int,
               "failed": list},
     # One columnar-trace capture or sidecar load.
@@ -453,6 +454,12 @@ def aggregate_records(
         "suites": {
             "executions": len(suites),
             "labels": labels,
+            # A log written before runs shared a simulation ran one
+            # per label.
+            "simulations": sum(
+                int(rec.get("simulations", rec.get("labels", 0)))
+                for rec in suites
+            ),
             "retries": retries,
             "retry_rate": round(retries / labels, 6) if labels else 0.0,
             "timeouts": _total(suites, "timeouts"),
@@ -564,6 +571,8 @@ def summarize_records(records: Iterable[Mapping[str, Any]]) -> str:
     if suites["executions"]:
         sections.append(
             f"suites: {suites['executions']} execution(s) -- "
+            f"{suites['labels']} run(s) from "
+            f"{suites['simulations']} simulation(s), "
             f"{suites['retries']} retrie(s), "
             f"{suites['timeouts']} timeout(s), "
             f"{suites['pool_recreations']} pool recreation(s), "

@@ -5,8 +5,8 @@ entry names its subcommand, gives its report heading, runs its
 experiment, renders the result as text (and, for figures, as SVG
 files) and declares the run specs its experiment reads.
 ``tea-repro <name>``, ``all``, ``report``, ``figures`` and the
-``--jobs``/``--resume`` prewarm all iterate this one table, so which
-runs an artefact needs is decided here and nowhere else.
+prewarm that runs before each of them all iterate this one table, so
+which runs an artefact needs is decided here and nowhere else.
 :func:`write_report` is the artefact-evaluation entry point: one
 command, one Markdown document.
 """
@@ -209,14 +209,9 @@ ARTEFACTS: dict[str, Artefact] = {
             sensitivity.store_queue_sweep, sensitivity.format_result,
             reads=sensitivity.store_queue_specs,
         ),
-        # Simulates outside the engine: a RunSpec holds one seed per
-        # technique, and this experiment attaches five.
         Artefact(
             "noise", "Sampling noise",
-            lambda runner: noise.run(
-                scale=runner.scale, period=runner.period
-            ),
-            noise.format_result,
+            noise.run, noise.format_result, reads=noise.specs,
         ),
     )
 }

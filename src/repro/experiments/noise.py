@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.error import pics_error
-from repro.core.events import event_mask
-from repro.core.samplers import make_sampler
-from repro.experiments.runner import format_table
-from repro.uarch.core import simulate
-from repro.workloads import build
+from repro.engine import RunSpec
+from repro.experiments.runner import ExperimentRunner, format_table
+
+#: The benchmarks, techniques and sampler seeds of the sweep.
+NAMES = ("lbm", "omnetpp", "exchange2")
+TECHNIQUES = ("TEA", "IBS")
+SEEDS = (11, 22, 33, 44, 55)
 
 
 @dataclass
@@ -49,42 +50,52 @@ class NoiseResult:
     seeds: tuple[int, ...]
 
 
+def specs(
+    runner: ExperimentRunner,
+    names: tuple[str, ...] = NAMES,
+    techniques: tuple[str, ...] = TECHNIQUES,
+    seeds: tuple[int, ...] = SEEDS,
+) -> dict[str, RunSpec]:
+    """One spec per (benchmark, technique, seed), labelled
+    ``name:technique:seed``, each attaching that one sampler.
+
+    The specs of a benchmark differ only in their sampler plans, so the
+    engine simulates each benchmark once with all of them attached.
+    """
+    return {
+        f"{name}:{technique}:{seed}": RunSpec.make(
+            name,
+            scale=runner.scale,
+            period=runner.period,
+            config=runner.config,
+            techniques=(technique,),
+            extra_periods=(),
+            seed=seed,
+        )
+        for name in names
+        for technique in techniques
+        for seed in seeds
+    }
+
+
 def run(
-    names: tuple[str, ...] = ("lbm", "omnetpp", "exchange2"),
-    techniques: tuple[str, ...] = ("TEA", "IBS"),
-    seeds: tuple[int, ...] = (11, 22, 33, 44, 55),
-    scale: float = 1.0,
-    period: int = 293,
+    runner: ExperimentRunner,
+    names: tuple[str, ...] = NAMES,
+    techniques: tuple[str, ...] = TECHNIQUES,
+    seeds: tuple[int, ...] = SEEDS,
 ) -> NoiseResult:
-    """Run the seed sweep (one simulation per benchmark: all seeds'
-    samplers attach to the same run and observe identical cycles)."""
+    """Run the seed sweep on the runner's engine (one simulation per
+    benchmark: all seeds' samplers watch the same cycles)."""
+    runs = runner.engine.run_suite(specs(runner, names, techniques, seeds))
     stats: dict[str, dict[str, NoiseStats]] = {}
     for name in names:
-        workload = build(name, scale=scale)
-        samplers = {
-            (technique, seed): make_sampler(technique, period, seed=seed)
+        stats[name] = {
+            technique: NoiseStats.from_values([
+                runs[f"{name}:{technique}:{seed}"].error(technique)
+                for seed in seeds
+            ])
             for technique in techniques
-            for seed in seeds
         }
-        result = simulate(
-            workload.program,
-            samplers=list(samplers.values()),
-            arch_state=workload.fresh_state(),
-        )
-        golden = result.golden_profile()
-        stats[name] = {}
-        for technique in techniques:
-            errors = []
-            for seed in seeds:
-                sampler = samplers[(technique, seed)]
-                errors.append(
-                    pics_error(
-                        sampler.profile(),
-                        golden,
-                        event_mask(sampler.events),
-                    )
-                )
-            stats[name][technique] = NoiseStats.from_values(errors)
     return NoiseResult(stats=stats, seeds=seeds)
 
 

@@ -84,15 +84,16 @@ def _strip_wall(payload):
 def test_parallel_matches_serial_bit_identically():
     """jobs=2 must return byte-identical payloads to jobs=1."""
     items = [
-        ("exchange2", RunSpec.make("exchange2", **SMALL)),
-        ("xz", RunSpec.make("xz", **SMALL)),
+        ("exchange2", (RunSpec.make("exchange2", **SMALL),)),
+        ("xz", (RunSpec.make("xz", **SMALL),)),
     ]
     serial = SuiteExecutor(jobs=1, fn=simulate_to_payload).execute(items)
     parallel = SuiteExecutor(jobs=2, fn=simulate_to_payload).execute(items)
     serial, parallel = serial.payloads, parallel.payloads
     assert set(serial) == set(parallel) == {"exchange2", "xz"}
     for label in serial:
-        assert _strip_wall(parallel[label]) == _strip_wall(serial[label])
+        [left], [right] = parallel[label], serial[label]
+        assert _strip_wall(left) == _strip_wall(right)
 
 
 def _echo_worker(item):

@@ -243,14 +243,15 @@ def test_recovered_run_is_bit_identical_to_fault_free_serial(tmp_path):
     executor = SuiteExecutor(
         jobs=2, retries=1, fn=worker, timeout=600.0
     )
-    result = executor.execute([("exchange2", spec("exchange2"))])
+    result = executor.execute([("exchange2", (spec("exchange2"),))])
     assert result.report.outcomes["exchange2"].attempts == 2
-    clean = simulate_to_payload(("exchange2", spec("exchange2")))[1]
+    [clean] = simulate_to_payload(("exchange2", (spec("exchange2"),)))[1]
 
     def strip(payload):
         return {k: v for k, v in payload.items() if k != "wall_s"}
 
-    assert strip(result.payloads["exchange2"]) == strip(clean)
+    [recovered] = result.payloads["exchange2"]
+    assert strip(recovered) == strip(clean)
 
 
 # ----------------------------------------------------------------------

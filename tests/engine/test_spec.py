@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import RunSpec, canonical
+from repro.engine import Engine, RunSpec, canonical
 from repro.engine.spec import MODEL_VERSION, SPEC_SCHEMA
 from repro.experiments.runner import ExperimentRunner
 from repro.isa.builder import ProgramBuilder
@@ -145,6 +145,46 @@ def test_sampling_tiers_key_their_sampler_plan(backend):
         for plan in PLANS
     }
     assert len(keys) == len(PLANS)
+
+
+def test_bench_reference_keys_are_pinned():
+    """Two keys ``bench/reference.json`` files its operations under: a
+    change to what a default spec hashes would orphan the reference."""
+    assert RunSpec.make("lbm", scale=0.25).key == (
+        "597675cc3b51f6d56c592e017571cdcf62f1ebdfd4442443f17dd5b38620a876"
+    )
+    assert RunSpec.make("lbm", scale=0.75, backend="functional").key == (
+        "feb7189f0fcc7cf6cb66327ae4d1295b520ec7306e684bd26b53e268378dbf14"
+    )
+
+
+def _windowed(backend="detailed"):
+    return RunSpec.make("lbm", scale=0.05, backend=backend,
+                        window=500, stride=1000, warmup=100)
+
+
+def test_window_fields_key_only_the_sampled_tier():
+    """The detailed and functional tiers run no windows, so a spec there
+    keys the default geometry whatever its own; one simulation serves
+    both specs."""
+    for backend in ("detailed", "functional", "sampled"):
+        plain = RunSpec.make("lbm", scale=0.05, backend=backend)
+        shared = plain.key == _windowed(backend).key
+        assert shared == (backend != "sampled"), backend
+
+    engine = Engine()
+    first = engine.run(RunSpec.make("lbm", scale=0.05))
+    assert engine.run(_windowed()) is first
+    assert engine.simulations == 1
+
+
+@pytest.mark.parametrize("plan", PLANS)
+@pytest.mark.parametrize("backend", ["detailed", "sampled"])
+def test_simulation_key_leaves_out_the_sampler_plan(plan, backend):
+    base = RunSpec.make("lbm", scale=0.05, backend=backend)
+    spec = RunSpec.make("lbm", scale=0.05, backend=backend, **plan)
+    assert spec.simulation_key == base.simulation_key
+    assert base.simulation_key != base.key
 
 
 def test_canonical_rejects_unhashable_junk():

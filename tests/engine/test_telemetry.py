@@ -180,6 +180,7 @@ def test_record_suite_round_trip(tmp_path):
         timeouts=1,
         pool_recreations=1,
         wall_s=3.5,
+        simulations=1,
     )
     path = tmp_path / "runs.jsonl"
     log = RunLog(path)
@@ -195,8 +196,9 @@ def test_record_suite_round_trip(tmp_path):
     text = summarize_run_log(path)
     assert "1 run(s)" in text  # suite lines don't count as runs
     assert (
-        "suites: 1 execution(s) -- 2 retrie(s), 1 timeout(s), "
-        "1 pool recreation(s), 1 failed label(s)" in text
+        "suites: 1 execution(s) -- 2 run(s) from 1 simulation(s), "
+        "2 retrie(s), 1 timeout(s), 1 pool recreation(s), "
+        "1 failed label(s)" in text
     )
 
 
