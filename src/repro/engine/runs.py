@@ -131,8 +131,7 @@ def simulate_spec(
 ) -> BenchmarkRun:
     """Simulate one spec on its backend, sampler plan attached.
 
-    ``simulate_specs((spec,), workload, trace)[0]``: the run carries
-    the backend's result object itself.
+    ``simulate_specs((spec,), workload, trace)[0]``.
     """
     return simulate_specs((spec,), workload, trace)[0]
 
@@ -151,7 +150,7 @@ def simulate_specs(
     The members' samplers attach in the order given, each member's in
     :meth:`RunSpec.sampler_plan` order. Each run gets its own
     ``samplers`` dict and a copy of the shared result holding only its
-    own samplers; a single spec's run keeps the backend's result.
+    own samplers.
 
     The functional tier has no cycle-level behaviour to sample, so its
     runs carry no samplers (the golden profile is still produced).
@@ -200,8 +199,6 @@ def simulate_specs(
     if trace is not None:
         trace.meta.update(workload=first.workload, label=first.label(),
                           cycles=result.cycles, committed=result.committed)
-    if len(specs) == 1:
-        return [BenchmarkRun(workload, result, plans[0])]
     return [
         BenchmarkRun(
             workload,
