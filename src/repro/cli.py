@@ -62,6 +62,7 @@ from repro.engine import (
 from repro.experiments import ExperimentRunner
 from repro.experiments.artefacts import (
     ARTEFACTS,
+    declared_specs,
     figure_artefacts,
     write_figures,
     write_report,
@@ -111,13 +112,7 @@ def prewarm(runner, artefacts, resume: bool = False) -> None:
     re-invoking after an interruption (``--resume`` reports the
     checkpoint status) re-simulates only the runs that never finished.
     """
-    # Artefacts overlap (Figs 5 and 7 read the same suite), so keep one
-    # label per spec: the resume count is of distinct runs.
-    by_key: dict[str, tuple[str, RunSpec]] = {}
-    for artefact in artefacts:
-        for label, spec in artefact.specs(runner).items():
-            by_key.setdefault(spec.key, (label, spec))
-    specs = dict(by_key.values())
+    specs = declared_specs(runner, artefacts)
     if not specs:
         return
     if resume:
@@ -283,7 +278,7 @@ def cmd_monitor(args) -> int:
     from repro.engine import SuiteMonitor, render_monitor
 
     path = str(args.run_log_path)
-    monitor = SuiteMonitor(stall_after=args.stall_after)
+    monitor = SuiteMonitor()
     offset = monitor.feed_file(path)
     if args.json:
         print(json.dumps(monitor.snapshot(), indent=2, sort_keys=True))
@@ -440,10 +435,6 @@ def cmd_profile(args) -> int:
         profile = sampler.profile()
         sample_note = f"{sampler.samples_taken} samples"
         if backend == "sampled":
-            # A stored sampled run keeps no windows.
-            windows = getattr(result, "windows", None)
-            if windows is not None:
-                sample_note += f" over {len(windows)} window(s)"
             sample_note += ", cycles extrapolated"
     else:
         profile = run.golden
@@ -1171,12 +1162,6 @@ def main(argv: list[str] | None = None) -> int:
     monitor_parser.add_argument(
         "--json", action="store_true",
         help="dump the machine-readable snapshot once and exit",
-    )
-    monitor_parser.add_argument(
-        "--stall-after", type=float, default=argparse.SUPPRESS,
-        metavar="SECONDS",
-        help="flag labels with no activity for this long as stalled "
-        "(default: trust the log's own stall records)",
     )
 
     health_parser = sub.add_parser(

@@ -7,7 +7,8 @@ developer what *kind* of bottleneck dominates but not *which
 instructions* cause it. Implementing it over the simulated core's
 commit-state statistics makes the contrast concrete: the same run that
 yields a Top-Down classification yields PICS that actually localise the
-problem (see ``benchmarks/bench_topdown.py``).
+problem (see ``tea-repro topdown`` and its targets in
+``benchmarks/bench_artefacts.py``).
 
 Slot accounting (commit-centric adaptation):
 

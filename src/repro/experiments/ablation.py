@@ -137,7 +137,11 @@ def run_event_sets(
                 explained_fraction=(
                     explained / evented_total if evented_total else 0.0
                 ),
-                error_vs_full=error_sum / len(goldens),
+                # pics_error sums the correctly attributed cycles in
+                # another order than the total, so the full-width
+                # projection can land a rounding step below zero
+                # (-1.3e-17 at scale 1.0), which prints as -0.0%.
+                error_vs_full=max(0.0, error_sum / len(goldens)),
             )
         )
     return EventSetResult(points=points)

@@ -4,9 +4,10 @@
 entry names its subcommand, gives its report heading, runs its
 experiment, renders the result as text (and, for figures, as SVG
 files) and declares the run specs its experiment reads.
-``tea-repro <name>``, ``all``, ``report``, ``figures`` and the
-prewarm that runs before each of them all iterate this one table, so
-which runs an artefact needs is decided here and nowhere else.
+``tea-repro <name>``, ``all``, ``report``, ``figures``, the
+``pytest benchmarks/`` harness and the prewarm that runs before each
+of them (:func:`declared_specs`) all iterate this one table, so which
+runs an artefact needs is decided here and nowhere else.
 :func:`write_report` is the artefact-evaluation entry point: one
 command, one Markdown document.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.events import render_all_hierarchies
 from repro.core.topdown import format_top_down, top_down
@@ -215,6 +216,21 @@ ARTEFACTS: dict[str, Artefact] = {
         ),
     )
 }
+
+
+def declared_specs(
+    runner: ExperimentRunner, artefacts: Iterable[Artefact]
+) -> dict[str, RunSpec]:
+    """Every spec *artefacts* read on *runner*, one entry per run.
+
+    Artefacts overlap (Figs 5 and 7 read the same suite), so a spec
+    keeps the first label it is declared under.
+    """
+    by_key: dict[str, tuple[str, RunSpec]] = {}
+    for artefact in artefacts:
+        for label, spec in artefact.specs(runner).items():
+            by_key.setdefault(spec.key, (label, spec))
+    return dict(by_key.values())
 
 
 def figure_artefacts() -> list[Artefact]:

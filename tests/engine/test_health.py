@@ -243,6 +243,16 @@ def test_cmd_monitor_once_and_json(tmp_path, capsys):
     assert doc["aggregate"]["beats"] == 3
 
 
+def test_cmd_monitor_takes_no_stall_after(tmp_path, capsys):
+    """``monitor`` never checks for stalls, so it refuses the flag; the
+    global ``--stall-after`` tunes the executor's stall detection."""
+    log_path = _seed_log(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["monitor", str(log_path), "--once", "--stall-after", "1"])
+    assert exc.value.code == 2
+    assert "--stall-after" in capsys.readouterr().err
+
+
 def test_cmd_monitor_renders_mid_run_log(tmp_path, capsys):
     """A log with no suite record yet (the suite is still running)
     must render without waiting for completion."""

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.engine import Engine, RunLog, read_run_log
-from repro.experiments.artefacts import ARTEFACTS
+from repro.experiments.artefacts import ARTEFACTS, declared_specs
 from repro.experiments.runner import ExperimentRunner
+from repro.workloads import WORKLOAD_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -44,3 +45,16 @@ def test_renderers_read_exactly_the_declared_specs(logged_runner, name):
     assert {rec["spec_key"] for rec in read} == {
         spec.key for spec in specs.values()
     }
+
+
+def test_declared_specs_keep_the_first_label_of_each_run():
+    """Fig 7 reads the same runs as Fig 5, so it adds none."""
+    runner = ExperimentRunner(scale=0.05, period=67)
+    specs = declared_specs(runner, [ARTEFACTS["fig5"], ARTEFACTS["fig7"]])
+    assert list(specs) == [f"fig5:{name}" for name in WORKLOAD_NAMES]
+
+
+def test_declared_specs_of_every_artefact():
+    """The runs ``report`` prewarms (CI's fault-smoke counts them)."""
+    runner = ExperimentRunner(scale=0.05, period=67)
+    assert len(declared_specs(runner, ARTEFACTS.values())) == 107

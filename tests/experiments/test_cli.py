@@ -203,6 +203,21 @@ def test_advise_after_profile_is_a_store_hit(tmp_path, capsys):
     ] == ["simulated", "store"]
 
 
+def test_sampled_profile_prints_the_same_from_the_store(tmp_path, capsys):
+    """A stored sampled run keeps no windows, so the profile line
+    names none: the store hit prints what the simulation printed."""
+    command = [
+        "--scale", "0.05", "--store", str(tmp_path / "store"), "profile",
+        "lbm", "--backend", "sampled",
+    ]
+    outputs = []
+    for _ in range(2):
+        assert main(command) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "samples, cycles extrapolated" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 def test_functional_profiles_of_two_techniques_are_one_simulation(
     tmp_path, capsys
 ):
