@@ -211,6 +211,7 @@ def cmd_stats(args) -> int:
                     "root": str(store.root),
                     "entries": len(store),
                     "size_bytes": store.size_bytes(),
+                    "stale": store.stale(),
                 }
                 if store is not None
                 else None
@@ -225,10 +226,12 @@ def cmd_stats(args) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
     if store is not None:
-        entries = len(store)
+        stale = store.stale()
         print(
-            f"store: {store.root} -- {entries} cached run(s), "
-            f"{store.size_bytes() / 1e6:.2f} MB"
+            f"store: {store.root} -- {len(store)} cached run(s), "
+            f"{store.size_bytes() / 1e6:.2f} MB; other code: "
+            f"{stale['revisions']} revision(s), {stale['entries']} "
+            f"run(s), {stale['size_bytes'] / 1e6:.2f} MB"
         )
     if log_path is None:
         print("run log: none (store disabled and no --run-log given)")

@@ -59,8 +59,12 @@ def pics_error(
             f"granularity mismatch: {measured.granularity} vs "
             f"{golden.granularity}"
         )
-    golden_projected = golden.project(event_mask)
-    measured_projected = measured.project(event_mask)
+    if event_mask == FULL_MASK:
+        # Projecting onto every event is the identity.
+        golden_projected, measured_projected = golden, measured
+    else:
+        golden_projected = golden.project(event_mask)
+        measured_projected = measured.project(event_mask)
     total = golden_projected.total()
     if total <= 0:
         raise ValueError("golden profile is empty")

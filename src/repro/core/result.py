@@ -9,6 +9,10 @@ produce keep their defaults (the functional tier has no events, stalls
 or flushes; only a live detailed run carries its memory hierarchy and
 branch predictor).
 
+A result rebuilt from the store may hold, instead of its program, a
+zero-argument callable that returns it (see :class:`Resolved`): a
+serve that never reads the program never builds it.
+
 This module imports only :mod:`repro.core` and :mod:`repro.isa`, so the
 uarch-free functional backend (tea-lint TL007) can build one.
 """
@@ -23,6 +27,31 @@ from repro.core.pics import PicsProfile
 from repro.core.states import CommitState
 from repro.isa.interpreter import ArchState
 from repro.isa.program import Program
+
+
+class Resolved:
+    """A dataclass field that holds a value or a zero-argument callable
+    returning it. The callable is called on the first read, and its
+    result replaces it, so every later read returns the same object.
+
+    The field has no class-level default, so it stays a required
+    argument of the generated ``__init__``.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+        self.slot = f"_{name}"
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj: Any, value: Any) -> None:
+        obj.__dict__[self.slot] = value
 
 
 @dataclass
@@ -41,9 +70,13 @@ class FlushStats:
 
 @dataclass
 class CoreResult:
-    """Everything a completed simulation produced."""
+    """Everything a completed simulation produced.
 
-    program: Program
+    ``program`` also accepts a zero-argument callable returning the
+    program, resolved on the first read (:class:`Resolved`).
+    """
+
+    program: Program = Resolved()
     cycles: int
     committed: int
     golden_raw: dict[tuple[int, int], float]

@@ -6,9 +6,8 @@ command, and benchmark script funnels through. For each
 
 1. the in-process memo (same object back, as experiments rely on),
 2. the on-disk :class:`~repro.engine.store.RunStore` (cross-process
-   cache hits, reconstructed bit-identically from the stored payload
-   onto the engine's built workload; a payload that does not decode is
-   a miss),
+   cache hits, reconstructed bit-identically from the stored payload;
+   a payload that does not decode is a miss),
 3. a fresh simulation -- inline for :meth:`Engine.run` and
    :meth:`Engine.trace` (the same run with a columnar trace attached);
    :meth:`Engine.run_suite` hands its misses to the fault-tolerant
@@ -29,6 +28,11 @@ With ``keep_going`` a failing suite returns its partial results and
 leaves the full :class:`~repro.engine.executor.SuiteReport` on
 :attr:`Engine.last_suite_report` instead of raising.
 
+A run the engine did not simulate here -- a store hit, or a suite
+member decoded from a worker's payload -- takes its workload from the
+engine's workload dict on the first read of ``run.workload`` or
+``run.result.program``, so a serve that reads neither builds nothing.
+
 Every run is recorded to the attached
 :class:`~repro.engine.telemetry.RunLog` with its source, so "how much
 did the cache save" is always answerable after the fact.
@@ -37,6 +41,7 @@ did the cache save" is always answerable after the fact.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import time
 from collections.abc import Callable, Mapping
@@ -65,6 +70,20 @@ from repro.workloads import Workload
 
 if TYPE_CHECKING:
     from repro.trace.store import TraceStore
+
+
+def _workload_in(workloads: dict[str, Workload], spec: RunSpec) -> Workload:
+    """The workload *spec* names from *workloads*, built into it on the
+    first call for that workload name, kwargs and scale."""
+    payload = spec.canonical_payload()
+    key = json.dumps(
+        [payload["workload"], payload["kwargs"], payload["scale"]],
+        sort_keys=True,
+    )
+    workload = workloads.get(key)
+    if workload is None:
+        workload = workloads[key] = build_workload(spec)
+    return workload
 
 
 class Engine:
@@ -305,9 +324,8 @@ class Engine:
         payload = self.store.load(spec)
         if payload is None:
             return None
-        workload = self.workload(spec)
         try:
-            return run_from_payload(payload, workload)
+            return run_from_payload(payload, self._resolver(spec))
         except (KeyError, TypeError, ValueError):
             # load() counted a hit before the payload was decoded.
             self.store.hits -= 1
@@ -340,7 +358,7 @@ class Engine:
                 self.simulations += 1
                 obs.COUNTERS.inc("engine.simulations")
                 self._memo[spec.key] = run_from_payload(
-                    payload, self.workload(spec)
+                    payload, self._resolver(spec)
                 )
 
         executor = SuiteExecutor(
@@ -399,15 +417,16 @@ class Engine:
         samplers, backend or config share one program. Every
         simulation still takes its own :meth:`Workload.fresh_state`.
         """
-        payload = spec.canonical_payload()
-        key = json.dumps(
-            [payload["workload"], payload["kwargs"], payload["scale"]],
-            sort_keys=True,
-        )
-        workload = self._workloads.get(key)
-        if workload is None:
-            workload = self._workloads[key] = build_workload(spec)
-        return workload
+        return _workload_in(self._workloads, spec)
+
+    def _resolver(self, spec: RunSpec) -> Callable[[], Workload]:
+        """A zero-argument callable returning :meth:`workload` of
+        *spec*, for a loaded run to call on its first read.
+
+        It holds the workload dict and the spec, not the engine: a run
+        that held its engine would form a cycle through the memo.
+        """
+        return functools.partial(_workload_in, self._workloads, spec)
 
     # ------------------------------------------------------------------
     # Telemetry.

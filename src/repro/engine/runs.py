@@ -15,6 +15,12 @@ back into a dict with the same iteration order, so a run reloaded from
 the store reproduces *bit-identical* profiles and error metrics (float
 summation order included) -- the property the store round-trip tests
 pin down.
+
+A loaded run decodes only what its reader reads: every table is
+checked when the payload is loaded, but a sampler's raw profile is
+zipped into its dict on the first read of that sampler's ``raw``, and
+the run's workload (with its program) is resolved on the first read of
+``run.workload`` or ``run.result.program``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from repro.backends import simulate_backend
 from repro.core.error import pics_error
 from repro.core.events import Event, event_mask
 from repro.core.pics import PicsProfile, RawProfile
-from repro.core.result import CoreResult, FlushStats
+from repro.core.result import CoreResult, FlushStats, Resolved
 from repro.core.samplers import Sampler, make_sampler
 from repro.core.states import CommitState
 from repro.engine.spec import RunSpec
@@ -48,9 +54,13 @@ _STATE_OF: dict[str, CommitState] = {
 
 @dataclass
 class BenchmarkRun:
-    """One benchmark simulated with a set of samplers attached."""
+    """One benchmark simulated with a set of samplers attached.
 
-    workload: Workload
+    ``workload`` also accepts a zero-argument callable returning the
+    workload, resolved on the first read (a run loaded from the store).
+    """
+
+    workload: Workload = Resolved()
     result: CoreResult
     samplers: dict[str, Any] = field(default_factory=dict)
 
@@ -81,7 +91,9 @@ class LoadedSampler:
 
     Exposes the attributes experiments consume (``name``, ``events``,
     ``mask``, ``raw``, sample counters, and :meth:`profile`); it cannot
-    be attached to a core.
+    be attached to a core. ``raw`` is decoded from the stored columns
+    ``[indices, psvs, cycles]`` on its first read, and the columns are
+    dropped then.
     """
 
     def __init__(
@@ -89,7 +101,7 @@ class LoadedSampler:
         name: str,
         period: int,
         events: frozenset[Event],
-        raw: RawProfile,
+        columns: list[list],
         samples_taken: int,
         samples_dropped: int,
     ) -> None:
@@ -97,9 +109,17 @@ class LoadedSampler:
         self.period = period
         self.events = frozenset(events)
         self.mask = event_mask(self.events)
-        self.raw = raw
+        self._columns = columns
         self.samples_taken = samples_taken
         self.samples_dropped = samples_dropped
+
+    @cached_property
+    def raw(self) -> RawProfile:
+        """The raw profile ``(index, psv) -> cycles``."""
+        # float(): live samplers accumulate int weights.
+        raw = _pair_table(self._columns, float)
+        self._columns = None
+        return raw
 
     def profile(self) -> PicsProfile:
         """The sampled PICS profile (instruction granularity)."""
@@ -221,6 +241,18 @@ def _columns(table: Mapping[Any, Any]) -> list[list]:
     return [list(table), list(table.values())]
 
 
+def _length(*columns: list) -> int:
+    """The common length of a stored table's columns.
+
+    Raises:
+        ValueError: When the columns differ in length.
+    """
+    n = len(columns[0])
+    if any(len(column) != n for column in columns):
+        raise ValueError("stored columns differ in length")
+    return n
+
+
 def _zip_table(keys: Iterable, values: Iterable, *columns: list) -> dict:
     """``dict(zip(keys, values))``, checked against the stored columns
     they are read from.
@@ -229,9 +261,7 @@ def _zip_table(keys: Iterable, values: Iterable, *columns: list) -> dict:
         ValueError: When the columns differ in length or a key repeats;
             a bare ``zip`` would silently drop or merge entries.
     """
-    n = len(columns[0])
-    if any(len(column) != n for column in columns):
-        raise ValueError("stored columns differ in length")
+    n = _length(*columns)
     table = dict(zip(keys, values))
     if len(table) != n:
         raise ValueError("a stored table repeats a key")
@@ -247,6 +277,20 @@ def _pair_table(
         zip(map(int, firsts), map(int, seconds)), map(value, values),
         firsts, seconds, values,
     )
+
+
+def _checked_pairs(columns: list[list]) -> list[list]:
+    """A pair-keyed table's stored columns, checked as
+    :func:`_pair_table` checks them, not decoded.
+
+    Raises:
+        ValueError: When the columns differ in length or a key repeats.
+    """
+    firsts, seconds, values = columns
+    n = _length(firsts, seconds, values)
+    if len(set(zip(firsts, seconds))) != n:
+        raise ValueError("a stored table repeats a key")
+    return columns
 
 
 def _table(
@@ -302,7 +346,7 @@ def run_to_payload(
 
 
 def run_from_payload(
-    payload: dict[str, Any], workload: Workload
+    payload: dict[str, Any], workload: Workload | Callable[[], Workload]
 ) -> BenchmarkRun:
     """Rebuild a :class:`BenchmarkRun` from a stored-run payload.
 
@@ -310,6 +354,11 @@ def run_from_payload(
     every field experiments consume; the live substrates (memory
     hierarchy, branch predictor, final architectural state) are not
     persisted and come back as ``None``.
+
+    Every table is checked before this returns, but each sampler's raw
+    profile is decoded on its first read. *workload* may be a
+    zero-argument callable returning the workload: it is called on the
+    first read of ``run.workload`` or ``run.result.program``.
 
     Raises:
         ValueError: On an unknown payload schema, or a stored table
@@ -327,13 +376,15 @@ def run_from_payload(
             name=entry["name"],
             period=int(entry["period"]),
             events=frozenset(map(_EVENT_OF.__getitem__, entry["events"])),
-            # float(): live samplers accumulate int weights.
-            raw=_pair_table(entry["raw"], float),
+            columns=_checked_pairs(entry["raw"]),
             samples_taken=int(entry["samples_taken"]),
             samples_dropped=int(entry["samples_dropped"]),
         )
     result = CoreResult(
-        program=workload.program,
+        program=(
+            (lambda: workload().program) if callable(workload)
+            else workload.program
+        ),
         cycles=int(payload["cycles"]),
         committed=int(payload["committed"]),
         golden_raw=_pair_table(payload["golden_raw"], float),

@@ -207,7 +207,35 @@ class RunStore:
             path.stat().st_size for path in self.code_dir.glob("*/*.json")
         )
 
+    def _runs_trees(self) -> list[Path]:
+        """Every ``runs-v*`` tree under the root, this layout's too."""
+        return sorted(p for p in self.root.glob("runs-v*") if p.is_dir())
+
+    def stale(self) -> dict[str, int]:
+        """What the store holds that the current code never reads.
+
+        Each other code's directory under :attr:`runs_dir` and each
+        other ``runs-v*`` tree counts as one revision; ``entries``
+        counts their payloads and ``size_bytes`` every file in them,
+        trace sidecars included. Nothing is deleted (:meth:`clear`
+        removes them).
+        """
+        revisions = [p for p in self._runs_trees() if p != self.runs_dir]
+        if self.runs_dir.is_dir():
+            revisions += sorted(
+                p for p in self.runs_dir.iterdir()
+                if p.is_dir() and p != self.code_dir
+            )
+        files = [p for tree in revisions for p in tree.rglob("*")
+                 if p.is_file()]
+        return {
+            "revisions": len(revisions),
+            "entries": sum(p.suffix == ".json" for p in files),
+            "size_bytes": sum(p.stat().st_size for p in files),
+        }
+
     def clear(self) -> None:
-        """Delete every stored run, those of other code revisions too
-        (the root directory is kept)."""
-        shutil.rmtree(self.runs_dir, ignore_errors=True)
+        """Delete every stored run, those of other code revisions and
+        store layouts too (the root directory is kept)."""
+        for tree in self._runs_trees():
+            shutil.rmtree(tree, ignore_errors=True)

@@ -326,17 +326,17 @@ def test_engine_checkpoints_before_raising(tmp_path):
 
 
 def test_engine_checkpoints_before_decoding(tmp_path, monkeypatch):
-    """A finished payload is stored before the parent builds the
-    workload to decode it, so an interrupt there loses no work."""
+    """A finished payload is stored before the parent decodes it, so an
+    interrupt there loses no work."""
     import repro.engine.engine as engine_mod
 
-    def interrupted(spec):
+    def interrupted(payload, workload):
         raise KeyboardInterrupt
 
     store = RunStore(tmp_path / "store")
     specs = {"good": spec("exchange2")}
     with monkeypatch.context() as patch:
-        patch.setattr(engine_mod, "build_workload", interrupted)
+        patch.setattr(engine_mod, "run_from_payload", interrupted)
         with pytest.raises(KeyboardInterrupt):
             Engine(store=store).run_suite(specs)
     assert store.contains(specs["good"])

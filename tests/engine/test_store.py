@@ -6,7 +6,8 @@ import json
 import pytest
 
 from repro.backends.base import BACKEND_NAMES
-from repro.core.error import pics_error
+from repro.core.error import correctly_attributed, pics_error
+from repro.core.events import FULL_MASK
 from repro.core.pics import PicsProfile
 from repro.core.result import CoreResult
 from repro.engine import Engine, RunStore
@@ -164,9 +165,21 @@ def _repeat_golden_key(payload):
         column.append(column[0])
 
 
+def _shorten_sampler_column(payload):
+    payload["samplers"][0]["raw"][2].pop()
+
+
+def _repeat_sampler_key(payload):
+    for column in payload["samplers"][0]["raw"]:
+        column.append(column[0])
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_drop_samplers, _shorten_golden_column, _repeat_golden_key],
-    ids=["dropped-key", "short-column", "repeated-key"],
+    "corrupt",
+    [_drop_samplers, _shorten_golden_column, _repeat_golden_key,
+     _shorten_sampler_column, _repeat_sampler_key],
+    ids=["dropped-key", "short-column", "repeated-key",
+         "short-sampler-column", "repeated-sampler-key"],
 )
 @pytest.mark.parametrize("serve", ["run", "run_suite"])
 def test_undecodable_payload_is_a_miss(tmp_path, warm_store, corrupt, serve):
@@ -197,6 +210,19 @@ def test_undecodable_payload_is_a_miss(tmp_path, warm_store, corrupt, serve):
     again = Engine(store=RunStore(copy.root))
     assert again.run(spec).result.golden_raw == fresh.result.golden_raw
     assert again.simulations == 0
+
+
+def test_store_hit_resolves_the_simulated_program(tmp_path, warm_store):
+    """A store hit's program is its workload's, built on the first
+    read, and it is the program the simulated run had."""
+    store, fresh = warm_store
+    engine = Engine(store=RunStore(store.root))
+    run = engine.run(small_spec())
+    assert engine.store.hits == 1
+    assert type(run.result) is CoreResult
+    assert run.result.program is run.workload.program
+    assert run.result.program.name == fresh.result.program.name
+    assert len(run.result.program) == len(fresh.result.program)
 
 
 def test_saved_text_is_the_compact_encoding(tmp_path, warm_store):
@@ -279,6 +305,37 @@ def test_runs_of_other_code_are_misses(tmp_path, monkeypatch):
     assert same.store.hits == 2
 
 
+def test_stale_counts_other_code_and_layouts(tmp_path, monkeypatch):
+    """Runs of another code revision or store layout are reported, not
+    deleted; ``clear`` removes every layout's tree."""
+    spec = small_spec()
+    Engine(store=RunStore(tmp_path)).run(spec)
+    store = RunStore(tmp_path)
+    assert store.stale() == {"revisions": 0, "entries": 0, "size_bytes": 0}
+
+    monkeypatch.setattr("repro.engine.store.code_digest", lambda: "f" * 64)
+    other = RunStore(tmp_path)
+    assert len(other) == 0
+    stale = other.stale()
+    assert stale["revisions"] == 1
+    assert stale["entries"] == 1
+    assert stale["size_bytes"] == store.size_bytes()
+    Engine(store=other).run(spec)
+    monkeypatch.undo()
+
+    old = tmp_path / "runs-v1" / "ab" / "x.json"
+    old.parent.mkdir(parents=True)
+    old.write_text("{}")
+    stale = RunStore(tmp_path).stale()
+    assert (stale["revisions"], stale["entries"]) == (2, 2)
+    assert len(store) == 1
+
+    store.clear()
+    assert not old.exists()
+    assert sorted(tmp_path.glob("runs-v*")) == []
+    assert store.stale() == {"revisions": 0, "entries": 0, "size_bytes": 0}
+
+
 def test_default_root_honours_env(monkeypatch, tmp_path):
     from repro.engine import default_store_root
 
@@ -310,3 +367,35 @@ def test_run_builds_its_golden_profile_once(warm_store, monkeypatch):
     assert len(errors) > 1
     assert built.count("golden") == 1
     assert errors == expected
+
+
+def test_errors_equal_the_projected_formula(warm_store, monkeypatch):
+    """Each sampler's error on a stored run is bit for bit the Section 4
+    formula over explicitly projected profiles; a full-mask error
+    projects nothing, since that projection is the identity."""
+    store, _ = warm_store
+    run = Engine(store=RunStore(store.root)).run(small_spec())
+    expected = {}
+    for key, sampler in run.samplers.items():
+        golden = run.golden.project(sampler.mask)
+        measured = sampler.profile().project(sampler.mask)
+        total = golden.total()
+        correct = correctly_attributed(measured.scaled(total), golden)
+        expected[key] = (total - correct) / total
+
+    projected = []
+    project = PicsProfile.project
+
+    def counting(profile, mask):
+        projected.append(mask)
+        return project(profile, mask)
+
+    monkeypatch.setattr(PicsProfile, "project", counting)
+    full = [key for key, s in run.samplers.items() if s.mask == FULL_MASK]
+    assert full and len(full) < len(run.samplers)
+    for key in full:
+        assert repr(run.error(key)) == repr(expected[key])
+    assert projected == []
+    for key in run.samplers:
+        assert repr(run.error(key)) == repr(expected[key])
+    assert projected and FULL_MASK not in projected

@@ -140,6 +140,7 @@ def test_cli_stats_command(tmp_path, capsys):
     assert main(["--store", str(store_dir), "stats"]) == 0
     out = capsys.readouterr().out
     assert "1 cached run(s)" in out
+    assert "other code: 0 revision(s), 0 run(s)" in out
     assert "1 simulated" in out
 
 

@@ -1,10 +1,16 @@
-"""One program build per workload per engine.
+"""One program build per workload per engine, and none a serve does
+not read.
 
 Specs that differ only in what the build does not read (samplers,
 backend, config) share the engine's one built :class:`Workload`, on
 every path that serves a run: an ``Engine.run`` miss or store hit, the
-``run_suite`` store probe, and ``run_suite`` execution.
+``run_suite`` store probe, and ``run_suite`` execution. A run the
+engine decodes from a payload (a store hit, or a suite member) builds
+its workload on the first read of ``run.workload``.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -63,6 +69,19 @@ def assert_shared(runs, fresh_errors):
         assert run.error("TEA") == fresh_errors[label]
 
 
+def assert_built_on_first_read(runs, builds, fresh_errors):
+    """Decoded runs' TEA errors build nothing; the first read of a
+    run's workload builds the one workload all of them share."""
+    before = len(builds)
+    for label, run in runs.items():
+        assert run.error("TEA") == fresh_errors[label]
+    assert len(builds) == before
+    next(iter(runs.values())).workload
+    assert len(builds) == before + 1
+    assert_shared(runs, fresh_errors)
+    assert len(builds) == before + 1
+
+
 def test_engine_run_builds_once_on_misses_and_hits(
     tmp_path, builds, fresh_errors
 ):
@@ -76,8 +95,8 @@ def test_engine_run_builds_once_on_misses_and_hits(
     served = {label: reader.run(spec) for label, spec in SPECS.items()}
     assert reader.simulations == 0
     assert reader.store.hits == 3
-    assert len(builds) == 2
-    assert_shared(served, fresh_errors)
+    assert len(builds) == 1
+    assert_built_on_first_read(served, builds, fresh_errors)
 
 
 def test_store_probe_builds_once(filled_store, builds, fresh_errors):
@@ -85,16 +104,38 @@ def test_store_probe_builds_once(filled_store, builds, fresh_errors):
     runs = engine.run_suite(SPECS)
     assert engine.simulations == 0
     assert engine.store.hits == 3
-    assert len(builds) == 1
-    assert_shared(runs, fresh_errors)
+    assert builds == []
+    assert_built_on_first_read(runs, builds, fresh_errors)
 
 
 def test_suite_execution_builds_once(tmp_path, builds, fresh_errors):
     engine = Engine(store=RunStore(tmp_path))
     runs = engine.run_suite(SPECS)
     assert engine.simulations == 3
-    assert len(builds) == 1
-    assert_shared(runs, fresh_errors)
+    # The worker builds its own workload; the engine decodes lazily.
+    assert builds == []
+    assert_built_on_first_read(runs, builds, fresh_errors)
+
+
+def test_served_runs_need_no_cyclic_collector(filled_store):
+    """A served run holds no reference back to its engine, whether its
+    workload and program were read or not, so it dies with the last
+    reference to it even while the cyclic collector is off."""
+    gc.collect()
+    gc.disable()
+    try:
+        engine = Engine(store=RunStore(filled_store.root))
+        runs = engine.run_suite(SPECS)
+        unread, workload_read, both_read = runs.values()
+        for run in runs.values():
+            run.error("TEA")
+        workload_read.workload
+        assert both_read.result.program is both_read.workload.program
+        alive = [weakref.ref(run) for run in runs.values()]
+        del engine, runs, run, unread, workload_read, both_read
+        assert [ref() for ref in alive] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_scale_and_builder_kwargs_key_the_build(builds):
