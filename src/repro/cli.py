@@ -199,11 +199,17 @@ def cmd_lint(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    """``tea-repro stats``: summarise the run store and telemetry log."""
+    """``tea-repro stats``: summarise the run store and telemetry log.
+
+    With ``--prune`` the runs of other code that the store line reports
+    are deleted first (:meth:`RunStore.prune`), and what was removed is
+    reported before the summary of what is left.
+    """
     store = None if args.no_store else RunStore(args.store)
     log_path = args.run_log
     if log_path is None and store is not None:
         log_path = store.root / DEFAULT_RUN_LOG_NAME
+    pruned = store.prune() if args.prune and store is not None else None
     if getattr(args, "json", False):
         doc = {
             "store": (
@@ -212,6 +218,7 @@ def cmd_stats(args) -> int:
                     "entries": len(store),
                     "size_bytes": store.size_bytes(),
                     "stale": store.stale(),
+                    **({} if pruned is None else {"pruned": pruned}),
                 }
                 if store is not None
                 else None
@@ -225,6 +232,12 @@ def cmd_stats(args) -> int:
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
+    if pruned is not None:
+        print(
+            f"pruned other code: {pruned['revisions']} revision(s), "
+            f"{pruned['entries']} run(s), "
+            f"{pruned['size_bytes'] / 1e6:.2f} MB"
+        )
     if store is not None:
         stale = store.stale()
         print(
@@ -1144,6 +1157,12 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true",
         help="emit the summary as machine-readable JSON "
         "(tea-stats-v2 schema)",
+    )
+    stats_parser.add_argument(
+        "--prune", action="store_true",
+        help="first delete the runs stored for other code (what the "
+        "store line reports as 'other code'); the current code's runs "
+        "stay",
     )
 
     monitor_parser = sub.add_parser(

@@ -32,6 +32,8 @@ A run the engine did not simulate here -- a store hit, or a suite
 member decoded from a worker's payload -- takes its workload from the
 engine's workload dict on the first read of ``run.workload`` or
 ``run.result.program``, so a serve that reads neither builds nothing.
+A suite item the executor runs in process simulates on that dict's
+workload too, so each distinct program is built once per engine.
 
 Every run is recorded to the attached
 :class:`~repro.engine.telemetry.RunLog` with its source, so "how much
@@ -372,10 +374,20 @@ class Engine:
             stall_after=self.stall_after,
             on_event=self._live_event,
         )
-        result = executor.execute([
+        items = [
             (label, tuple(spec for _, spec in group))
             for label, group in members.items()
-        ])
+        ]
+        if (
+            self.worker_fn is simulate_to_payload
+            and executor.runs_inline(items)
+        ):
+            # In process, the worker simulates the programs this engine
+            # built (and its runs' readers will read) instead of its own.
+            executor.fn = functools.partial(
+                simulate_to_payload, workload_of=self.workload
+            )
+        result = executor.execute(items)
         report = result.report
         outcomes: dict[str, LabelOutcome] = {}
         for label, outcome in report.outcomes.items():

@@ -76,6 +76,7 @@ from repro.engine.monitor import SuiteMonitor
 from repro.engine.runs import run_to_payload, simulate_specs
 from repro.engine.spec import RunSpec
 from repro.obs import progress as _progress
+from repro.workloads import Workload
 
 try:
     import resource as _resource
@@ -273,16 +274,24 @@ class SuiteResult:
 
 def simulate_to_payload(
     item: tuple[str, Sequence[RunSpec]],
+    workload_of: Callable[[RunSpec], Workload] | None = None,
 ) -> tuple[str, list[dict[str, Any]]]:
     """Worker entry point: simulate the specs of one machine run once,
     return their payloads in member order.
+
+    *workload_of* maps a spec to its built workload; the engine passes
+    its own :meth:`~repro.engine.Engine.workload` to an item it runs in
+    process. A pool worker gets none and builds the program itself, so
+    no program is pickled.
 
     Each payload's ``wall_s`` is the simulation's wall time divided by
     the number of members, so the members' times sum to the worker's.
     """
     label, specs = item
     start = time.perf_counter()
-    runs = simulate_specs(specs)
+    runs = simulate_specs(
+        specs, None if workload_of is None else workload_of(specs[0])
+    )
     wall_s = (time.perf_counter() - start) / len(specs)
     return label, [
         run_to_payload(spec, run, wall_s=wall_s)
@@ -567,6 +576,13 @@ class SuiteExecutor:
         self.on_event = on_event
         self.monitor: SuiteMonitor | None = None
 
+    def runs_inline(self, items: Sequence[tuple[str, Any]]) -> bool:
+        """Whether :meth:`execute` runs *items* in this process: with
+        one job, or one item and no timeout to enforce."""
+        return self.jobs <= 1 or not items or (
+            len(items) <= 1 and self.timeout is None
+        )
+
     def execute(self, items: Sequence[tuple[str, Any]]) -> SuiteResult:
         """Execute every item; never raises for run-level failures."""
         items = list(items)
@@ -578,9 +594,7 @@ class SuiteExecutor:
                 stall_after=self.stall_after,
             )
         suite = _Suite(items)
-        inline = self.jobs <= 1 or not items or (
-            len(items) <= 1 and self.timeout is None
-        )
+        inline = self.runs_inline(items)
         beat_queue: Any = None
         if inline:
             workers = 1

@@ -5,7 +5,11 @@
 and returns a live :class:`BenchmarkRun` for each of them
 (:func:`simulate_spec` is its one-spec case); :func:`run_to_payload` /
 :func:`run_from_payload` convert completed runs to and from the
-JSON-able payload the :class:`~repro.engine.store.RunStore` persists.
+payload the :class:`~repro.engine.store.RunStore` persists: a dict
+holding only plain ``int``, ``float``, ``str``, ``bool``, ``None``,
+list and dict values (no enum members or other subclasses), which is
+what the store's ``marshal`` encoding and the worker pool's pickles
+carry unchanged.
 
 A payload stores each per-entry table as parallel columns, in
 accumulator insertion order: a raw profile ``(index, psv) -> cycles``
@@ -305,7 +309,7 @@ def _table(
 def run_to_payload(
     spec: RunSpec, run: BenchmarkRun, wall_s: float | None = None
 ) -> dict[str, Any]:
-    """A JSON-able stored-run payload for a completed run."""
+    """The stored-run payload of a completed run (plain values only)."""
     result = run.result
     return {
         "schema": PAYLOAD_SCHEMA,

@@ -1,14 +1,24 @@
 """Versioned on-disk store for completed simulation runs.
 
-Stored runs are JSON payloads (see :mod:`repro.engine.runs`) addressed
+Stored runs are payload dicts (see :mod:`repro.engine.runs`) addressed
 by the code that made them and the :class:`~repro.engine.spec.RunSpec`
 content hash, laid out as
-``<root>/runs-v<N>/<code[:16]>/<key[:2]>/<key>.json`` with the run's
+``<root>/runs-v<N>/<code[:16]>/<key[:2]>/<key>.run`` with the run's
 ``.teacol`` trace sidecar beside it. ``code`` is
 :func:`repro.version.code_digest`, a hash of the source of every
 package that can change a result, so a run stored by other code is
 never found; the payload and sidecar headers carry the full digest as
 a second line of defence against hand-edited or copied files.
+
+A ``.run`` file is a CRC-32 of its body followed by the body,
+``marshal.dumps(payload)`` (:func:`encode_payload`,
+:func:`decode_payload`); no other module knows these bytes. The
+checksum is verified before :mod:`marshal` reads a byte, so a
+corrupted file -- a flipped bit, a truncated or extended write -- is a
+miss and ``marshal`` only ever parses what :meth:`RunStore.save`
+wrote. ``marshal`` builds plain values and never runs code: the trust
+model is that of ``__pycache__``, whose writers can already edit the
+source whose results the store caches.
 
 The default root is ``$TEA_REPRO_STORE`` or ``~/.cache/tea-repro``.
 Writes are atomic (temp file + rename), so concurrent executor workers
@@ -17,10 +27,12 @@ and parallel CLI invocations can share one store safely.
 
 from __future__ import annotations
 
-import json
+import marshal
 import os
 import shutil
+import struct
 import tempfile
+import zlib
 from functools import cached_property
 from pathlib import Path
 from collections.abc import Iterator
@@ -30,9 +42,20 @@ from repro.engine.runs import PAYLOAD_SCHEMA
 from repro.engine.spec import RunSpec
 from repro.version import code_digest
 
-#: On-disk layout revision (bump on path-layout changes).
+#: On-disk layout revision (bump on path-layout or encoding changes).
 #: v2: runs are filed under the code digest's directory.
-STORE_VERSION = 2
+#: v3: payloads are checksummed marshal bytes, not JSON text.
+STORE_VERSION = 3
+
+#: Suffix of a stored payload file (:func:`encode_payload`'s bytes).
+PAYLOAD_SUFFIX = ".run"
+
+#: Payload suffixes of every layout, for counting what other trees
+#: hold (v1 and v2 stored JSON text).
+_PAYLOAD_SUFFIXES = (PAYLOAD_SUFFIX, ".json")
+
+#: A stored payload's header: the CRC-32 of the body that follows it.
+_CRC = struct.Struct("<I")
 
 #: Environment variable overriding the default store root.
 STORE_ENV = "TEA_REPRO_STORE"
@@ -47,6 +70,49 @@ def default_store_root() -> Path:
     if env:
         return Path(env).expanduser()
     return Path.home() / ".cache" / "tea-repro"
+
+
+def encode_payload(payload: dict[str, Any]) -> bytes:
+    """The bytes a payload is stored as: the CRC-32 of the body, then
+    the body, ``marshal.dumps(payload)``.
+
+    Raises:
+        ValueError: On a value :mod:`marshal` refuses, such as an int
+            subclass (an enum member); payloads hold plain values.
+    """
+    body = marshal.dumps(payload)
+    return _CRC.pack(zlib.crc32(body)) + body
+
+
+def decode_payload(data: bytes) -> dict[str, Any]:
+    """The payload dict :func:`encode_payload` turned into *data*.
+
+    The checksum is compared before :mod:`marshal` sees the body:
+    ``marshal`` is not hardened against malformed input (a corrupted
+    length can make it allocate that many slots before it finds the
+    data missing).
+
+    Raises:
+        ValueError: When the checksum does not match, the body does not
+            unmarshal, or it is not a dict.
+    """
+    body = data[_CRC.size:]
+    if (
+        len(data) < _CRC.size
+        or _CRC.unpack_from(data)[0] != zlib.crc32(body)
+    ):
+        raise ValueError("stored payload fails its checksum")
+    try:
+        payload = marshal.loads(body)
+    except (EOFError, TypeError) as exc:
+        raise ValueError(
+            f"stored payload does not unmarshal: {exc}"
+        ) from None
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"stored payload is a {type(payload).__name__}, not a dict"
+        )
+    return payload
 
 
 def _write_atomic(path: Path, data: bytes) -> Path:
@@ -98,7 +164,7 @@ class RunStore:
 
     def path_for(self, spec: RunSpec) -> Path:
         """The on-disk path a spec's payload lives at."""
-        return self.code_dir / spec.key[:2] / f"{spec.key}.json"
+        return self.code_dir / spec.key[:2] / (spec.key + PAYLOAD_SUFFIX)
 
     def contains(self, spec: RunSpec) -> bool:
         """Cheap existence probe for *spec* (no parse, no accounting).
@@ -111,15 +177,14 @@ class RunStore:
     def load(self, spec: RunSpec) -> dict[str, Any] | None:
         """The stored payload for *spec*, or ``None`` on a miss.
 
-        Corrupt, truncated, or schema-, code- or key-mismatched files
-        count as misses (they will be overwritten by the next
-        :meth:`save`). So does a payload that passes these checks but
-        does not decode: the engine moves its count from :attr:`hits`
-        to :attr:`misses`.
+        Files that fail their checksum, do not unmarshal to a dict, or
+        are schema-, code- or key-mismatched count as misses (they will
+        be overwritten by the next :meth:`save`). So does a payload
+        that passes these checks but does not decode: the engine moves
+        its count from :attr:`hits` to :attr:`misses`.
         """
-        path = self.path_for(spec)
         try:
-            payload = json.loads(path.read_text())
+            payload = decode_payload(self.path_for(spec).read_bytes())
         except (OSError, ValueError):
             self.misses += 1
             return None
@@ -137,10 +202,9 @@ class RunStore:
         """Stamp *payload* with the code digest :meth:`load` checks and
         atomically persist it under *spec*'s key."""
         payload["code"] = code_digest()
-        # One dumps() call: json.dump() always runs the pure-Python
-        # encoder, dumps() the C one (same text).
-        text = json.dumps(payload, separators=(",", ":"))
-        return _write_atomic(self.path_for(spec), text.encode("utf-8"))
+        return _write_atomic(
+            self.path_for(spec), encode_payload(payload)
+        )
 
     # -- columnar trace sidecars ---------------------------------------
     def trace_path_for(self, spec: RunSpec) -> Path:
@@ -195,7 +259,7 @@ class RunStore:
 
     def keys(self) -> Iterator[str]:
         """Keys of every run stored by the current code."""
-        for path in sorted(self.code_dir.glob("*/*.json")):
+        for path in sorted(self.code_dir.glob(f"*/*{PAYLOAD_SUFFIX}")):
             yield path.stem
 
     def __len__(self) -> int:
@@ -204,12 +268,37 @@ class RunStore:
     def size_bytes(self) -> int:
         """Total bytes of the current code's stored payloads."""
         return sum(
-            path.stat().st_size for path in self.code_dir.glob("*/*.json")
+            path.stat().st_size
+            for path in self.code_dir.glob(f"*/*{PAYLOAD_SUFFIX}")
         )
 
     def _runs_trees(self) -> list[Path]:
         """Every ``runs-v*`` tree under the root, this layout's too."""
         return sorted(p for p in self.root.glob("runs-v*") if p.is_dir())
+
+    def _stale_trees(self) -> list[Path]:
+        """The directories :meth:`stale` counts: each other code's
+        directory under :attr:`runs_dir` and each other ``runs-v*``
+        tree."""
+        trees = [p for p in self._runs_trees() if p != self.runs_dir]
+        if self.runs_dir.is_dir():
+            trees += sorted(
+                p for p in self.runs_dir.iterdir()
+                if p.is_dir() and p != self.code_dir
+            )
+        return trees
+
+    @staticmethod
+    def _tally(trees: list[Path]) -> dict[str, int]:
+        """Revisions, payloads (of either layout's suffix) and bytes of
+        every file in *trees*."""
+        files = [p for tree in trees for p in tree.rglob("*")
+                 if p.is_file()]
+        return {
+            "revisions": len(trees),
+            "entries": sum(p.suffix in _PAYLOAD_SUFFIXES for p in files),
+            "size_bytes": sum(p.stat().st_size for p in files),
+        }
 
     def stale(self) -> dict[str, int]:
         """What the store holds that the current code never reads.
@@ -217,22 +306,19 @@ class RunStore:
         Each other code's directory under :attr:`runs_dir` and each
         other ``runs-v*`` tree counts as one revision; ``entries``
         counts their payloads and ``size_bytes`` every file in them,
-        trace sidecars included. Nothing is deleted (:meth:`clear`
+        trace sidecars included. Nothing is deleted (:meth:`prune`
         removes them).
         """
-        revisions = [p for p in self._runs_trees() if p != self.runs_dir]
-        if self.runs_dir.is_dir():
-            revisions += sorted(
-                p for p in self.runs_dir.iterdir()
-                if p.is_dir() and p != self.code_dir
-            )
-        files = [p for tree in revisions for p in tree.rglob("*")
-                 if p.is_file()]
-        return {
-            "revisions": len(revisions),
-            "entries": sum(p.suffix == ".json" for p in files),
-            "size_bytes": sum(p.stat().st_size for p in files),
-        }
+        return self._tally(self._stale_trees())
+
+    def prune(self) -> dict[str, int]:
+        """Delete exactly what :meth:`stale` counts and return those
+        counts; the current code's runs stay."""
+        trees = self._stale_trees()
+        counts = self._tally(trees)
+        for tree in trees:
+            shutil.rmtree(tree, ignore_errors=True)
+        return counts
 
     def clear(self) -> None:
         """Delete every stored run, those of other code revisions and

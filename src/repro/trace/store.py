@@ -450,19 +450,32 @@ class TraceStore:
     def _from_buffer(
         cls, buf: Any, copy: bool
     ) -> "TraceStore":
+        """Parse a TEACOL buffer.
+
+        Every bound is checked before the first column view is taken:
+        a view still alive when :meth:`load` closes its map after an
+        error would turn that error into a ``BufferError``.
+
+        Raises:
+            ValueError: For a buffer that is not TEACOL, is truncated,
+                or whose table of contents is not a JSON object or
+                disagrees with its columns.
+        """
         _check_platform()
         if bytes(buf[: len(MAGIC)]) != MAGIC:
             raise ValueError("not a TEACOL columnar trace")
-        (header_len,) = _HEADER_LEN.unpack(
-            buf[len(MAGIC): len(MAGIC) + _HEADER_LEN.size]
-        )
         header_start = len(MAGIC) + _HEADER_LEN.size
+        if len(buf) < header_start:
+            raise ValueError("truncated TEACOL file")
+        (header_len,) = _HEADER_LEN.unpack(buf[len(MAGIC): header_start])
         try:
             doc = json.loads(
                 bytes(buf[header_start: header_start + header_len])
             )
         except ValueError as exc:
             raise ValueError(f"corrupt TEACOL header: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ValueError("corrupt TEACOL header: not an object")
         if doc.get("format") != STORE_FORMAT:
             raise ValueError(
                 f"unsupported TEACOL format {doc.get('format')!r}"
@@ -484,23 +497,22 @@ class TraceStore:
                 ]
             )
         )
+        if len(blob) != sdoc["blob_nbytes"] or len(offs) != sdoc["count"] + 1:
+            raise ValueError("truncated TEACOL file")
         strings = [
             blob[offs[i]: offs[i + 1]].decode("utf-8")
             for i in range(sdoc["count"])
         ]
 
-        store = cls()
-        store.meta = dict(doc.get("meta", {}))
-        store.strings = StringPool(strings)
-        store._next_cycle = int(doc.get("next_cycle", 0))
         # Tables outside the schema are skipped: older files also carry
         # a ``spans`` table, and must keep loading.
+        layout: dict[str, list[tuple[str, str, int, int]]] = {}
         for tname, schema in _SCHEMAS.items():
             tdoc = doc["tables"].get(tname)
             if tdoc is None:
                 raise ValueError(f"TEACOL file missing table {tname!r}")
             by_name = {c["name"]: c for c in tdoc["columns"]}
-            columns: dict[str, Any] = {}
+            layout[tname] = []
             for cname, code in schema:
                 cdoc = by_name.get(cname)
                 if cdoc is None or cdoc["code"] != code:
@@ -509,20 +521,28 @@ class TraceStore:
                         f"{cname!r} ({code})"
                     )
                 lo, n = cdoc["offset"], cdoc["nbytes"]
-                if lo + n > len(buf):
+                if not 0 <= lo <= len(buf) - n:
                     raise ValueError("truncated TEACOL file")
+                if n != tdoc["rows"] * _ITEMSIZES[code]:
+                    raise ValueError(
+                        f"TEACOL table {tname!r}: row count mismatch"
+                    )
+                layout[tname].append((cname, code, lo, n))
+
+        store = cls()
+        store.meta = dict(doc.get("meta", {}))
+        store.strings = StringPool(strings)
+        store._next_cycle = int(doc.get("next_cycle", 0))
+        for tname, schema in _SCHEMAS.items():
+            columns: dict[str, Any] = {}
+            for cname, code, lo, n in layout[tname]:
                 if copy:
                     arr = array(code)
                     arr.frombytes(bytes(buf[lo: lo + n]))
                     columns[cname] = arr
                 else:
                     columns[cname] = buf[lo: lo + n].cast(code)
-            table = ColumnTable(tname, schema, columns)
-            if len(table) != tdoc["rows"]:
-                raise ValueError(
-                    f"TEACOL table {tname!r}: row count mismatch"
-                )
-            setattr(store, tname, table)
+            setattr(store, tname, ColumnTable(tname, schema, columns))
         return store
 
     @classmethod

@@ -1,6 +1,5 @@
 """On-disk run store: round trips, invalidation, and counters."""
 
-import io
 import json
 
 import pytest
@@ -13,6 +12,7 @@ from repro.core.result import CoreResult
 from repro.engine import Engine, RunStore
 from repro.engine.runs import PAYLOAD_SCHEMA, run_from_payload, run_to_payload
 from repro.engine.spec import RunSpec
+from repro.engine.store import decode_payload, encode_payload
 
 from tests.engine.conftest import SMALL
 
@@ -121,14 +121,14 @@ def test_stale_payload_is_a_miss(tmp_path, warm_store, field, value):
     """Schema / code / key mismatches invalidate silently."""
     store, _ = warm_store
     spec = small_spec()
-    payload = json.loads(store.path_for(spec).read_text())
+    payload = decode_payload(store.path_for(spec).read_bytes())
     assert payload["schema"] == PAYLOAD_SCHEMA
     payload[field] = value
     copy = RunStore(tmp_path / "stale")
     # Written directly: save() would stamp the current code.
     path = copy.path_for(spec)
     path.parent.mkdir(parents=True)
-    path.write_text(json.dumps(payload))
+    path.write_bytes(encode_payload(payload))
     assert copy.load(spec) is None
     assert (copy.hits, copy.misses) == (0, 1)
 
@@ -137,7 +137,7 @@ def test_payload_tables_are_columns(warm_store):
     """Each per-entry table is stored as parallel columns in
     accumulator order, with PSVs stored as integers."""
     store, fresh = warm_store
-    payload = json.loads(store.path_for(small_spec()).read_text())
+    payload = decode_payload(store.path_for(small_spec()).read_bytes())
     raw = fresh.result.golden_raw
     assert payload["golden_raw"] == [
         [index for index, _ in raw],
@@ -187,7 +187,7 @@ def test_undecodable_payload_is_a_miss(tmp_path, warm_store, corrupt, serve):
     and overwritten, not served (nor a crash, nor a truncated profile)."""
     store, fresh = warm_store
     spec = small_spec()
-    payload = json.loads(store.path_for(spec).read_text())
+    payload = decode_payload(store.path_for(spec).read_bytes())
     corrupt(payload)
     copy = RunStore(tmp_path / "bad")
     copy.save(spec, payload)
@@ -225,18 +225,48 @@ def test_store_hit_resolves_the_simulated_program(tmp_path, warm_store):
     assert len(run.result.program) == len(fresh.result.program)
 
 
-def test_saved_text_is_the_compact_encoding(tmp_path, warm_store):
-    """``save`` writes ``json.dumps``'s compact text, which is also what
-    ``json.dump`` (the pure-Python encoder) writes for the payload."""
-    store, _ = warm_store
-    spec = small_spec()
-    payload = json.loads(store.path_for(spec).read_text())
-    copy = RunStore(tmp_path / "text")
-    text = copy.save(spec, payload).read_text()
-    assert text == json.dumps(payload, separators=(",", ":"))
-    streamed = io.StringIO()
-    json.dump(payload, streamed, separators=(",", ":"))
-    assert text == streamed.getvalue()
+def _leaves(value, path=()):
+    """``(path, type, repr)`` of every leaf of a payload, in iteration
+    order: equal lists mean equal values, types, float reprs and table
+    orders."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, (*path, key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaves(item, (*path, index))
+    else:
+        yield path, type(value), repr(value)
+
+
+PLAIN = {int, float, str, bool, type(None)}
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_saved_payload_round_trips_exactly(tmp_path, warm_stores, backend):
+    """``save`` then ``load`` gives back an equal payload of plain values
+    (every float with the same repr, every table in insertion order),
+    and the run served from it has the simulated run's errors bit for
+    bit."""
+    _, fresh = warm_stores(backend)
+    spec = small_spec(backend=backend)
+    payload = run_to_payload(spec, fresh)
+    copy = RunStore(tmp_path / "codec")
+    copy.save(spec, payload)
+    loaded = RunStore(copy.root).load(spec)
+    assert loaded == payload
+    leaves = list(_leaves(loaded))
+    assert leaves == list(_leaves(payload))
+    assert {kind for _, kind, _ in leaves} <= PLAIN
+
+    engine = Engine(store=RunStore(copy.root))
+    served = engine.run(spec)
+    assert engine.simulations == 0
+    assert list(served.result.golden_raw.items()) == list(
+        fresh.result.golden_raw.items()
+    )
+    for key in fresh.samplers:
+        assert repr(served.error(key)) == repr(fresh.error(key))
 
 
 def test_failed_writes_leave_no_file(tmp_path, warm_store, monkeypatch):
@@ -246,7 +276,7 @@ def test_failed_writes_leave_no_file(tmp_path, warm_store, monkeypatch):
 
     store, _ = warm_store
     spec = small_spec()
-    payload = json.loads(store.path_for(spec).read_text())
+    payload = decode_payload(store.path_for(spec).read_bytes())
     copy = RunStore(tmp_path / "failing")
 
     def fail(src, dst):
@@ -271,7 +301,7 @@ def test_store_inventory_and_clear(tmp_path, warm_store):
     copy = RunStore(tmp_path / "inv")
     assert len(copy) == 0
     assert copy.size_bytes() == 0
-    copy.save(spec, json.loads(store.path_for(spec).read_text()))
+    copy.save(spec, decode_payload(store.path_for(spec).read_bytes()))
     assert list(copy.keys()) == [spec.key]
     assert len(copy) == 1
     assert copy.size_bytes() > 0
@@ -334,6 +364,62 @@ def test_stale_counts_other_code_and_layouts(tmp_path, monkeypatch):
     assert not old.exists()
     assert sorted(tmp_path.glob("runs-v*")) == []
     assert store.stale() == {"revisions": 0, "entries": 0, "size_bytes": 0}
+
+
+def test_prune_removes_exactly_what_stale_counts(tmp_path, monkeypatch):
+    """With runs of two other code digests and a ``runs-v1`` tree,
+    ``prune`` deletes what ``stale`` counted and returns those counts;
+    the current code's run is still a store hit."""
+    spec = small_spec()
+    for digest in ("e" * 64, "f" * 64):
+        monkeypatch.setattr("repro.engine.store.code_digest",
+                            lambda digest=digest: digest)
+        Engine(store=RunStore(tmp_path)).trace(spec).close()
+    monkeypatch.undo()
+    Engine(store=RunStore(tmp_path)).run(spec)
+    old = tmp_path / "runs-v1" / "ab" / "x.json"
+    old.parent.mkdir(parents=True)
+    old.write_text("{}")
+
+    store = RunStore(tmp_path)
+    stale = store.stale()
+    assert (stale["revisions"], stale["entries"]) == (3, 3)
+    assert store.prune() == stale
+    assert store.stale() == {"revisions": 0, "entries": 0, "size_bytes": 0}
+    assert not old.exists()
+    assert sorted(p.name for p in tmp_path.glob("runs-v*")) == [
+        store.runs_dir.name
+    ]
+    assert list(store.keys()) == [spec.key]
+    served = Engine(store=RunStore(tmp_path))
+    served.run(spec)
+    assert (served.simulations, served.store.hits) == (0, 1)
+
+
+def test_stats_prune_reports_and_removes_other_code(tmp_path, monkeypatch,
+                                                    capsys):
+    from repro.cli import main
+
+    spec = small_spec()
+    monkeypatch.setattr("repro.engine.store.code_digest", lambda: "f" * 64)
+    Engine(store=RunStore(tmp_path)).run(spec)
+    monkeypatch.undo()
+    Engine(store=RunStore(tmp_path)).run(spec)
+    size = RunStore(tmp_path).stale()["size_bytes"]
+
+    assert main(["--store", str(tmp_path), "stats", "--prune"]) == 0
+    out = capsys.readouterr().out
+    assert (f"pruned other code: 1 revision(s), 1 run(s), "
+            f"{size / 1e6:.2f} MB") in out
+    assert "1 cached run(s)" in out
+    assert "other code: 0 revision(s), 0 run(s)" in out
+    assert main(["--store", str(tmp_path), "stats", "--prune",
+                 "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)["store"]
+    assert doc["pruned"] == doc["stale"] == {
+        "revisions": 0, "entries": 0, "size_bytes": 0,
+    }
+    assert doc["entries"] == 1
 
 
 def test_default_root_honours_env(monkeypatch, tmp_path):

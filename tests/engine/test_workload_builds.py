@@ -5,8 +5,9 @@ Specs that differ only in what the build does not read (samplers,
 backend, config) share the engine's one built :class:`Workload`, on
 every path that serves a run: an ``Engine.run`` miss or store hit, the
 ``run_suite`` store probe, and ``run_suite`` execution. A run the
-engine decodes from a payload (a store hit, or a suite member) builds
-its workload on the first read of ``run.workload``.
+engine decodes from a store hit builds its workload on the first read
+of ``run.workload``; a suite item run in process simulates on the
+engine's workload, and a pooled one builds its own in the worker.
 """
 
 import gc
@@ -15,6 +16,7 @@ import weakref
 import pytest
 
 import repro.engine.engine as engine_mod
+import repro.engine.runs as runs_mod
 from repro.engine import Engine, RunStore
 from repro.engine.spec import RunSpec
 
@@ -112,9 +114,43 @@ def test_suite_execution_builds_once(tmp_path, builds, fresh_errors):
     engine = Engine(store=RunStore(tmp_path))
     runs = engine.run_suite(SPECS)
     assert engine.simulations == 3
-    # The worker builds its own workload; the engine decodes lazily.
-    assert builds == []
-    assert_built_on_first_read(runs, builds, fresh_errors)
+    # The in-process worker simulated on the engine's build, which the
+    # runs' readers then share.
+    assert len(builds) == 1
+    assert_shared(runs, fresh_errors)
+    assert len(builds) == 1
+
+
+@pytest.fixture
+def programs(monkeypatch):
+    """The workload names whose programs are built in this process."""
+    calls = []
+    build = runs_mod.build
+
+    def counting(name, *args, **kwargs):
+        calls.append(name)
+        return build(name, *args, **kwargs)
+
+    monkeypatch.setattr(runs_mod, "build", counting)
+    return calls
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_suite_builds_each_distinct_program_once(programs, jobs):
+    """mcf three times (one machine run) plus lbm: in process the suite
+    builds the two programs its readers read; a pool builds them in its
+    workers and ships none, and the readers build them once each."""
+    specs = {
+        **{f"mcf#{j}": RunSpec.make(
+            "mcf", **SMALL, seed=12345 + 100 * j, extra_seed=54321 + 100 * j,
+        ) for j in range(3)},
+        "lbm": RunSpec.make("lbm", **SMALL),
+    }
+    runs = Engine(jobs=jobs).run_suite(specs)
+    assert sorted(programs) == (["lbm", "mcf"] if jobs == 1 else [])
+    for run in runs.values():
+        run.workload
+    assert sorted(programs) == ["lbm", "mcf"]
 
 
 def test_served_runs_need_no_cyclic_collector(filled_store):

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import main, parse_workload_spec
 from repro.engine import DEFAULT_RUN_LOG_NAME, read_run_log
+from repro.engine.store import PAYLOAD_SUFFIX
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -154,7 +155,7 @@ def test_cli_profile_asm_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "kernel" in out
     assert "TEA PICS" in out
-    assert not list(store.rglob("*.json"))
+    assert not list(store.rglob(f"*{PAYLOAD_SUFFIX}"))
 
 
 def test_cli_profile_missing_asm_file():
@@ -242,5 +243,5 @@ def test_query_diff_without_baseline_fails_before_simulating(tmp_path):
             ["--scale", "0.05", "--store", str(store), "query", "mcf",
              "--what", "diff"]
         )
-    assert not list(store.rglob("*.json"))
+    assert not list(store.rglob(f"*{PAYLOAD_SUFFIX}"))
     assert not list(store.rglob("*.teacol"))
