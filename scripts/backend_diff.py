@@ -48,7 +48,7 @@ TIER_PLAN = WindowPlan(window=256, stride=1792, warmup=512)
 #: Timed runs per tier and kernel; the fastest counts.
 TIER_RUNS = 3
 #: Least geomean wall-time speed-up over the detailed tier.
-TIER_FLOORS = {"sampled": 2.5, "functional": 30.0}
+TIER_FLOORS = {"sampled": 2.5, "functional": 60.0}
 
 
 def check_functional(name: str) -> list[str]:

@@ -6,7 +6,10 @@ on it. Concretely, :func:`run_scenario` checks:
 ``interp-equivalence``
     The compiled (per-instruction specialised closures) and fully
     interpreted functional hot loops commit the same instruction
-    sequence and final architectural state.
+    sequence and final architectural state, and so does the compiled
+    drive fed through :meth:`InstStream.skip` in seeded random chunk
+    sizes, which cuts ``Interpreter.advance``'s blocks at arbitrary
+    points.
 ``arch-state``
     The functional and detailed backends agree bit-for-bit on
     committed count, per-instruction execution counts, and final
@@ -37,6 +40,7 @@ failing scenarios to stay evaluable.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -125,6 +129,29 @@ def _run_interpreted(workload: Workload) -> tuple[int, dict[int, int], str]:
     return committed, dict(counts), arch_digest(interp.state)
 
 
+#: Largest chunk the chunked drive asks ``skip`` for: a few blocks.
+_MAX_CHUNK = 64
+
+
+def _run_chunked(
+    workload: Workload, seed: int
+) -> tuple[int, dict[int, int], str]:
+    """Drain the compiled drive through ``InstStream.skip`` in seeded
+    random chunks, each keeping a random tail of records."""
+    stream = InstStream(workload.program, workload.fresh_state())
+    counts = [0] * len(workload.program)
+    rng = random.Random(f"tea-fuzz-chunks-{seed}")
+    committed = 0
+    while True:
+        chunk = rng.randint(1, _MAX_CHUNK)
+        ran = stream.skip(chunk, counts, keep=rng.randint(0, chunk))
+        committed += ran
+        if ran < chunk:
+            break
+    executed = {i: c for i, c in enumerate(counts) if c}
+    return committed, executed, arch_digest(stream.state)
+
+
 def _run_detailed(workload: Workload):
     """Run the detailed core over a shared stream; keep the state."""
     stream = InstStream(workload.program, workload.fresh_state())
@@ -179,35 +206,36 @@ def run_scenario(
         )
         return verdict
 
-    # -- interpreted hot loop vs compiled ------------------------------
+    # -- interpreted hot loop vs compiled, whole and in chunks ---------
     try:
         i_committed, i_counts, i_digest = _run_interpreted(workload)
-        if i_committed != functional.committed:
-            fail(
-                OracleFailure(
-                    "interp-equivalence",
-                    f"committed {functional.committed} (compiled) vs "
-                    f"{i_committed} (interpreted)",
+        compiled = {
+            "compiled": (
+                functional.committed, functional.exec_counts,
+                functional_digest,
+            ),
+            "chunked skip": _run_chunked(workload, recipe.seed),
+        }
+        for drive, (committed, counts, digest) in compiled.items():
+            if committed != i_committed:
+                detail = (
+                    f"committed {committed} ({drive}) vs "
+                    f"{i_committed} (interpreted)"
                 )
-            )
-        elif i_counts != functional.exec_counts:
-            fail(
-                OracleFailure(
-                    "interp-equivalence",
-                    "exec counts diverge: "
-                    + _first_count_mismatch(
-                        functional.exec_counts, i_counts
-                    ),
+            elif counts != i_counts:
+                detail = (
+                    f"exec counts diverge ({drive}): "
+                    + _first_count_mismatch(counts, i_counts)
                 )
-            )
-        elif i_digest != functional_digest:
-            fail(
-                OracleFailure(
-                    "interp-equivalence",
-                    "final architectural state diverges "
-                    f"({functional_digest[:12]} vs {i_digest[:12]})",
+            elif digest != i_digest:
+                detail = (
+                    f"final architectural state diverges ({drive}: "
+                    f"{digest[:12]} vs {i_digest[:12]})"
                 )
-            )
+            else:
+                continue
+            fail(OracleFailure("interp-equivalence", detail))
+            break
     except Exception as exc:  # noqa: BLE001
         fail(
             OracleFailure(

@@ -6,8 +6,9 @@ executes a program architecturally (register file + memory) and yields one
 the branch outcome and memory effective address the timing model needs.
 Consumers that only need the architectural state to move on (the
 functional tier, the sampled tier's fast-forward) call
-:meth:`Interpreter.advance` instead, which runs the same closures and
-makes no records.
+:meth:`Interpreter.advance` instead, which makes no records and runs
+straight-line code a block at a time, through one generated function
+per block built from the same per-instruction expressions.
 
 Wrong-path execution is *not* produced here; the timing model models the
 wrong-path penalty as a front-end stall (see DESIGN.md, "Known deviations").
@@ -15,8 +16,12 @@ wrong-path penalty as a front-end stall (see DESIGN.md, "Known deviations").
 
 from __future__ import annotations
 
+import builtins
 import math
+import os
+import weakref
 from collections.abc import Iterator
+from types import CodeType, FunctionType
 
 from repro.isa.instructions import (
     FP_BASE,
@@ -26,8 +31,27 @@ from repro.isa.instructions import (
     DynInst,
     StaticInst,
 )
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import (
+    BRANCH_OPS,
+    CONTROL_OPS,
+    MEMORY_READ_OPS,
+    MEMORY_WRITE_OPS,
+    Opcode,
+)
 from repro.isa.program import Program
+
+# Opcode members as module constants: on Python 3.11 a load such as
+# ``Opcode.ADD`` goes through ``EnumType.__getattr__`` and is never
+# specialised (tests/uarch/test_hot_path.py).
+_ADD, _SUB, _MUL = Opcode.ADD, Opcode.SUB, Opcode.MUL
+_AND, _OR, _XOR = Opcode.AND_, Opcode.OR_, Opcode.XOR_
+_SLT, _SLL, _SRL = Opcode.SLT, Opcode.SLL, Opcode.SRL
+_ADDI, _ANDI, _ORI, _XORI = Opcode.ADDI, Opcode.ANDI, Opcode.ORI, Opcode.XORI
+_SLTI, _LUI, _PREFETCH = Opcode.SLTI, Opcode.LUI, Opcode.PREFETCH
+_FADD, _FSUB, _FMUL = Opcode.FADD, Opcode.FSUB, Opcode.FMUL
+_BEQ, _BNE, _BLT, _BGE = Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE
+_JUMP, _CALL, _RET = Opcode.JUMP, Opcode.CALL, Opcode.RET
+_NOP, _SERIAL, _HALT = Opcode.NOP, Opcode.SERIAL, Opcode.HALT
 
 
 class InterpreterError(RuntimeError):
@@ -113,6 +137,9 @@ class Interpreter:
         # pay per instruction. Allocated by _use_compiled().
         self._handlers: list | None = None
         self._insts: list[StaticInst | None] | None = None
+        # advance()'s blocks, bound to this state: entry pc ->
+        # (function, length). Allocated by _use_compiled().
+        self._blocks: dict[int, tuple] | None = None
 
     def run(self) -> Iterator[DynInst]:
         """Yield one :class:`DynInst` per committed instruction until HALT.
@@ -147,6 +174,7 @@ class Interpreter:
                 n_insts = len(self.program)
                 self._handlers = [None] * n_insts
                 self._insts = [None] * n_insts
+                self._blocks = {}
             else:
                 # Seeded register state breaks the type invariant the
                 # specializer relies on; run fully interpreted.
@@ -213,13 +241,23 @@ class Interpreter:
         """Run up to *n* instructions from the resume position, making
         no :class:`DynInst`; return how many ran.
 
-        Fewer than *n* run only when HALT ends the program. The closures,
-        tables and checks are those of :meth:`run`'s compiled drive, so
-        the two may be interleaved and produce the one stream.
+        Fewer than *n* run only when HALT ends the program. Straight-line
+        code runs a block at a time (see :func:`_compile_block`): where
+        control lands, one generated function runs every instruction up
+        to and including the next control op, if all of them fit in both
+        *n* and ``max_insts``. Anything else -- a call that starts
+        mid-block, a block that does not fit, HALT, a control op the
+        emitter leaves out -- runs one closure per instruction, as
+        :meth:`run`'s compiled drive does, with the same checks. So the
+        call stops at exactly *n*, an :class:`InterpreterError` is raised
+        at the same instruction as :meth:`run` raises it, and the two
+        drives may be interleaved and produce the one stream. An
+        exception raised inside a block propagates as it is, with the
+        resume position left at the block's entry.
 
         Args:
             counts: When given, ``counts[index]`` is incremented once per
-                executed instruction.
+                executed instruction (a block's, when the call ends).
 
         Raises:
             InterpreterError: As :meth:`run`, or if the compiled drive
@@ -234,12 +272,33 @@ class Interpreter:
         n_insts = len(self.program)
         handlers = self._handlers
         insts = self._insts
+        blocks = self._blocks
         pc = self.pc
         seq = start = self.inst_count
         stop = seq + n
         max_insts = self.max_insts
+        limit = min(stop, max_insts)
+        # Executions per block entry, added to counts in the finally.
+        ran: dict[int, int] = {}
+        ran_get = ran.get
+        counting = counts is not None
+        # The resume position may be mid-block: run one instruction at a
+        # time until a control op has executed.
+        at_entry = False
         try:
             while seq < stop:
+                if at_entry:
+                    try:
+                        block, length = blocks[pc]
+                    except KeyError:
+                        block, length = self._bind_block(pc)
+                    if length and seq + length <= limit:
+                        entry = pc
+                        pc = block()
+                        seq += length
+                        if counting:
+                            ran[entry] = ran_get(entry, 0) + 1
+                        continue
                 if pc >= n_insts or pc < 0:
                     raise self._pc_error(pc)
                 if seq >= max_insts:
@@ -250,17 +309,51 @@ class Interpreter:
                     if handlers[pc] is not None:
                         raise
                     next_pc = self._compile_at(pc)()[0]
-                if counts is not None:
+                if counting:
                     counts[pc] += 1
                 seq += 1
-                if next_pc == pc and insts[pc].op is Opcode.HALT:
+                op = insts[pc].op
+                if next_pc == pc and op is _HALT:
                     self.halted = True
                     break
+                at_entry = op in CONTROL_OPS
                 pc = next_pc
         finally:
             self.pc = pc
             self.inst_count = seq
+            for entry, times in ran.items():
+                for index in range(entry, entry + blocks[entry][1]):
+                    counts[index] += times
         return seq - start
+
+    def _bind_block(self, pc: int) -> tuple:
+        """Bind the block entered at *pc* to this state, compiling it on
+        the program's first entry there; return ``(function, length)``.
+
+        A length of 0 (HALT, or a control op the emitter leaves out, at
+        *pc*) binds no function.
+        """
+        if pc >= len(self.program) or pc < 0:
+            raise self._pc_error(pc)
+        compiled = _BLOCK_CODE.setdefault(self.program, {})
+        try:
+            code, length, consts = compiled[pc]
+        except KeyError:
+            code, length, consts = compiled[pc] = _compile_block(
+                self.program, pc
+            )
+        state = self.state
+        block = None
+        if length:
+            # The state and constants are the parameters' defaults: the
+            # block reads them as locals and is called with no arguments.
+            fallback = (self._execute,) if "X" in code.co_varnames else ()
+            block = FunctionType(code, _BLOCK_GLOBALS, None, (
+                state.int_regs, state.fp_regs, state.memory, *fallback,
+                *consts,
+            ))
+        bound = self._blocks[pc] = (block, length)
+        return bound
 
     def _run_interpreted(self) -> Iterator[DynInst]:
         if self.halted:
@@ -508,7 +601,7 @@ def _compile_inst(inst, pc, int_regs, fp_regs, memory, fallback):
     r1f = rs1 - FP_BASE
     r2f = rs2 - FP_BASE
 
-    if op is Opcode.ADDI and int_imm and int_rs1:
+    if op is _ADDI and int_imm and int_rs1:
         if int_rd:
             def h():
                 int_regs[rd] = int_regs[rs1] + imm
@@ -522,7 +615,7 @@ def _compile_inst(inst, pc, int_regs, fp_regs, memory, fallback):
         if no_rd:
             return lambda: ret
 
-    if op in (Opcode.LOAD, Opcode.FLOAD) and int_imm and int_rs1:
+    if op in MEMORY_READ_OPS and int_imm and int_rs1:
         if int_rd:
             def h():
                 ea = int_regs[rs1] + imm
@@ -538,7 +631,7 @@ def _compile_inst(inst, pc, int_regs, fp_regs, memory, fallback):
         if no_rd:
             return lambda: (nxt, int_regs[rs1] + imm, False)
 
-    if op in (Opcode.STORE, Opcode.FSTORE) and int_imm and int_rs1:
+    if op in MEMORY_WRITE_OPS and int_imm and int_rs1:
         if int_rs2:
             def h():
                 ea = int_regs[rs1] + imm
@@ -552,7 +645,7 @@ def _compile_inst(inst, pc, int_regs, fp_regs, memory, fallback):
                 return (nxt, ea, False)
             return h
 
-    if op in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE):
+    if op in BRANCH_OPS:
         t_ret = (target, -1, True)
         if int_rs1 and int_rs2:
             regs1 = regs2 = int_regs
@@ -569,13 +662,13 @@ def _compile_inst(inst, pc, int_regs, fp_regs, memory, fallback):
         else:
             regs1 = None
         if regs1 is not None:
-            if op is Opcode.BEQ:
+            if op is _BEQ:
                 def h():
                     return t_ret if regs1[i1] == regs2[i2] else ret
-            elif op is Opcode.BNE:
+            elif op is _BNE:
                 def h():
                     return t_ret if regs1[i1] != regs2[i2] else ret
-            elif op is Opcode.BLT:
+            elif op is _BLT:
                 def h():
                     return t_ret if regs1[i1] < regs2[i2] else ret
             else:
@@ -583,15 +676,15 @@ def _compile_inst(inst, pc, int_regs, fp_regs, memory, fallback):
                     return t_ret if regs1[i1] >= regs2[i2] else ret
             return h
 
-    if op in (Opcode.ADD, Opcode.SUB, Opcode.MUL):
+    if op in (_ADD, _SUB, _MUL):
         if no_rd:
             return lambda: ret
         if int_rd and int_rs1 and int_rs2:
-            if op is Opcode.ADD:
+            if op is _ADD:
                 def h():
                     int_regs[rd] = int_regs[rs1] + int_regs[rs2]
                     return ret
-            elif op is Opcode.SUB:
+            elif op is _SUB:
                 def h():
                     int_regs[rd] = int_regs[rs1] - int_regs[rs2]
                     return ret
@@ -602,9 +695,9 @@ def _compile_inst(inst, pc, int_regs, fp_regs, memory, fallback):
             return h
         if (
             fp_rd and fp_rs1 and fp_rs2
-            and op in (Opcode.ADD, Opcode.SUB)
+            and op in (_ADD, _SUB)
         ):
-            if op is Opcode.ADD:
+            if op is _ADD:
                 def h():
                     fp_regs[rdf] = fp_regs[r1f] + fp_regs[r2f]
                     return ret
@@ -614,15 +707,15 @@ def _compile_inst(inst, pc, int_regs, fp_regs, memory, fallback):
                     return ret
             return h
 
-    if op in (Opcode.FADD, Opcode.FSUB, Opcode.FMUL):
+    if op in (_FADD, _FSUB, _FMUL):
         if no_rd:
             return lambda: ret
         if fp_rd and fp_rs1 and fp_rs2:
-            if op is Opcode.FADD:
+            if op is _FADD:
                 def h():
                     fp_regs[rdf] = fp_regs[r1f] + fp_regs[r2f]
                     return ret
-            elif op is Opcode.FSUB:
+            elif op is _FSUB:
                 def h():
                     fp_regs[rdf] = fp_regs[r1f] - fp_regs[r2f]
                     return ret
@@ -633,14 +726,14 @@ def _compile_inst(inst, pc, int_regs, fp_regs, memory, fallback):
             return h
 
     if (
-        op in (Opcode.ANDI, Opcode.ORI, Opcode.XORI)
+        op in (_ANDI, _ORI, _XORI)
         and int_rd and int_rs1 and int_imm
     ):
-        if op is Opcode.ANDI:
+        if op is _ANDI:
             def h():
                 int_regs[rd] = int_regs[rs1] & imm
                 return ret
-        elif op is Opcode.ORI:
+        elif op is _ORI:
             def h():
                 int_regs[rd] = int_regs[rs1] | imm
                 return ret
@@ -650,13 +743,13 @@ def _compile_inst(inst, pc, int_regs, fp_regs, memory, fallback):
                 return ret
         return h
 
-    if op is Opcode.SLTI and int_rd and int_rs1:
+    if op is _SLTI and int_rd and int_rs1:
         def h():
             int_regs[rd] = 1 if int_regs[rs1] < imm else 0
             return ret
         return h
 
-    if op is Opcode.LUI:
+    if op is _LUI:
         if int_rd:
             val_i = int(imm)
 
@@ -675,27 +768,27 @@ def _compile_inst(inst, pc, int_regs, fp_regs, memory, fallback):
             return lambda: ret
 
     if (
-        op in (Opcode.AND_, Opcode.OR_, Opcode.XOR_, Opcode.SLT,
-               Opcode.SLL, Opcode.SRL)
+        op in (_AND, _OR, _XOR, _SLT,
+               _SLL, _SRL)
         and int_rd and int_rs1 and int_rs2
     ):
-        if op is Opcode.AND_:
+        if op is _AND:
             def h():
                 int_regs[rd] = int_regs[rs1] & int_regs[rs2]
                 return ret
-        elif op is Opcode.OR_:
+        elif op is _OR:
             def h():
                 int_regs[rd] = int_regs[rs1] | int_regs[rs2]
                 return ret
-        elif op is Opcode.XOR_:
+        elif op is _XOR:
             def h():
                 int_regs[rd] = int_regs[rs1] ^ int_regs[rs2]
                 return ret
-        elif op is Opcode.SLT:
+        elif op is _SLT:
             def h():
                 int_regs[rd] = 1 if int_regs[rs1] < int_regs[rs2] else 0
                 return ret
-        elif op is Opcode.SLL:
+        elif op is _SLL:
             def h():
                 int_regs[rd] = int_regs[rs1] << (int_regs[rs2] & 63)
                 return ret
@@ -705,14 +798,14 @@ def _compile_inst(inst, pc, int_regs, fp_regs, memory, fallback):
                 return ret
         return h
 
-    if op is Opcode.PREFETCH and int_imm and int_rs1:
+    if op is _PREFETCH and int_imm and int_rs1:
         return lambda: (nxt, int_regs[rs1] + imm, False)
 
-    if op is Opcode.JUMP:
+    if op is _JUMP:
         j_ret = (target, -1, True)
         return lambda: j_ret
 
-    if op is Opcode.CALL:
+    if op is _CALL:
         j_ret = (target, -1, True)
         if int_rd:
             def h():
@@ -722,18 +815,227 @@ def _compile_inst(inst, pc, int_regs, fp_regs, memory, fallback):
         if no_rd:
             return lambda: j_ret
 
-    if op is Opcode.RET and int_rs1:
+    if op is _RET and int_rs1:
         def h():
             return (int_regs[rs1], -1, True)
         return h
 
-    if op in (Opcode.NOP, Opcode.SERIAL):
+    if op in (_NOP, _SERIAL):
         return lambda: ret
 
-    if op is Opcode.HALT:
+    if op is _HALT:
         halt_ret = (pc, -1, False)
         return lambda: halt_ret
 
     def h():
         return fallback(inst, pc)
     return h
+
+
+# ----------------------------------------------------------------------
+# Block compilation for Interpreter.advance.
+#
+# A block is the straight-line run of instructions from an entry pc --
+# where control lands -- through the first control op (branch, JUMP,
+# CALL, RET), which it includes. It ends before HALT, before a control
+# op the emitter leaves out, and at the end of the program. The block's
+# function is the run's instructions as straight-line statements, each
+# the expression _compile_inst's closure for that instruction and
+# operand class evaluates, and it returns the next pc. An instruction
+# _compile_inst does not specialise calls _execute from inside the
+# block, so there is still one fallback. Immediates that are not small
+# ints, and the fallback's StaticInsts, are bound as constants: the
+# only literals in the source are ints formatted here.
+#
+# Code is compiled once per entry pc per Program (a Program is
+# immutable) and bound per Interpreter to its register lists, memory
+# and fallback. The cache is keyed weakly, so it changes nothing a
+# Program pickles or compares and dies with the Program.
+# ----------------------------------------------------------------------
+
+#: Per program: ``entry pc -> (code, length, constants)``.
+_BLOCK_CODE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+#: The one namespace every block's code runs in: blocks read builtins
+#: only.
+_BLOCK_GLOBALS = {"__builtins__": builtins}
+
+#: The generated code's ``co_filename``: tracebacks and stack samplers
+#: place it in this package.
+_BLOCK_FILE = os.path.join(os.path.dirname(__file__), "<blocks>")
+
+_CMP = {_BEQ: "==", _BNE: "!=", _BLT: "<", _BGE: ">="}
+_SYMBOL = {
+    _ADD: "+", _SUB: "-", _MUL: "*", _FADD: "+", _FSUB: "-", _FMUL: "*",
+    _AND: "&", _OR: "|", _XOR: "^", _ANDI: "&", _ORI: "|", _XORI: "^",
+}
+
+
+def _compile_block(program: Program, entry: int):
+    """Compile the block entered at *entry*.
+
+    Returns ``(code, length, constants)``: the code of the block's
+    function, whose parameters are ``(int_regs, fp_regs, memory,
+    [fallback,] *constants)``, and which runs *length* instructions and
+    returns the next pc. A block of length 0 has no code.
+    """
+    consts: list = []
+
+    def const(value) -> str:
+        consts.append(value)
+        return f"K{len(consts) - 1}"
+
+    lines = []
+    pc = entry
+    returned = False
+    while not returned and pc < len(program):
+        inst = program[pc]
+        source = _inst_source(inst, pc, const)
+        if source is None:
+            break
+        if source:
+            lines.append(source)
+        pc += 1
+        returned = inst.op in CONTROL_OPS
+    if pc == entry:
+        return None, 0, ()
+    if not returned:
+        lines.append(f"return {pc}")
+    # X is a parameter only where the block calls the fallback: a bound
+    # _execute holds its interpreter, and a block function holding it
+    # would keep the interpreter and its state alive in a cycle until
+    # the cyclic collector ran.
+    fallback = ["X"] if any("X(" in line for line in lines) else []
+    params = ", ".join(["R", "F", "M"] + fallback + [
+        f"K{i}" for i in range(len(consts))
+    ])
+    body = "".join(f"    {line}\n" for line in lines)
+    module = compile(
+        f"def block_{entry}({params}):\n{body}", _BLOCK_FILE, "exec"
+    )
+    (code,) = (c for c in module.co_consts if type(c) is CodeType)
+    return code, pc - entry, tuple(consts)
+
+
+def _inst_source(inst: StaticInst, pc: int, const) -> str | None:
+    """One instruction's statements in a block: ``""`` when it does
+    nothing, ``None`` when the block must end before it.
+
+    Mirrors :func:`_compile_inst` case by case: ``R``, ``F`` and ``M``
+    stand for its ``int_regs``, ``fp_regs`` and ``memory``, ``X`` for
+    its fallback, and ``const(value)`` names a bound constant.
+    """
+    op = inst.op
+    rd = inst.rd
+    rs1 = inst.rs1
+    rs2 = inst.rs2
+    imm = inst.imm
+    target = inst.target
+    nxt = pc + 1
+
+    int_rd = 0 < rd < FP_BASE
+    fp_rd = rd >= FP_BASE
+    no_rd = rd == NO_REG or rd == 0
+    int_rs1 = 0 <= rs1 < FP_BASE
+    int_rs2 = 0 <= rs2 < FP_BASE
+    fp_rs1 = rs1 >= FP_BASE
+    fp_rs2 = rs2 >= FP_BASE
+    int_imm = type(imm) is int
+    d = f"R[{rd}]" if int_rd else f"F[{rd - FP_BASE}]"
+    a = f"R[{rs1}]" if int_rs1 else f"F[{rs1 - FP_BASE}]"
+    b = f"R[{rs2}]" if int_rs2 else f"F[{rs2 - FP_BASE}]"
+
+    def lit(value) -> str:
+        if type(value) is int and abs(value) < 1 << 62:
+            return str(value)
+        return const(value)
+
+    if op is _ADDI and int_imm and int_rs1:
+        if int_rd:
+            return f"{d} = {a} + {lit(imm)}"
+        if fp_rd:
+            return f"{d} = float({a} + {lit(imm)})"
+        if no_rd:
+            return ""
+
+    if op in MEMORY_READ_OPS and int_imm and int_rs1:
+        if int_rd:
+            return f"{d} = int(M.get({a} + {lit(imm)}, 0))"
+        if fp_rd:
+            return f"{d} = float(M.get({a} + {lit(imm)}, 0))"
+        if no_rd:
+            return ""
+
+    if op in MEMORY_WRITE_OPS and int_imm and int_rs1 and (int_rs2 or fp_rs2):
+        return f"M[{a} + {lit(imm)}] = {b}"
+
+    if op in BRANCH_OPS and (int_rs1 or fp_rs1) and (int_rs2 or fp_rs2):
+        return f"return {target} if {a} {_CMP[op]} {b} else {nxt}"
+
+    if op in (_ADD, _SUB, _MUL):
+        if no_rd:
+            return ""
+        if int_rd and int_rs1 and int_rs2:
+            return f"{d} = {a} {_SYMBOL[op]} {b}"
+        if fp_rd and fp_rs1 and fp_rs2 and op in (_ADD, _SUB):
+            return f"{d} = {a} {_SYMBOL[op]} {b}"
+
+    if op in (_FADD, _FSUB, _FMUL):
+        if no_rd:
+            return ""
+        if fp_rd and fp_rs1 and fp_rs2:
+            return f"{d} = {a} {_SYMBOL[op]} {b}"
+
+    if op in (_ANDI, _ORI, _XORI) and int_rd and int_rs1 and int_imm:
+        return f"{d} = {a} {_SYMBOL[op]} {lit(imm)}"
+
+    if op is _SLTI and int_rd and int_rs1:
+        return f"{d} = 1 if {a} < {lit(imm)} else 0"
+
+    if op is _LUI:
+        try:
+            if int_rd:
+                return f"{d} = {lit(int(imm))}"
+            if fp_rd:
+                return f"{d} = {const(float(imm))}"
+        except (OverflowError, ValueError):
+            # _compile_inst raises here on the pc's first execution;
+            # the fallback raises the same error when the block gets
+            # there.
+            return f"X({const(inst)}, {pc})"
+        if no_rd:
+            return ""
+
+    if (
+        op in (_AND, _OR, _XOR, _SLT, _SLL, _SRL)
+        and int_rd and int_rs1 and int_rs2
+    ):
+        if op is _SLT:
+            return f"{d} = 1 if {a} < {b} else 0"
+        if op is _SLL:
+            return f"{d} = {a} << ({b} & 63)"
+        if op is _SRL:
+            return f"{d} = {a} >> ({b} & 63)"
+        return f"{d} = {a} {_SYMBOL[op]} {b}"
+
+    if op is _PREFETCH and int_imm and int_rs1:
+        return ""
+
+    if op is _JUMP:
+        return f"return {target}"
+
+    if op is _CALL:
+        if int_rd:
+            return f"{d} = {nxt}; return {target}"
+        if no_rd:
+            return f"return {target}"
+
+    if op is _RET and int_rs1:
+        return f"return {a}"
+
+    if op in (_NOP, _SERIAL):
+        return ""
+
+    if op is _HALT or op in CONTROL_OPS:
+        return None
+    return f"X({const(inst)}, {pc})"

@@ -1,6 +1,7 @@
 """Analytical throughput prediction over ISA programs (no simulation).
 
-The OSACA-style static tier of ROADMAP item 3: decompose a
+The OSACA-style static tier of the ROADMAP item "The static predictor
+states its error, and ``refine`` judges the whole program": decompose a
 :class:`~repro.isa.program.Program` into basic blocks, classify every
 instruction into the issue queue / latency model that
 :class:`~repro.uarch.config.CoreConfig` implies, build intra- and

@@ -446,41 +446,17 @@ class TraceStore:
         target.write_bytes(self.to_bytes())
         return target
 
-    @classmethod
-    def _from_buffer(
-        cls, buf: Any, copy: bool
-    ) -> "TraceStore":
-        """Parse a TEACOL buffer.
-
-        Every bound is checked before the first column view is taken:
-        a view still alive when :meth:`load` closes its map after an
-        error would turn that error into a ``BufferError``.
+    @staticmethod
+    def _read_toc(doc: dict, buf: Any) -> tuple:
+        """The strings, column layout, meta and next cycle a table of
+        contents gives; every column's bounds are checked.
 
         Raises:
-            ValueError: For a buffer that is not TEACOL, is truncated,
-                or whose table of contents is not a JSON object or
-                disagrees with its columns.
+            ValueError: For a truncated file, or a table of contents
+                that disagrees with its columns.
+            KeyError, TypeError, AttributeError: For a field missing or
+                of the wrong type.
         """
-        _check_platform()
-        if bytes(buf[: len(MAGIC)]) != MAGIC:
-            raise ValueError("not a TEACOL columnar trace")
-        header_start = len(MAGIC) + _HEADER_LEN.size
-        if len(buf) < header_start:
-            raise ValueError("truncated TEACOL file")
-        (header_len,) = _HEADER_LEN.unpack(buf[len(MAGIC): header_start])
-        try:
-            doc = json.loads(
-                bytes(buf[header_start: header_start + header_len])
-            )
-        except ValueError as exc:
-            raise ValueError(f"corrupt TEACOL header: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ValueError("corrupt TEACOL header: not an object")
-        if doc.get("format") != STORE_FORMAT:
-            raise ValueError(
-                f"unsupported TEACOL format {doc.get('format')!r}"
-            )
-
         sdoc = doc["strings"]
         blob = bytes(
             buf[
@@ -521,6 +497,8 @@ class TraceStore:
                         f"{cname!r} ({code})"
                     )
                 lo, n = cdoc["offset"], cdoc["nbytes"]
+                if type(lo) is not int or type(n) is not int:
+                    raise TypeError(f"column {cname!r}: offset or nbytes")
                 if not 0 <= lo <= len(buf) - n:
                     raise ValueError("truncated TEACOL file")
                 if n != tdoc["rows"] * _ITEMSIZES[code]:
@@ -529,10 +507,56 @@ class TraceStore:
                     )
                 layout[tname].append((cname, code, lo, n))
 
+        return (
+            strings, layout, dict(doc.get("meta", {})),
+            int(doc.get("next_cycle", 0)),
+        )
+
+    @classmethod
+    def _from_buffer(
+        cls, buf: Any, copy: bool
+    ) -> "TraceStore":
+        """Parse a TEACOL buffer.
+
+        Every bound is checked before the first column view is taken:
+        a view still alive when :meth:`load` closes its map after an
+        error would turn that error into a ``BufferError``.
+
+        Raises:
+            ValueError: For a buffer that is not TEACOL, is truncated,
+                or whose table of contents is not a JSON object, has a
+                field missing or of the wrong type, or disagrees with
+                its columns.
+        """
+        _check_platform()
+        if bytes(buf[: len(MAGIC)]) != MAGIC:
+            raise ValueError("not a TEACOL columnar trace")
+        header_start = len(MAGIC) + _HEADER_LEN.size
+        if len(buf) < header_start:
+            raise ValueError("truncated TEACOL file")
+        (header_len,) = _HEADER_LEN.unpack(buf[len(MAGIC): header_start])
+        try:
+            doc = json.loads(
+                bytes(buf[header_start: header_start + header_len])
+            )
+        except ValueError as exc:
+            raise ValueError(f"corrupt TEACOL header: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ValueError("corrupt TEACOL header: not an object")
+        if doc.get("format") != STORE_FORMAT:
+            raise ValueError(
+                f"unsupported TEACOL format {doc.get('format')!r}"
+            )
+
+        try:
+            strings, layout, meta, next_cycle = cls._read_toc(doc, buf)
+        except (KeyError, TypeError, AttributeError) as exc:
+            # A field missing or of the wrong type.
+            raise ValueError(f"corrupt TEACOL header: {exc!r}") from None
         store = cls()
-        store.meta = dict(doc.get("meta", {}))
+        store.meta = meta
         store.strings = StringPool(strings)
-        store._next_cycle = int(doc.get("next_cycle", 0))
+        store._next_cycle = next_cycle
         for tname, schema in _SCHEMAS.items():
             columns: dict[str, Any] = {}
             for cname, code, lo, n in layout[tname]:

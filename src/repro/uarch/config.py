@@ -9,6 +9,19 @@ from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import MemoryConfig
 
 
+#: The issue queue of every operation class outside the "int" queue: a
+#: table, so ``queue_of`` reads no ``OpClass`` member through its class.
+_QUEUE_OF = {
+    OpClass.LOAD: "mem",
+    OpClass.STORE: "mem",
+    OpClass.PREFETCH: "mem",
+    OpClass.FP_ADD: "fp",
+    OpClass.FP_MUL: "fp",
+    OpClass.FP_DIV: "fp",
+    OpClass.FP_SQRT: "fp",
+}
+
+
 @dataclass
 class CoreConfig:
     """Parameters of the simulated out-of-order core.
@@ -77,16 +90,7 @@ class CoreConfig:
 
     def queue_of(self, op_class: OpClass) -> str:
         """Issue queue ("int" / "mem" / "fp") for an operation class."""
-        if op_class in (OpClass.LOAD, OpClass.STORE, OpClass.PREFETCH):
-            return "mem"
-        if op_class in (
-            OpClass.FP_ADD,
-            OpClass.FP_MUL,
-            OpClass.FP_DIV,
-            OpClass.FP_SQRT,
-        ):
-            return "fp"
-        return "int"
+        return _QUEUE_OF.get(op_class, "int")
 
     @property
     def queue_capacity(self) -> dict[str, int]:

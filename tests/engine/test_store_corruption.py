@@ -129,19 +129,49 @@ def _toc_not_an_object(data: bytes) -> bytes:
     return MAGIC + struct.pack("<I", len(toc)) + toc
 
 
+def _toc_edit(edit):
+    """A sidecar whose table of contents *edit* changed, padded to its
+    old length so every offset in it still points where it did."""
+
+    def corrupt(data: bytes) -> bytes:
+        start = len(MAGIC) + 4
+        (size,) = struct.unpack("<I", data[len(MAGIC): start])
+        toc = json.loads(data[start: start + size])
+        edit(toc)
+        text = json.dumps(toc, separators=(",", ":")).encode()
+        assert len(text) <= size
+        return data[:start] + text.ljust(size) + data[start + size:]
+
+    return corrupt
+
+
 SIDECARS = {
     "cut8": lambda data: data[:8],
     "cut10": lambda data: data[:10],
     "cut-half": lambda data: data[: len(data) // 2],
     "toc-not-an-object": _toc_not_an_object,
+    "strings-count-not-an-int": _toc_edit(
+        lambda toc: toc["strings"].update(count="x")
+    ),
+    "no-tables": _toc_edit(lambda toc: toc.pop("tables")),
+    "no-strings": _toc_edit(lambda toc: toc.pop("strings")),
+    "tables-a-list": _toc_edit(
+        lambda toc: toc.update(tables=list(toc["tables"].values()))
+    ),
+    "column-offset-not-an-int": _toc_edit(
+        lambda toc: toc["tables"]["samples"]["columns"][0].update(
+            offset=float(toc["tables"]["samples"]["columns"][0]["offset"])
+        )
+    ),
 }
 
 
 @pytest.mark.parametrize("corrupt", SIDECARS.values(), ids=SIDECARS.keys())
 def test_corrupt_sidecar_is_a_miss(tmp_path, stored, corrupt):
     """A truncated sidecar, or one whose table of contents is not a JSON
-    object, is a miss for the store and a capture for ``Engine.trace``,
-    which overwrites the file with the trace it captured."""
+    object or has a field missing or of the wrong type, is a miss for
+    the store and a capture for ``Engine.trace``, which overwrites the
+    file with the trace it captured."""
     _, sidecar, _ = stored
     store = RunStore(tmp_path)
     path = store.trace_path_for(SPEC)

@@ -4,6 +4,7 @@ import pytest
 
 import repro.fuzz.oracles as oracles
 from repro.fuzz import OracleFailure, ScenarioVerdict, run_scenario
+from repro.isa.interpreter import Interpreter
 from repro.workloads.synth import Recipe
 
 #: Seeds every oracle must agree on (the smoke slice of CI's batch).
@@ -67,3 +68,21 @@ def test_corrupted_counts_fail_differentially(monkeypatch):
     verdict = run_scenario(Recipe.sample(0))
     assert "interp-equivalence" in verdict.oracles_failed
     assert "arch-state" in verdict.oracles_failed
+
+
+def test_chunked_skip_is_checked_against_the_interpreter(monkeypatch):
+    # A drive that runs one instruction past a short request and
+    # reports the count asked for -- as a block path that ignored the
+    # stop would -- leaves the one-chunk functional run intact; only
+    # the chunked drive can catch it.
+    real = Interpreter.advance
+
+    def overrun(self, n, counts=None):
+        if n > oracles._MAX_CHUNK:
+            return real(self, n, counts)
+        return min(n, real(self, n + 1, counts))
+
+    monkeypatch.setattr(Interpreter, "advance", overrun)
+    verdict = run_scenario(Recipe.sample(0))
+    assert verdict.oracles_failed == ["interp-equivalence"]
+    assert "chunked skip" in verdict.failures[0].detail

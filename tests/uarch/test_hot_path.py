@@ -1,11 +1,14 @@
-"""The detailed core's per-µop path reads no enum member through its class.
+"""The hot paths read no enum member through its class.
 
 On Python 3.11 ``EnumType`` defines ``__getattr__``, which keeps
 CPython from specialising a load such as ``OpClass.SERIAL``: each one
 costs ~110 ns where a module global costs ~10 ns, and the per-µop path
 would pay it several times per committed instruction. The functions
-below read module constants bound at import (``_SERIAL =
-OpClass.SERIAL``) instead.
+below -- the detailed core's per-µop path, the interpreter's
+record-free drive and the compilers it calls per executed pc and per
+block, and ``CoreConfig.queue_of``, which every ``Core`` calls per
+opcode -- read module constants bound at import (``_SERIAL =
+OpClass.SERIAL``) or tables keyed by member instead.
 """
 
 import enum
@@ -15,6 +18,8 @@ import pytest
 
 from repro.backends.warmup import warm_window_state
 from repro.core.samplers import NciTeaSampler, TeaSampler
+from repro.isa import interpreter
+from repro.uarch.config import CoreConfig
 from repro.uarch.core import Core
 from repro.uarch.uop import Uop
 
@@ -28,6 +33,9 @@ CORE_METHODS = (
 
 HOT_FUNCTIONS = [getattr(Core, name) for name in CORE_METHODS] + [
     Uop.__init__, warm_window_state, TeaSampler.sample, NciTeaSampler.sample,
+    interpreter.Interpreter.advance, interpreter._compile_inst,
+    interpreter._compile_block, interpreter._inst_source,
+    CoreConfig.queue_of,
 ]
 
 
